@@ -36,14 +36,10 @@ from .stokeslets import (
 )
 from .collocation import (
     BoundaryData,
-    CollocationSystem,
     SlipSolver,
     SolveReport,
-    assemble_system,
     rigid_trace_data,
-    solve_auxiliary,
     solve_lifting,
-    solve_system,
     squirmer_data,
     uniform_flux_data,
 )

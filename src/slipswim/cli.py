@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -63,11 +64,23 @@ def _check_keys(section, given, allowed):
         raise _cfg_error(f"unknown {section} keys: {sorted(extra)}")
 
 
+def _reject_constant(name):
+    raise _cfg_error(f"non-finite number {name} in config")
+
+
+def _number(value, name):
+    """Pass ``value`` through if it is a finite JSON number (not a string or bool)."""
+    is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (is_number and math.isfinite(value)):
+        raise _cfg_error(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 def load_config(path) -> dict:
     """Read and validate a config file into a canonical dict with defaults."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise _cfg_error(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -86,29 +99,31 @@ def load_config(path) -> dict:
     _check_keys("shape", shape, _SHAPE_KEYS[kind])
     if kind in ("sphere", "spheroid"):
         shape.setdefault("resolution", 20)
-        if int(shape["resolution"]) < 8:
+        if int(_number(shape["resolution"], "shape.resolution")) < 8:
             raise _cfg_error("shape.resolution must be at least 8")
         if kind == "sphere":
             shape.setdefault("radius", 1.0)
-            if shape["radius"] <= 0:
+            if _number(shape["radius"], "shape.radius") <= 0:
                 raise _cfg_error("shape.radius must be positive")
         else:
             shape.setdefault("a_axis", 1.0)
             shape.setdefault("c_axis", 1.0)
-            if shape["a_axis"] <= 0 or shape["c_axis"] <= 0:
+            if min(_number(shape[k], f"shape.{k}") for k in ("a_axis", "c_axis")) <= 0:
                 raise _cfg_error("spheroid semi-axes must be positive")
     elif "path" not in shape:
         raise _cfg_error("shape.kind 'mesh' requires shape.path")
 
     cfg = {
         "shape": shape,
-        "alpha": float(raw["alpha"]),
-        "re": float(raw.get("re", 0.0)),
-        "shrink": float(raw.get("shrink", 0.7)),
-        "stride": int(raw.get("stride", 1)),
-        "svd_tol": float(raw.get("svd_tol", 1e-12)),
-        "r_t": float(raw.get("r_t", 20.0)),
-        "resolutions": list(raw.get("resolutions", [10, 14, 20])),
+        "alpha": float(_number(raw["alpha"], "alpha")),
+        "re": float(_number(raw.get("re", 0.0), "re")),
+        "shrink": float(_number(raw.get("shrink", 0.7), "shrink")),
+        "stride": int(_number(raw.get("stride", 1), "stride")),
+        "svd_tol": float(_number(raw.get("svd_tol", 1e-12), "svd_tol")),
+        "r_t": float(_number(raw.get("r_t", 20.0), "r_t")),
+        "resolutions": [
+            _number(r, "resolutions") for r in raw.get("resolutions", [10, 14, 20])
+        ],
         "output": raw.get("output"),
     }
     if cfg["alpha"] <= 0:
@@ -126,7 +141,9 @@ def load_config(path) -> dict:
 
     thr = dict(raw.get("thresholds", {}))
     _check_keys("thresholds", thr, {"c1", "c2"})
-    cfg["thresholds"] = {"c1": float(thr.get("c1", 1.0)), "c2": float(thr.get("c2", 1.0))}
+    cfg["thresholds"] = {
+        c: float(_number(thr.get(c, 1.0), f"thresholds.{c}")) for c in ("c1", "c2")
+    }
     if cfg["thresholds"]["c1"] <= 0 or cfg["thresholds"]["c2"] <= 0:
         raise _cfg_error("thresholds must be positive")
 
@@ -140,12 +157,12 @@ def load_config(path) -> dict:
         _check_keys("data", data, _DATA_KEYS[preset])
         if preset == "rigid-trace":
             data.setdefault("index", 1)
-            if not 1 <= int(data["index"]) <= 6:
+            if not 1 <= int(_number(data["index"], "data.index")) <= 6:
                 raise _cfg_error("data.index must lie in 1..6")
         elif preset == "squirmer":
-            data.setdefault("b1", 1.0)
+            _number(data.setdefault("b1", 1.0), "data.b1")
         elif preset == "source":
-            data.setdefault("phi", 1.0)
+            _number(data.setdefault("phi", 1.0), "data.phi")
         elif "path" not in data:
             raise _cfg_error("data.preset 'custom' requires data.path")
         cfg["data"] = data
@@ -203,6 +220,8 @@ def read_nodal_csv(path, mesh):
             normal[idx], c1[idx], c2[idx] = float(r[1]), float(r[2]), float(r[3])
     except (IndexError, ValueError) as exc:
         raise _cfg_error(f"malformed nodal CSV row: {exc}") from exc
+    if not np.all(np.isfinite([normal, c1, c2])):
+        raise _cfg_error("nodal CSV contains non-finite values")
     tangential = c1[:, None] * mesh.tangent1 + c2[:, None] * mesh.tangent2
     return BoundaryData(normal, tangential)
 

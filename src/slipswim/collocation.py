@@ -41,7 +41,6 @@ from .geometry import (
 )
 from .stokeslets import (
     FlowField,
-    SourceSet,
     point_source_traction,
     point_source_velocity,
     traction_matrix,
@@ -50,12 +49,8 @@ from .stokeslets import (
 
 __all__ = [
     "BoundaryData",
-    "CollocationSystem",
     "SolveReport",
     "SlipSolver",
-    "assemble_system",
-    "solve_system",
-    "solve_auxiliary",
     "solve_lifting",
     "rigid_trace_data",
     "squirmer_data",
@@ -75,8 +70,9 @@ class BoundaryData:
 
     ``normal_data`` holds the scalars v.n; ``tangential_data`` the tangential
     vectors stored with (numerically) zero normal component.  The split is
-    against the normals of the mesh the data was built on; ``assemble_system``
-    re-checks orthogonality against its mesh.
+    against the normals of the mesh the data was built on; ``SlipSolver``
+    re-checks orthogonality against its mesh.  Non-finite values are
+    rejected.
     """
 
     normal_data: np.ndarray
@@ -87,6 +83,8 @@ class BoundaryData:
         dt = np.asarray(self.tangential_data, dtype=float)
         if dn.ndim != 1 or dt.shape != (len(dn), 3):
             raise ValueError("normal_data must be (N,) and tangential_data (N, 3)")
+        if not (np.all(np.isfinite(dn)) and np.all(np.isfinite(dt))):
+            raise ValueError("boundary data must be finite")
         object.__setattr__(self, "normal_data", dn)
         object.__setattr__(self, "tangential_data", dt)
         dn.setflags(write=False)
@@ -143,31 +141,6 @@ def uniform_flux_data(mesh: SurfaceMesh, phi: float) -> BoundaryData:
     """Purely normal data with uniform v.n = phi/area, so the total flux is phi."""
     vn = np.full(mesh.n_nodes, phi / mesh.area)
     return BoundaryData(vn, np.zeros((mesh.n_nodes, 3)))
-
-
-@dataclass(frozen=True)
-class CollocationSystem:
-    """Assembled dense collocation system.
-
-    Rows are node-major triples (normal row, then the two tangential slip
-    rows); ``row_map[j]`` lists the three row indices of node j.  The mesh
-    weights and the source set ride along so the system can be solved and
-    its solution wrapped into a :class:`FlowField` without the originals.
-    """
-
-    matrix: np.ndarray
-    rhs: np.ndarray
-    row_map: np.ndarray
-    alpha: float
-    sources: SourceSet
-    weights: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.row_map)
-        if self.matrix.shape[0] != 3 * n or self.rhs.shape != (3 * n,):
-            raise ValueError("system must have 3 rows per node")
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -235,40 +208,7 @@ def _row_scale(weights: np.ndarray, alpha: float) -> np.ndarray:
     return scale
 
 
-def assemble_system(
-    mesh: SurfaceMesh, sources: SourceSet, alpha: float, data: BoundaryData
-) -> CollocationSystem:
-    """Assemble the dense (3N x 3K) slip collocation system.
-
-    The matrix is kept in the unscaled physical form described in the module
-    docstring; the least-squares row weighting happens inside the solve.
-    """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    _check_match(data, mesh)
-    _check_tangential(data, mesh)
-    vmat = velocity_matrix(mesh.nodes, sources)
-    tmat = traction_matrix(mesh.nodes, mesh.normals, sources)
-    matrix = _build_matrix(mesh, vmat, tmat, alpha)
-    rhs = _build_rhs(mesh, alpha, data)
-    row_map = np.arange(3 * mesh.n_nodes).reshape(mesh.n_nodes, 3)
-    return CollocationSystem(matrix, rhs, row_map, alpha, sources, mesh.weights)
-
-
-def _truncated_svd_solve(a_scaled, b_scaled, svd_tol):
-    if not 0.0 < svd_tol < 1.0:
-        raise ValueError(f"svd_tol must lie in (0, 1), got {svd_tol}")
-    u, s, vt = np.linalg.svd(a_scaled, full_matrices=False)
-    if s[0] == 0.0:
-        raise SolverError("collocation matrix is identically zero")
-    rank = int(np.count_nonzero(s >= svd_tol * s[0]))
-    if rank == 0:
-        raise SolverError("truncated SVD kept no singular values; system is degenerate")
-    x = vt[:rank].T @ ((u[:, :rank].T @ b_scaled) / s[:rank])
-    return x, rank, float(s[0] / s[rank - 1])
-
-
-def _residual_norms(residual, weights, alpha):
+def _residual_norms(residual, weights):
     rn = residual[0::3]
     rt = residual[1::3] ** 2 + residual[2::3] ** 2
     return (
@@ -277,30 +217,14 @@ def _residual_norms(residual, weights, alpha):
     )
 
 
-def solve_system(system: CollocationSystem, svd_tol: float = DEFAULT_SVD_TOL):
-    """Solve an assembled system by row-weighted truncated-SVD least squares.
-
-    Returns (FlowField, SolveReport).  Residuals come from re-applying the
-    unscaled boundary rows to the solution.
-    """
-    scale = _row_scale(system.weights, system.alpha)
-    x, rank, cond = _truncated_svd_solve(
-        system.matrix * scale[:, None], system.rhs * scale, svd_tol
-    )
-    res_n, res_t = _residual_norms(
-        system.matrix @ x - system.rhs, system.weights, system.alpha
-    )
-    field = FlowField(system.sources, x.reshape(-1, 3))
-    return field, SolveReport(res_n, res_t, rank, cond)
-
-
 class SlipSolver:
     """Factorized collocation operator for one (mesh, sources, alpha) triple.
 
     The SVD of the row-weighted matrix is computed once and reused for any
     number of right-hand sides, which is what makes the six auxiliary solves
-    plus the lifting solve cheap.  Also caches the node velocity/traction
-    matrices for fast a-posteriori residuals and traction extraction.
+    plus the lifting solve cheap.  The row-weighted matrix is kept for the
+    a-posteriori residuals and the node traction matrix for traction
+    extraction.
     """
 
     def __init__(self, mesh, sources, alpha, svd_tol=DEFAULT_SVD_TOL):
@@ -312,15 +236,15 @@ class SlipSolver:
         self.sources = sources
         self.alpha = float(alpha)
         self.svd_tol = float(svd_tol)
-        n, k3 = mesh.n_nodes, 3 * sources.count
-        self._vr = velocity_matrix(mesh.nodes, sources).reshape(n, 3, k3)
-        self._tr = traction_matrix(mesh.nodes, mesh.normals, sources).reshape(n, 3, k3)
-        a = _build_matrix(mesh, self._vr.reshape(3 * n, k3), self._tr.reshape(3 * n, k3), alpha)
-        scale = _row_scale(mesh.weights, alpha)
-        a *= scale[:, None]
-        self._scale = scale
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-        del a
+        self._tmat = traction_matrix(mesh.nodes, mesh.normals, sources)
+        a = _build_matrix(mesh, velocity_matrix(mesh.nodes, sources), self._tmat, alpha)
+        self._scale = _row_scale(mesh.weights, alpha)
+        a *= self._scale[:, None]
+        self._a = a
+        try:
+            u, s, vt = np.linalg.svd(a, full_matrices=False)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"SVD of the collocation matrix failed: {exc}") from exc
         if s[0] == 0.0:
             raise SolverError("collocation matrix is identically zero")
         rank = int(np.count_nonzero(s >= svd_tol * s[0]))
@@ -332,22 +256,9 @@ class SlipSolver:
         self.svd_rank = rank
         self.condition_estimate = float(s[0] / s[rank - 1])
 
-    def _solve_rhs(self, rhs):
-        b = rhs * self._scale
-        return self._vt.T @ ((self._u.T @ b) / self._s)
-
-    def node_velocity(self, field: FlowField) -> np.ndarray:
-        """Velocity of ``field`` at the mesh nodes via the cached matrix."""
-        u = np.einsum("jaC,C->ja", self._vr, field.strengths.ravel())
-        if field.source_flux != 0.0:
-            u = u + field.source_flux * point_source_velocity(
-                field.source_point, self.mesh.nodes
-            )
-        return u
-
     def node_traction(self, field: FlowField) -> np.ndarray:
         """Traction T n of ``field`` at the mesh nodes via the cached matrix."""
-        t = np.einsum("jaC,C->ja", self._tr, field.strengths.ravel())
+        t = (self._tmat @ field.strengths.ravel()).reshape(-1, 3)
         if field.source_flux != 0.0:
             t = t + field.source_flux * point_source_traction(
                 field.source_point, self.mesh.nodes, self.mesh.normals
@@ -355,46 +266,17 @@ class SlipSolver:
         return t
 
     def solve_data(self, data: BoundaryData):
-        """Solve for the given boundary data; returns (FlowField, SolveReport)."""
+        """Solve for the given boundary data; returns (FlowField, SolveReport).
+
+        The residuals re-apply the unscaled boundary rows to the solution.
+        """
         _check_match(data, self.mesh)
         _check_tangential(data, self.mesh)
         rhs = _build_rhs(self.mesh, self.alpha, data)
-        x = self._solve_rhs(rhs)
+        x = self._vt.T @ ((self._u.T @ (rhs * self._scale)) / self._s)
+        res_n, res_t = _residual_norms((self._a @ x) / self._scale - rhs, self.mesh.weights)
         field = FlowField(self.sources, x.reshape(-1, 3))
-        report = self._report(field, data)
-        return field, report
-
-    def _report(self, field, data):
-        u = self.node_velocity(field)
-        t = self.node_traction(field)
-        m = self.mesh
-        full = data_vector(data, m)
-        rn = np.einsum("ij,ij->i", u - full, m.normals)
-        mis = t + self.alpha * (u - full)
-        r1 = np.einsum("ij,ij->i", mis, m.tangent1)
-        r2 = np.einsum("ij,ij->i", mis, m.tangent2)
-        res_n = float(np.sqrt(np.sum(m.weights * rn**2)))
-        res_t = float(np.sqrt(np.sum(m.weights * (r1**2 + r2**2))))
-        return SolveReport(res_n, res_t, self.svd_rank, self.condition_estimate)
-
-
-def solve_auxiliary(
-    i: int,
-    mesh: SurfaceMesh,
-    sources: SourceSet,
-    alpha: float,
-    svd_tol: float = DEFAULT_SVD_TOL,
-    solver: SlipSolver | None = None,
-):
-    """Solve the i-th auxiliary problem: slip BVP with the trace of the
-    i-th elementary rigid motion as data.  Returns (FlowField, SolveReport).
-
-    Pass a prebuilt :class:`SlipSolver` to amortize the factorization over
-    several solves.
-    """
-    if solver is None:
-        solver = SlipSolver(mesh, sources, alpha, svd_tol)
-    return solver.solve_data(rigid_trace_data(mesh, i))
+        return field, SolveReport(res_n, res_t, self.svd_rank, self.condition_estimate)
 
 
 def _inside_body(mesh: SurfaceMesh, x0) -> bool:
@@ -426,26 +308,17 @@ def normalized_carrier(mesh: SurfaceMesh, x0):
     return raw / s_disc, 1.0 / s_disc
 
 
-def solve_lifting(
-    v_star: BoundaryData,
-    mesh: SurfaceMesh,
-    sources: SourceSet,
-    alpha: float,
-    svd_tol: float = DEFAULT_SVD_TOL,
-    x0=None,
-    solver: SlipSolver | None = None,
-):
+def solve_lifting(v_star: BoundaryData, solver: SlipSolver, x0=None):
     """Lift arbitrary boundary data to an exterior Stokes field.
 
     If the data carries net flux phi, a point sink at ``x0`` (default: the
     centroid) absorbs it: the sink's discrete flux is normalized to phi
     exactly and its boundary trace (velocity and slip-row traction) is
-    subtracted from the data before the Stokeslet fit.  By linearity the
-    reported residuals are those of the complete composite field against
-    the original data.  Returns (FlowField, SolveReport).
+    subtracted from the data before the Stokeslet fit on ``solver``'s mesh.
+    By linearity the reported residuals are those of the complete composite
+    field against the original data.  Returns (FlowField, SolveReport).
     """
-    if solver is None:
-        solver = SlipSolver(mesh, sources, alpha, svd_tol)
+    mesh, alpha = solver.mesh, solver.alpha
     _check_match(v_star, mesh)
     phi = surface_integral(mesh, v_star.normal_data)
     flux_floor = 1e-12 * mesh.area * max(1.0, float(np.max(np.abs(v_star.normal_data), initial=0.0)))

@@ -272,14 +272,16 @@ def load_triangle_mesh(path, mass: float = 0.0, inertia=None) -> SurfaceMesh:
 
     Each triangle contributes one node at its centroid with its area as the
     quadrature weight.  Normals are reoriented to point into the body using
-    the signed-volume test, so the input winding does not matter.
+    the signed-volume test, so the global winding does not matter; it must
+    only be consistent across faces.
 
     Raises
     ------
     MeshFormatError
         Unparseable file or non-triangle faces.
     GeometryError
-        Surface not closed/manifold (an edge not shared by exactly two faces).
+        Surface not closed/manifold (an edge not shared by exactly two faces)
+        or faces wound inconsistently (a directed edge used twice).
     """
     text = _read_text(path)
     ext = os.path.splitext(str(path))[1].lower()
@@ -295,15 +297,20 @@ def load_triangle_mesh(path, mass: float = 0.0, inertia=None) -> SurfaceMesh:
     if faces.min() < 0 or faces.max() >= len(verts):
         raise MeshFormatError("face references a vertex index out of range")
 
-    edges = {}
-    for f in faces:
-        for k in range(3):
-            e = tuple(sorted((f[k], f[(k + 1) % 3])))
-            edges[e] = edges.get(e, 0) + 1
-    bad = [e for e, cnt in edges.items() if cnt != 2]
-    if bad:
+    directed = np.stack((faces, np.roll(faces, -1, axis=1)), axis=-1).reshape(-1, 2)
+    _, counts = np.unique(np.sort(directed, axis=1), axis=0, return_counts=True)
+    if np.any(counts != 2):
         raise GeometryError(
-            f"surface is not closed/manifold: {len(bad)} edges not shared by exactly 2 faces"
+            f"surface is not closed/manifold: {np.count_nonzero(counts != 2)} edges "
+            "not shared by exactly 2 faces"
+        )
+    # Consistently wound neighbours traverse their shared edge in opposite
+    # directions; the global orientation below relies on that.
+    _, counts = np.unique(directed, axis=0, return_counts=True)
+    if np.any(counts != 1):
+        raise GeometryError(
+            f"inconsistent face winding: {np.count_nonzero(counts != 1)} directed edges "
+            "are traversed by two faces"
         )
 
     v0 = verts[faces[:, 0]]

@@ -11,13 +11,15 @@ resistance R (bottom-right) and the coupling S.  With the package's
 into-body normal convention, M comes out symmetric positive definite:
 for the no-slip unit sphere K = 6 pi I and R = 8 pi I.
 
-The rigid velocity generated by boundary data v_star follows from the
-wrench W_i = -integral of v_star . g_i via the Schur-complement inverse:
+The rigid velocity generated by boundary data v_star solves M (xi, omega) = W
+with the wrench W_i = -integral of v_star . g_i.  The Schur-complement blocks
 
-    xi    = A (W_f - S^T R^-1 W_t),      A = (K - S^T R^-1 S)^-1,
-    omega = B (W_t - S K^-1 W_f),        B = (R - S K^-1 S^T)^-1,
+    A = (K - S^T R^-1 S)^-1,      B = (R - S K^-1 S^T)^-1
 
-where W_f, W_t are the force and torque parts of W.
+are kept as diagnostics only: the closed block inverse built from them
+assumes M[:3, 3:] = S^T, which a discrete M satisfies only up to its
+symmetry defect, so comparing it with the direct inverse measures that
+defect.
 """
 
 from __future__ import annotations
@@ -138,10 +140,14 @@ class GrandMatrix:
         return cls(m, k, s, r, a, b, defect, min_ev)
 
 
+def _rigid_modes(mesh: SurfaceMesh) -> np.ndarray:
+    """The six elementary rigid motions at the nodes, shape (6, N, 3)."""
+    return np.array([elementary_rigid_motion(i, mesh.nodes) for i in range(1, 7)])
+
+
 def assemble_grand_matrix(basis: ThrustBasis, mesh: SurfaceMesh) -> GrandMatrix:
     """Pair elementary rigid motions with the traction basis to form M."""
-    rigid = np.array([elementary_rigid_motion(i, mesh.nodes) for i in range(1, 7)])
-    m = np.einsum("n,inj,knj->ik", mesh.weights, rigid, basis.tractions)
+    m = np.einsum("n,inj,knj->ik", mesh.weights, _rigid_modes(mesh), basis.tractions)
     return GrandMatrix.from_matrix(m)
 
 
@@ -186,19 +192,16 @@ def compute_wrench(v_star: BoundaryData, basis: ThrustBasis, mesh: SurfaceMesh) 
 def swim_velocity(gm: GrandMatrix, wrench: Wrench):
     """Rigid-body velocity (xi, omega) generated by the wrench.
 
-    Uses the Schur block formulas and cross-checks that M (xi, omega)
-    reproduces the wrench to near rounding.
+    Solves M (xi, omega) = W and cross-checks that the solution reproduces
+    the wrench to near rounding.
     """
-    wf, wt = wrench.force_part, wrench.torque_part
-    xi = gm.A @ (wf - gm.S.T @ np.linalg.solve(gm.R, wt))
-    omega = gm.B @ (wt - gm.S @ np.linalg.solve(gm.K, wf))
-    sol = np.concatenate((xi, omega))
+    sol = np.linalg.solve(gm.M, wrench.W)
     defect = np.max(np.abs(gm.M @ sol - wrench.W))
     if defect > 1e-10 * max(1.0, float(np.max(np.abs(wrench.W)))):
         raise SolverError(
-            f"block solve failed to reproduce the wrench (defect {defect:.3e})"
+            f"grand-matrix solve failed to reproduce the wrench (defect {defect:.3e})"
         )
-    return xi, omega
+    return sol[:3], sol[3:]
 
 
 def thrust_projection(

@@ -29,18 +29,20 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AccuracyWarning
-from .geometry import SurfaceMesh, elementary_rigid_motion, surface_integral
+from .geometry import SurfaceMesh, surface_integral
 from .stokeslets import FlowField, SourceSet, place_sources
 from .collocation import (
     DEFAULT_SVD_TOL,
     BoundaryData,
     SlipSolver,
     normalized_carrier,
+    rigid_trace_data,
     solve_lifting,
 )
 from .mobility import (
     GrandMatrix,
     Wrench,
+    _rigid_modes,
     assemble_grand_matrix,
     compute_wrench,
     swim_velocity,
@@ -120,19 +122,15 @@ class SwimProblem:
         shrink: float = 0.7,
         stride: int = 1,
         svd_tol: float = DEFAULT_SVD_TOL,
-        sources: SourceSet | None = None,
     ):
         self.mesh = mesh
         self.alpha = float(alpha)
         self.shrink = float(shrink)
         self.stride = int(stride)
         self.svd_tol = float(svd_tol)
-        self._sources = sources
 
     @cached_property
     def sources(self) -> SourceSet:
-        if self._sources is not None:
-            return self._sources
         return place_sources(self.mesh, self.shrink, self.stride)
 
     @cached_property
@@ -141,8 +139,6 @@ class SwimProblem:
 
     @cached_property
     def _aux(self):
-        from .collocation import rigid_trace_data
-
         fields, reports = [], []
         for i in range(1, 7):
             f, r = self.solver.solve_data(rigid_trace_data(self.mesh, i))
@@ -183,12 +179,9 @@ class SwimProblem:
 
     def solve(self, v_star: BoundaryData) -> SelfPropSolution:
         """Full composite solution via the lifting route (M c = beta)."""
-        lifting, report = solve_lifting(
-            v_star, self.mesh, self.sources, self.alpha, solver=self.solver
-        )
+        lifting, report = solve_lifting(v_star, self.solver)
         t_lift = self.solver.node_traction(lifting)
-        rigid = _rigid_mode_values(self.mesh)
-        beta = -np.einsum("n,inj,nj->i", self.mesh.weights, rigid, t_lift)
+        beta = -np.einsum("n,inj,nj->i", self.mesh.weights, _rigid_modes(self.mesh), t_lift)
         c = np.linalg.solve(self.grand_matrix.M, beta)
 
         strengths = lifting.strengths + np.einsum(
@@ -229,10 +222,6 @@ class SwimProblem:
             re, v_star, self.mesh, self.grand_matrix, self.wrench(v_star),
             thresholds, x0=x0,
         )
-
-
-def _rigid_mode_values(mesh: SurfaceMesh) -> np.ndarray:
-    return np.array([elementary_rigid_motion(i, mesh.nodes) for i in range(1, 7)])
 
 
 def solve_selfpropelled_stokes(

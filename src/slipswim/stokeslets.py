@@ -19,8 +19,11 @@ whose normals point back toward the source (the package convention of
 normals oriented out of the fluid) its flux is +1.  Its pressure vanishes
 and its stress is pure strain, -(1/2 pi)(I - 3 rhat rhat)/d^3.
 
-All batch evaluations are chunked plain-numpy reductions; numpy's pairwise
-summation keeps results reproducible for a fixed thread count.
+Each singularity has one batch kernel: the Stokeslet velocity and traction
+rows behind ``velocity_matrix``/``traction_matrix`` and the sink stress.
+The batch evaluators are chunked matrix-vector products over them, which
+keeps results reproducible for a fixed thread count.  The single-point
+functions are independent reference implementations.
 """
 
 from __future__ import annotations
@@ -108,18 +111,24 @@ def point_source_velocity(x0, x):
     return vel[0] if single else vel
 
 
+def _sink_stress(x0, points) -> np.ndarray:
+    """Stress of the unit-flux sink at ``x0`` over an (M, 3) batch: (M, 3, 3)."""
+    r = points - x0[None, :]
+    d = np.linalg.norm(r, axis=1)
+    if d.min() < _SINGULAR_DIST:
+        raise SingularEvaluationError("evaluation point coincides with the point source")
+    rhat = r / d[:, None]
+    return -(np.eye(3)[None] - 3.0 * np.einsum("ma,mb->mab", rhat, rhat)) / (
+        2.0 * np.pi * d[:, None, None] ** 3
+    )
+
+
 def point_source_traction(x0, points, normals):
     """Traction T n of the unit-flux sink at an (M, 3) batch of surface points."""
     x0 = np.asarray(x0, dtype=float).reshape(3)
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     nrm = np.asarray(normals, dtype=float).reshape(-1, 3)
-    r = pts - x0[None, :]
-    d = np.linalg.norm(r, axis=1)
-    if d.min() < _SINGULAR_DIST:
-        raise SingularEvaluationError("evaluation point coincides with the point source")
-    rhat = r / d[:, None]
-    rn = np.einsum("mj,mj->m", rhat, nrm)
-    return -(nrm - 3.0 * rhat * rn[:, None]) / (2.0 * np.pi * d[:, None] ** 3)
+    return np.einsum("mab,mb->ma", _sink_stress(x0, pts), nrm)
 
 
 def point_source_stress(x0, x):
@@ -243,18 +252,14 @@ def evaluate_flow(field: FlowField, points):
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     pts = pts.reshape(-1, 3)
-    vel = np.zeros_like(pts)
-    prs = np.zeros(len(pts))
+    vel = np.empty_like(pts)
+    prs = np.empty(len(pts))
     q = field.strengths
     for lo in range(0, len(pts), _CHUNK):
         sl = slice(lo, lo + _CHUNK)
         r, d = _displacements(pts[sl], field.sources.locations)
-        rq = np.einsum("mkj,kj->mk", r, q)
-        vel[sl] = (
-            np.einsum("mk,kj->mj", 1.0 / d, q)
-            + np.einsum("mk,mkj->mj", rq / d**3, r)
-        ) / (8.0 * np.pi)
-        prs[sl] = np.sum(rq / d**3, axis=1) / (4.0 * np.pi)
+        vel[sl] = (_velocity_rows(r, d) @ q.ravel()).reshape(-1, 3)
+        prs[sl] = np.sum(np.einsum("mkj,kj->mk", r, q) / d**3, axis=1) / (4.0 * np.pi)
     if field.source_flux != 0.0:
         vel += field.source_flux * point_source_velocity(field.source_point, pts)
     if single:
@@ -264,20 +269,12 @@ def evaluate_flow(field: FlowField, points):
 
 def evaluate_traction(field: FlowField, mesh: SurfaceMesh) -> np.ndarray:
     """Traction t = T(v, p) n at every mesh node, with the mesh's own normals."""
-    pts, nrm = mesh.nodes, mesh.normals
-    out = np.zeros_like(pts)
-    q = field.strengths
-    for lo in range(0, len(pts), _CHUNK):
-        sl = slice(lo, lo + _CHUNK)
-        r, d = _displacements(pts[sl], field.sources.locations)
-        rhat = r / d[..., None]
-        rq = np.einsum("mkj,kj->mk", rhat, q)
-        rn = np.einsum("mkj,mj->mk", rhat, nrm[sl])
-        out[sl] = -(3.0 / (4.0 * np.pi)) * np.einsum(
-            "mk,mkj->mj", rq * rn / d**2, rhat
-        )
+    tmat = traction_matrix(mesh.nodes, mesh.normals, field.sources)
+    out = (tmat @ field.strengths.ravel()).reshape(-1, 3)
     if field.source_flux != 0.0:
-        out += field.source_flux * point_source_traction(field.source_point, pts, nrm)
+        out += field.source_flux * point_source_traction(
+            field.source_point, mesh.nodes, mesh.normals
+        )
     return out
 
 
@@ -297,18 +294,19 @@ def evaluate_strain(field: FlowField, points) -> np.ndarray:
             - 3.0 * np.einsum("mk,mka,mkb->mab", f, rhat, rhat)
         ) / (8.0 * np.pi)
     if field.source_flux != 0.0:
-        r = pts - field.source_point[None, :]
-        d = np.linalg.norm(r, axis=1)
-        if d.min() < _SINGULAR_DIST:
-            raise SingularEvaluationError("evaluation point coincides with the point source")
-        rhat = r / d[:, None]
-        out += (
-            -field.source_flux
-            / (4.0 * np.pi)
-            * (eye[None] - 3.0 * np.einsum("ma,mb->mab", rhat, rhat))
-            / d[:, None, None] ** 3
-        )
+        # potential flow: the strain is half the sink stress
+        out += 0.5 * field.source_flux * _sink_stress(field.source_point, pts)
     return out
+
+
+def _velocity_rows(r, d) -> np.ndarray:
+    """(3M, 3K) velocity rows from (M, K, 3) displacements and (M, K) distances."""
+    blk = (
+        np.eye(3)[None, None] / d[..., None, None]
+        + r[..., :, None] * r[..., None, :] / d[..., None, None] ** 3
+    ) / (8.0 * np.pi)
+    m, k = d.shape
+    return blk.transpose(0, 2, 1, 3).reshape(3 * m, 3 * k)
 
 
 def velocity_matrix(points, sources: SourceSet) -> np.ndarray:
@@ -318,18 +316,10 @@ def velocity_matrix(points, sources: SourceSet) -> np.ndarray:
     block k the three strength components of source k.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    m3, k3 = 3 * len(pts), 3 * sources.count
-    out = np.empty((m3, k3))
-    eye = np.eye(3)
+    out = np.empty((3 * len(pts), 3 * sources.count))
     for lo in range(0, len(pts), _CHUNK):
-        sl = slice(lo, lo + _CHUNK)
-        r, d = _displacements(pts[sl], sources.locations)
-        blk = (
-            eye[None, None] / d[..., None, None]
-            + r[..., :, None] * r[..., None, :] / d[..., None, None] ** 3
-        ) / (8.0 * np.pi)
-        nm = blk.shape[0]
-        out[3 * lo : 3 * lo + 3 * nm] = blk.transpose(0, 2, 1, 3).reshape(3 * nm, k3)
+        r, d = _displacements(pts[lo : lo + _CHUNK], sources.locations)
+        out[3 * lo : 3 * lo + 3 * len(d)] = _velocity_rows(r, d)
     return out
 
 

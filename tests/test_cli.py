@@ -192,6 +192,33 @@ class TestSubcommands:
         assert main(["swim", "--config", str(p)]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("mobility", {"alpha": float("nan")}),
+        ("swim", {"data": {"preset": "squirmer", "b1": float("inf")}}),
+        ("certify", {"re": float("nan")}),
+        ("swim", "csv"),
+        ("mobility", {"alpha": "abc"}),
+        ("swim", {"data": {"preset": "squirmer", "b1": "nan"}}),
+    ],
+    ids=["alpha-nan", "b1-inf", "re-nan", "csv-nan", "alpha-string", "b1-string-nan"],
+)
+def test_non_finite_input_exits_2(tmp_path, capsys, command, override):
+    if override == "csv":
+        lines = ["node_index,normal,t1,t2"]
+        lines += [f"{i},0.0,{'nan' if i == 7 else 0.5},0.0" for i in range(100)]
+        csv_path = tmp_path / "data.csv"
+        csv_path.write_text("\n".join(lines) + "\n")
+        override = {"data": {"preset": "custom", "path": str(csv_path)}}
+    cfg = _write_config(tmp_path / "c.json", **override)
+    out = tmp_path / "out.json"
+    assert main([command, "--config", str(cfg), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert not out.exists()
+
+
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, tmp_path):
         cfg = _write_config(tmp_path / "c.json")

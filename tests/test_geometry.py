@@ -252,6 +252,30 @@ class TestTriangleMeshes:
         mesh = load_triangle_mesh(path)
         assert np.all(np.sum(mesh.normals * mesh.nodes, axis=1) < 0)
 
+    def test_mixed_winding_rejected(self, tmp_path, capsys):
+        import json
+
+        from slipswim.cli import main
+
+        verts = np.vstack([np.eye(3), -np.eye(3)])
+        faces = [
+            (0, 1, 2), (1, 3, 2), (3, 4, 2), (4, 0, 2),
+            (1, 0, 5), (3, 1, 5), (4, 3, 5), (0, 4, 5),
+        ]
+        good = tmp_path / "octa.off"
+        _write_off(good, verts, faces)
+        mesh = load_triangle_mesh(good)
+        assert np.all(np.sum(mesh.normals * mesh.nodes, axis=1) < 0)
+
+        bad = tmp_path / "octa_flipped.off"
+        _write_off(bad, verts, faces[:-1] + [(0, 5, 4)])
+        with pytest.raises(GeometryError, match="winding"):
+            load_triangle_mesh(bad)
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"shape": {"kind": "mesh", "path": str(bad)}, "alpha": 1.0}))
+        assert main(["mobility", "--config", str(cfg)]) == 2
+        assert "winding" in capsys.readouterr().err
+
     def test_open_surface_rejected(self, tmp_path):
         path = tmp_path / "open.off"
         _write_off(path, _CUBE_VERTS, _CUBE_FACES[:-1])

@@ -160,3 +160,16 @@ class TestSolutionRecord:
         npt.assert_allclose(sol.coefficients[3:], sol.omega)
         assert sol.lifting_report is not None
         assert sol.lifting_report.residual_normal < 1e-8
+
+
+class TestStridedBody:
+    def test_swim_and_certificate_solve_with_m(self, problem20_strided):
+        # M is symmetric only to ~1e-5 here; the solve must still reproduce W
+        prob = problem20_strided
+        data = squirmer_data(prob.mesh)
+        w = prob.wrench(data).W
+        xi, omega = prob.swim(data)
+        defect = prob.grand_matrix.M @ np.concatenate([xi, omega]) - w
+        assert np.linalg.norm(defect) <= 1e-12 * np.linalg.norm(w)
+        cert = prob.certificate(0.0, data)
+        npt.assert_allclose(cert.xi_bracket[1], 1.5 * np.linalg.norm(xi), rtol=1e-12)
