@@ -24,6 +24,9 @@ Custom boundary data is a CSV with header ``node_index,normal,t1,t2``
 giving, per node, the normal velocity component and the two tangential
 components in the node's (tangent1, tangent2) frame.  Node ordering of
 generated meshes is documented in :func:`slipswim.geometry.make_parametric_surface`.
+On sphere and spheroid meshes tangent1 is the normalized projection of ez
+at every node, including the polar rings (|n_z| > 0.9) where earlier
+versions switched to ex; triangle meshes keep that switch.
 """
 
 from __future__ import annotations
@@ -76,6 +79,26 @@ def _number(value, name):
     return value
 
 
+def _object(value, name):
+    """A copy of config section ``value``, which must be a JSON object."""
+    if not isinstance(value, dict):
+        raise _cfg_error(f"{name} must be a JSON object, got {type(value).__name__}")
+    return dict(value)
+
+
+def _list(value):
+    if not isinstance(value, list):
+        raise _cfg_error(f"resolutions must be a JSON array, got {value!r}")
+    return value
+
+
+def _path(value, name):
+    """Pass ``value`` through if it is a string; an int would reach open() as an fd."""
+    if not isinstance(value, str):
+        raise _cfg_error(f"{name} must be a string, got {value!r}")
+    return value
+
+
 def load_config(path) -> dict:
     """Read and validate a config file into a canonical dict with defaults."""
     try:
@@ -92,7 +115,7 @@ def load_config(path) -> dict:
     if "shape" not in raw or "alpha" not in raw:
         raise _cfg_error("config must define 'shape' and 'alpha'")
 
-    shape = dict(raw["shape"])
+    shape = _object(raw["shape"], "shape")
     kind = shape.get("kind")
     if kind not in _SHAPE_KEYS:
         raise _cfg_error(f"shape.kind must be one of {sorted(_SHAPE_KEYS)}, got {kind!r}")
@@ -112,6 +135,8 @@ def load_config(path) -> dict:
                 raise _cfg_error("spheroid semi-axes must be positive")
     elif "path" not in shape:
         raise _cfg_error("shape.kind 'mesh' requires shape.path")
+    else:
+        _path(shape["path"], "shape.path")
 
     cfg = {
         "shape": shape,
@@ -122,9 +147,9 @@ def load_config(path) -> dict:
         "svd_tol": float(_number(raw.get("svd_tol", 1e-12), "svd_tol")),
         "r_t": float(_number(raw.get("r_t", 20.0), "r_t")),
         "resolutions": [
-            _number(r, "resolutions") for r in raw.get("resolutions", [10, 14, 20])
+            _number(r, "resolutions") for r in _list(raw.get("resolutions", [10, 14, 20]))
         ],
-        "output": raw.get("output"),
+        "output": None if raw.get("output") is None else _path(raw["output"], "output"),
     }
     if cfg["alpha"] <= 0:
         raise _cfg_error("alpha must be positive")
@@ -139,7 +164,7 @@ def load_config(path) -> dict:
     if cfg["r_t"] <= 0:
         raise _cfg_error("r_t must be positive")
 
-    thr = dict(raw.get("thresholds", {}))
+    thr = _object(raw.get("thresholds", {}), "thresholds")
     _check_keys("thresholds", thr, {"c1", "c2"})
     cfg["thresholds"] = {
         c: float(_number(thr.get(c, 1.0), f"thresholds.{c}")) for c in ("c1", "c2")
@@ -148,7 +173,7 @@ def load_config(path) -> dict:
         raise _cfg_error("thresholds must be positive")
 
     if "data" in raw:
-        data = dict(raw["data"])
+        data = _object(raw["data"], "data")
         preset = data.get("preset")
         if preset not in _DATA_KEYS:
             raise _cfg_error(
@@ -165,6 +190,8 @@ def load_config(path) -> dict:
             _number(data.setdefault("phi", 1.0), "data.phi")
         elif "path" not in data:
             raise _cfg_error("data.preset 'custom' requires data.path")
+        else:
+            _path(data["path"], "data.path")
         cfg["data"] = data
     return cfg
 
@@ -433,7 +460,11 @@ def main(argv=None) -> int:
 
     if args.timing:
         record["timing"] = {"total_seconds": time.perf_counter() - t0}
-    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        print("solver error: the results contain NaN or infinite values", file=sys.stderr)
+        return 3
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)

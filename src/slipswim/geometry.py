@@ -179,15 +179,20 @@ def surface_integral(mesh: SurfaceMesh, values):
     return mesh.weights @ values
 
 
-def _tangent_frame(normals: np.ndarray):
+def _tangent_frame(normals: np.ndarray, axial_switch: bool = True):
     """Deterministic orthonormal tangent pair for each unit normal.
 
-    The reference direction is ez, switched to ex where the normal is
-    nearly axial; t1 is the normalized projection of the reference onto
-    the tangent plane and t2 = n x t1.
+    The reference direction is ez; t1 is its normalized projection onto
+    the tangent plane and t2 = n x t1.  With ``axial_switch`` the reference
+    becomes ex where the normal is nearly axial (|n_z| > 0.9), which keeps
+    the projection defined for any normal.  Parametric meshes pass False:
+    they carry no pole nodes, and the pure ez frame is equivariant under
+    rotations about z, which the ring factorization in
+    :class:`slipswim.collocation.SlipSolver` relies on.
     """
     ref = np.tile(np.array([0.0, 0.0, 1.0]), (len(normals), 1))
-    ref[np.abs(normals[:, 2]) > 0.9] = np.array([1.0, 0.0, 0.0])
+    if axial_switch:
+        ref[np.abs(normals[:, 2]) > 0.9] = np.array([1.0, 0.0, 0.0])
     t1 = ref - np.einsum("ij,ij->i", ref, normals)[:, None] * normals
     t1 /= np.linalg.norm(t1, axis=1)[:, None]
     t2 = np.cross(normals, t1)
@@ -258,7 +263,7 @@ def make_parametric_surface(
     grad = np.column_stack((nodes[:, 0] / a**2, nodes[:, 1] / a**2, nodes[:, 2] / c**2))
     normals = -grad / np.linalg.norm(grad, axis=1)[:, None]
 
-    t1, t2 = _tangent_frame(normals)
+    t1, t2 = _tangent_frame(normals, axial_switch=False)
     return SurfaceMesh(
         nodes, normals, weights, t1, t2,
         mass=mass,

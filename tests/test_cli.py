@@ -219,6 +219,57 @@ def test_non_finite_input_exits_2(tmp_path, capsys, command, override):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"shape": "sphere"},
+        {"data": ["squirmer"]},
+        {"thresholds": 5},
+        {"resolutions": 12},
+    ],
+    ids=["shape", "data", "thresholds", "resolutions"],
+)
+def test_section_of_wrong_type_exits_2(tmp_path, capsys, override):
+    cfg = _write_config(tmp_path / "c.json", **override)
+    assert main(["swim", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["shape", "data", "output"])
+def test_integer_path_is_not_a_file_descriptor(tmp_path, capsys, where):
+    # an int reaching open() would read (or write) and then close this fd
+    held = tmp_path / "held.txt"
+    held.write_text("mine\n")
+    with open(held, "r", encoding="utf-8") as fh:
+        fd = fh.fileno()
+        override = {
+            "shape": {"shape": {"kind": "mesh", "path": fd}},
+            "data": {"data": {"preset": "custom", "path": fd}},
+            "output": {"output": fd},
+        }[where]
+        cfg = _write_config(tmp_path / "c.json", **override)
+        assert main(["swim", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        os.fstat(fd)  # still open
+        assert fh.read() == "mine\n"
+
+
+def test_non_finite_output_exits_3(tmp_path, capsys):
+    # a huge finite stroke overflows the squared norms of the certificate
+    cfg = _write_config(
+        tmp_path / "c.json",
+        shape={"kind": "sphere", "resolution": 8},
+        data={"preset": "squirmer", "b1": 1e300},
+    )
+    out = tmp_path / "out.json"
+    assert main(["certify", "--config", str(cfg), "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error") and err.count("\n") == 1
+    assert not out.exists()
+
+
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, tmp_path):
         cfg = _write_config(tmp_path / "c.json")

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from slipswim import (
     BoundaryData,
+    SwimProblem,
     SlipSolver,
     evaluate_flow,
     place_sources,
@@ -15,11 +18,12 @@ from slipswim import (
     uniform_flux_data,
 )
 from slipswim.collocation import (
+    _ring_count,
     boundary_data_from_field,
     data_vector,
     normalized_carrier,
 )
-from slipswim.geometry import elementary_rigid_motion
+from slipswim.geometry import elementary_rigid_motion, make_parametric_surface
 
 
 class TestBoundaryData:
@@ -179,3 +183,84 @@ class TestLifting:
 
         with pytest.raises(PlacementError):
             normalized_carrier(sphere12, np.array([0.0, 0.0, 5.0]))
+
+
+def _ring_and_dense(request, body):
+    """The same body twice: as built (ring route) and without shape_info (dense)."""
+    if body == "problem16_noslip":
+        ring = request.getfixturevalue(body)
+    elif body == "spheroid16":
+        mesh = make_parametric_surface("spheroid", 16, a_axis=1.0, c_axis=1.2)
+        ring = SwimProblem(mesh, 2.0, shrink=0.5)
+    else:
+        ring = SwimProblem(request.getfixturevalue(body), 2.0, shrink=0.5)
+    dense_mesh = dataclasses.replace(ring.mesh, shape_info=None)
+    dense = SwimProblem(dense_mesh, ring.alpha, shrink=ring.shrink)
+    return ring, dense
+
+
+class TestRingRoute:
+    """Parametric bodies factor through an FFT over the phi rings."""
+
+    @pytest.mark.parametrize(
+        "body", ["sphere8", "sphere12", "spheroid12", "problem16_noslip", "spheroid16"]
+    )
+    def test_agrees_with_dense_route(self, request, body):
+        ring, dense = _ring_and_dense(request, body)
+        res = int(np.sqrt(ring.mesh.n_nodes))
+        assert _ring_count(ring.mesh, ring.sources) == res
+        assert _ring_count(dense.mesh, dense.sources) == 1
+        assert ring.solver.svd_rank == dense.solver.svd_rank
+        # the smallest kept singular value sits at 1e-12 of the largest, so
+        # it carries a relative rounding error of ~1e-4
+        npt.assert_allclose(
+            ring.solver.condition_estimate, dense.solver.condition_estimate, rtol=1e-3
+        )
+        m_ring, m_dense = ring.grand_matrix.M, dense.grand_matrix.M
+        assert np.max(np.abs(m_ring - m_dense)) <= 1e-9 * np.max(np.abs(m_dense))
+        if body == "spheroid12":
+            return  # c = 1.6 at res 12 is under-resolved: the fields differ at 1e-7
+        points = 1.7 * ring.mesh.nodes
+        for f_ring, f_dense in zip(ring.aux_fields, dense.aux_fields):
+            v_ring = evaluate_flow(f_ring, points)[0]
+            v_dense = evaluate_flow(f_dense, points)[0]
+            assert np.max(np.abs(v_ring - v_dense)) <= 1e-9 * np.max(np.abs(v_dense))
+
+    @pytest.mark.parametrize("body", ["sphere12", "spheroid12"])
+    def test_tangent1_is_ez_projection(self, request, body):
+        mesh = request.getfixturevalue(body)
+        n = mesh.normals
+        assert np.any(np.abs(n[:, 2]) > 0.9)  # the polar rings are covered
+        ref = np.array([0.0, 0.0, 1.0]) - n[:, 2:] * n
+        npt.assert_allclose(
+            mesh.tangent1, ref / np.linalg.norm(ref, axis=1)[:, None], atol=1e-14
+        )
+
+    def test_strided_sources_take_dense_route(self, problem20_strided):
+        prob = problem20_strided
+        assert _ring_count(prob.mesh, prob.sources) == 1
+
+    def test_triangle_mesh_takes_dense_route(self, tmp_path):
+        from slipswim import load_triangle_mesh
+
+        # a cube split into triangles: symmetric about z, but not parametric
+        verts = [[x, y, z] for z in (-1, 1) for y in (-1, 1) for x in (-1, 1)]
+        faces = [
+            [0, 2, 1], [1, 2, 3], [4, 5, 6], [5, 7, 6], [0, 1, 4], [1, 5, 4],
+            [2, 6, 3], [3, 6, 7], [0, 4, 2], [2, 4, 6], [1, 3, 5], [3, 7, 5],
+        ]
+        path = tmp_path / "cube.off"
+        lines = ["OFF", "8 12 0"] + [" ".join(map(str, v)) for v in verts]
+        lines += ["3 " + " ".join(map(str, f)) for f in faces]
+        path.write_text("\n".join(lines) + "\n")
+        mesh = load_triangle_mesh(path)
+        assert _ring_count(mesh, place_sources(mesh, 0.5)) == 1
+
+    def test_moved_source_takes_dense_route(self, sphere8):
+        from slipswim import SourceSet
+
+        srcs = place_sources(sphere8, 0.5)
+        locs = srcs.locations.copy()
+        locs[5] *= 1.01
+        assert _ring_count(sphere8, srcs) == 8
+        assert _ring_count(sphere8, SourceSet(locs, srcs.min_surface_distance)) == 1
