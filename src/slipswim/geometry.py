@@ -73,7 +73,13 @@ class SurfaceMesh:
 
     def __post_init__(self):
         for name in ("nodes", "normals", "weights", "tangent1", "tangent2", "inertia"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            arr = np.asarray(getattr(self, name), dtype=float)
+            # NaN fails every comparison below, so it must be caught here.
+            if not np.all(np.isfinite(arr)):
+                raise GeometryError(f"{name} must be finite")
+            object.__setattr__(self, name, arr)
+            # Shared read-only across workers; freeze the arrays.
+            arr.setflags(write=False)
         n = len(self.nodes)
         if self.nodes.shape != (n, 3):
             raise GeometryError(f"nodes must be (N, 3), got {self.nodes.shape}")
@@ -99,9 +105,6 @@ class SurfaceMesh:
             raise GeometryError("mass must be nonnegative")
         if self.inertia.shape != (3, 3) or np.max(np.abs(self.inertia - self.inertia.T)) > 1e-12:
             raise GeometryError("inertia must be a symmetric 3x3 matrix")
-        # Shared read-only across workers; freeze the arrays.
-        for name in ("nodes", "normals", "weights", "tangent1", "tangent2", "inertia"):
-            getattr(self, name).setflags(write=False)
 
     @property
     def n_nodes(self) -> int:

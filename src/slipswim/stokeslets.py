@@ -190,17 +190,20 @@ def place_sources(mesh: SurfaceMesh, shrink: float, stride: int = 1) -> SourceSe
     c = mesh.centroid
     locs = c + shrink * (mesh.nodes[::stride] - c)
 
-    diff = locs[:, None, :] - mesh.nodes[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    nearest = np.argmin(dist, axis=1)
+    # Nearest node per source, a block of sources at a time to bound the memory.
+    nearest = np.empty(len(locs), dtype=np.intp)
+    for lo in range(0, len(locs), _CHUNK):
+        dist = np.linalg.norm(locs[lo : lo + _CHUNK, None, :] - mesh.nodes, axis=2)
+        nearest[lo : lo + _CHUNK] = np.argmin(dist, axis=1)
+    offset = locs - mesh.nodes[nearest]
     # Normals point into the body, so interior points see (src - node).n > 0.
-    side = np.einsum("kj,kj->k", locs - mesh.nodes[nearest], mesh.normals[nearest])
+    side = np.einsum("kj,kj->k", offset, mesh.normals[nearest])
     if np.any(side <= 0):
         raise PlacementError(
             "source placement escaped the body; the surface is not star-shaped "
             "about its centroid (try a smaller shrink)"
         )
-    min_dist = float(dist.min())
+    min_dist = float(np.linalg.norm(offset, axis=1).min())
     scale = np.sqrt(mesh.area / (4.0 * np.pi))
     if min_dist < 0.01 * scale:
         warnings.warn(
@@ -212,13 +215,14 @@ def place_sources(mesh: SurfaceMesh, shrink: float, stride: int = 1) -> SourceSe
     return SourceSet(locs, min_dist)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowField:
     """Exterior Stokes solution: Stokeslet strengths plus an optional flux source.
 
     ``source_flux`` is the strength multiplying the unit-flux sink kernel at
     ``source_point``; solvers rescale it so the *discrete* flux through the
-    collocation mesh matches the prescribed boundary flux exactly.
+    collocation mesh matches the prescribed boundary flux exactly.  Fields
+    compare and hash by identity, so per-field results can be memoized.
     """
 
     sources: SourceSet

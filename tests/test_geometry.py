@@ -5,10 +5,13 @@ import pytest
 from slipswim import (
     GeometryError,
     MeshFormatError,
+    PlacementError,
     RigidMotion,
+    SurfaceMesh,
     elementary_rigid_motion,
     load_triangle_mesh,
     make_parametric_surface,
+    place_sources,
     surface_integral,
     tangential_part,
 )
@@ -70,6 +73,31 @@ def _write_off(path, verts, faces):
     lines += [f"{v[0]} {v[1]} {v[2]}" for v in verts]
     lines += ["3 " + " ".join(str(i) for i in f) for f in faces]
     path.write_text("\n".join(lines) + "\n")
+
+
+def _revolve(profile, n_phi):
+    """Closed triangle surface of revolution about z of a (rho, z) polyline.
+
+    The first and last profile points lie on the axis and become poles.
+    """
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    rings = profile[1:-1]
+    verts = [(0.0, 0.0, profile[0][1])]
+    verts += [(r * np.cos(p), r * np.sin(p), z) for r, z in rings for p in phi]
+    verts.append((0.0, 0.0, profile[-1][1]))
+
+    def at(ring, q):
+        return 1 + ring * n_phi + q % n_phi
+
+    last = len(rings) - 1
+    faces = [(0, at(0, q + 1), at(0, q)) for q in range(n_phi)]
+    for ring in range(last):
+        for q in range(n_phi):
+            a, b = at(ring, q), at(ring, q + 1)
+            c, d = at(ring + 1, q + 1), at(ring + 1, q)
+            faces += [(a, b, c), (a, c, d)]
+    faces += [(len(verts) - 1, at(last, q), at(last, q + 1)) for q in range(n_phi)]
+    return np.array(verts), faces
 
 
 def _write_obj(path, verts, faces, with_normals=False):
@@ -212,6 +240,27 @@ class TestMeshDataclass:
         with pytest.raises(GeometryError):
             make_parametric_surface("sphere", 8, inertia=bad)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("nodes", np.inf),
+            ("normals", np.nan),
+            ("weights", np.nan),
+            ("tangent1", np.nan),
+            ("tangent2", -np.inf),
+            ("inertia", np.nan),
+        ],
+    )
+    def test_non_finite_arrays_rejected(self, sphere8, name, value):
+        # NaN passes every range comparison, so each array needs its own check
+        fields = {
+            k: np.array(getattr(sphere8, k))
+            for k in ("nodes", "normals", "weights", "tangent1", "tangent2", "inertia")
+        }
+        fields[name].flat[0] = value
+        with pytest.raises(GeometryError, match="finite"):
+            SurfaceMesh(**fields, shape_info=sphere8.shape_info)
+
 
 class TestTriangleMeshes:
     def test_icosphere_off(self, tmp_path):
@@ -275,6 +324,36 @@ class TestTriangleMeshes:
         cfg.write_text(json.dumps({"shape": {"kind": "mesh", "path": str(bad)}, "alpha": 1.0}))
         assert main(["mobility", "--config", str(cfg)]) == 2
         assert "winding" in capsys.readouterr().err
+
+    def test_cup_is_not_star_shaped(self, tmp_path, capsys):
+        import json
+
+        from slipswim.cli import main
+
+        # Thin-walled cup: outer radius 1, wall and floor 0.1 thick, open at
+        # z = 1.  Its centroid lies in the cavity, outside the body, so every
+        # shrink sends some sources out through the floor or the wall.
+        wall = [(1.0, z) for z in np.linspace(-1.0, 1.0, 8)]
+        floor = [(r, -1.0) for r in (0.3, 0.6)]
+        profile = (
+            [(0.0, -1.0)] + floor + wall + [(0.9, 1.0)]
+            + [(0.9, z) for z in np.linspace(1.0, -0.9, 8)[1:]]
+            + [(r, -0.9) for r in (0.6, 0.3)] + [(0.0, -0.9)]
+        )
+        path = tmp_path / "cup.off"
+        _write_off(path, *_revolve(profile, 16))
+        mesh = load_triangle_mesh(path)
+        c = mesh.centroid
+        assert np.hypot(c[0], c[1]) < 0.9 and -0.9 < c[2] < 1.0
+        for shrink in (0.2, 0.5, 0.8, 0.95):
+            with pytest.raises(PlacementError, match="star-shaped"):
+                place_sources(mesh, shrink)
+
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"shape": {"kind": "mesh", "path": str(path)}, "alpha": 1.0}))
+        assert main(["mobility", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert "star-shaped" in err and len(err.strip().splitlines()) == 1
 
     def test_open_surface_rejected(self, tmp_path):
         path = tmp_path / "open.off"

@@ -11,6 +11,7 @@ from slipswim import (
     evaluate_flow,
     evaluate_strain,
     evaluate_traction,
+    make_parametric_surface,
     place_sources,
     point_source_velocity,
     stokeslet_stress,
@@ -162,6 +163,20 @@ class TestSourcePlacement:
     def test_near_surface_warns(self, sphere8):
         with pytest.warns(ConditioningWarning):
             place_sources(sphere8, 0.999)
+
+    def test_nearest_node_search_memory(self):
+        # one K x N x 3 displacement array would take 61 MB here
+        import tracemalloc
+
+        mesh = make_parametric_surface("sphere", 40)
+        tracemalloc.start()
+        try:
+            srcs = place_sources(mesh, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert srcs.count == 1600
+        assert peak < 80 * 2**20
 
 
 class TestMatricesAndFields:

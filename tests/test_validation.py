@@ -1,19 +1,27 @@
+import gc
+import json
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from slipswim import (
     GeometryError,
+    SwimProblem,
     SurfaceMesh,
     analytic_sphere_resistance,
     calibrate_slip_length,
     convergence_study,
     energy_identity_check,
+    make_parametric_surface,
     random_boundary_data,
     reciprocal_check,
     squirmer_oracle,
     surface_integral,
 )
+from slipswim import validation
+from slipswim.cli import main
 from slipswim.validation import write_convergence_csv
 
 
@@ -71,6 +79,13 @@ class TestIdentityChecks:
         with pytest.raises(ValueError):
             reciprocal_check(1, 1, problem12.basis, problem12.mesh, 0.5)
 
+    def test_indices_must_lie_in_range(self, problem12):
+        for i, j in ((0, 1), (1, 7)):
+            with pytest.raises(ValueError, match="indices"):
+                reciprocal_check(i, j, problem12.basis, problem12.mesh, 20.0)
+            with pytest.raises(ValueError, match="indices"):
+                energy_identity_check(i, j, problem12.basis, problem12.mesh, 2.0, 20.0)
+
     def test_ray_radius_needs_shape_info(self, problem12, sphere12):
         anonymous = SurfaceMesh(
             sphere12.nodes,
@@ -82,6 +97,61 @@ class TestIdentityChecks:
         )
         with pytest.raises(GeometryError):
             reciprocal_check(1, 1, problem12.basis, anonymous, 20.0)
+
+
+class TestSharedVolumeStrain:
+    @pytest.fixture()
+    def strain_calls(self, monkeypatch):
+        calls, original = [], validation.evaluate_strain
+
+        def counted(field, points):
+            calls.append(field)
+            return original(field, points)
+
+        monkeypatch.setattr(validation, "evaluate_strain", counted)
+        return calls
+
+    def test_validate_job_evaluates_each_field_once(self, tmp_path, strain_calls):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(
+            json.dumps(
+                {"shape": {"kind": "sphere", "resolution": 16}, "alpha": 2.0, "shrink": 0.5}
+            )
+        )
+        held = len(validation._STRAINS)
+        assert main(["validate", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 0
+        # reciprocal[1,1], reciprocal[1,2] and energy[1,1] need fields 1 and 2
+        assert len(strain_calls) == 2
+        del strain_calls[:]
+        gc.collect()
+        assert len(validation._STRAINS) == held
+
+    def test_identity_suite_shares_strains(self, strain_calls):
+        prob = SwimProblem(make_parametric_surface("sphere", 8), 2.0, shrink=0.5)
+        basis, mesh = prob.basis, prob.mesh
+
+        def suite():
+            return [
+                check
+                for r_t in (20.0, 40.0)
+                for check in (
+                    reciprocal_check(1, 1, basis, mesh, r_t),
+                    reciprocal_check(4, 4, basis, mesh, r_t),
+                    energy_identity_check(1, 1, basis, mesh, prob.alpha, r_t),
+                    energy_identity_check(4, 4, basis, mesh, prob.alpha, r_t),
+                )
+            ]
+
+        first = suite()
+        assert len(strain_calls) == 4  # fields 1 and 4 at two radii
+        assert suite() == first and len(strain_calls) == 4
+
+        alive = weakref.ref(basis.aux_fields[0])
+        held = len(validation._STRAINS)
+        del prob, basis, strain_calls[:]
+        gc.collect()
+        assert alive() is None
+        assert len(validation._STRAINS) == held - 2
 
 
 class TestConvergence:
