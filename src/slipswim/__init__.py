@@ -13,7 +13,6 @@ from .errors import (
     SolverError,
 )
 from .geometry import (
-    RigidMotion,
     SurfaceMesh,
     elementary_rigid_motion,
     load_triangle_mesh,
@@ -46,7 +45,6 @@ from .collocation import (
 from .mobility import (
     GrandMatrix,
     ThrustBasis,
-    Wrench,
     assemble_grand_matrix,
     compute_wrench,
     invert_grand_matrix,
@@ -61,7 +59,6 @@ from .selfprop import (
     flux_and_carrier,
     h_half_norm,
     ns_certificate,
-    solve_selfpropelled_stokes,
 )
 from .validation import (
     CheckResult,

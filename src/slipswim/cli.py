@@ -32,6 +32,7 @@ versions switched to ex; triangle meshes keep that switch.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -79,6 +80,13 @@ def _number(value, name):
     return value
 
 
+def _integer(value, name):
+    """Pass ``value`` through if it is a finite JSON number with no fractional part."""
+    if _number(value, name) != int(value):
+        raise _cfg_error(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _object(value, name):
     """A copy of config section ``value``, which must be a JSON object."""
     if not isinstance(value, dict):
@@ -122,7 +130,7 @@ def load_config(path) -> dict:
     _check_keys("shape", shape, _SHAPE_KEYS[kind])
     if kind in ("sphere", "spheroid"):
         shape.setdefault("resolution", 20)
-        if int(_number(shape["resolution"], "shape.resolution")) < 8:
+        if _integer(shape["resolution"], "shape.resolution") < 8:
             raise _cfg_error("shape.resolution must be at least 8")
         if kind == "sphere":
             shape.setdefault("radius", 1.0)
@@ -143,11 +151,11 @@ def load_config(path) -> dict:
         "alpha": float(_number(raw["alpha"], "alpha")),
         "re": float(_number(raw.get("re", 0.0), "re")),
         "shrink": float(_number(raw.get("shrink", 0.7), "shrink")),
-        "stride": int(_number(raw.get("stride", 1), "stride")),
+        "stride": int(_integer(raw.get("stride", 1), "stride")),
         "svd_tol": float(_number(raw.get("svd_tol", 1e-12), "svd_tol")),
         "r_t": float(_number(raw.get("r_t", 20.0), "r_t")),
         "resolutions": [
-            _number(r, "resolutions") for r in _list(raw.get("resolutions", [10, 14, 20]))
+            _integer(r, "resolutions") for r in _list(raw.get("resolutions", [10, 14, 20]))
         ],
         "output": None if raw.get("output") is None else _path(raw["output"], "output"),
     }
@@ -163,6 +171,8 @@ def load_config(path) -> dict:
         raise _cfg_error("svd_tol must lie in (0, 1)")
     if cfg["r_t"] <= 0:
         raise _cfg_error("r_t must be positive")
+    if len(cfg["resolutions"]) < 3 or min(cfg["resolutions"]) < 8:
+        raise _cfg_error("resolutions must list at least three integers, each at least 8")
 
     thr = _object(raw.get("thresholds", {}), "thresholds")
     _check_keys("thresholds", thr, {"c1", "c2"})
@@ -182,7 +192,7 @@ def load_config(path) -> dict:
         _check_keys("data", data, _DATA_KEYS[preset])
         if preset == "rigid-trace":
             data.setdefault("index", 1)
-            if not 1 <= int(_number(data["index"], "data.index")) <= 6:
+            if not 1 <= _integer(data["index"], "data.index") <= 6:
                 raise _cfg_error("data.index must lie in 1..6")
         elif preset == "squirmer":
             _number(data.setdefault("b1", 1.0), "data.b1")
@@ -269,29 +279,9 @@ def _build_data(cfg, mesh):
     return read_nodal_csv(data["path"], mesh)
 
 
-def _gm_record(gm):
-    return {
-        "M": gm.M.tolist(),
-        "K": gm.K.tolist(),
-        "S": gm.S.tolist(),
-        "R": gm.R.tolist(),
-        "A": gm.A.tolist(),
-        "B": gm.B.tolist(),
-        "symmetry_defect": gm.symmetry_defect,
-        "min_eigenvalue": gm.min_eigenvalue,
-    }
-
-
-def _check_record(chk):
-    return {
-        "name": chk.name,
-        "lhs": chk.lhs,
-        "rhs": chk.rhs,
-        "relative_error": chk.relative_error,
-        "tolerance": chk.tolerance,
-        "passed": chk.passed,
-        "tail_bound": chk.tail_bound,
-    }
+def _jsonable(obj):
+    """JSON form of the result dataclasses and numpy arrays in an output record."""
+    return dataclasses.asdict(obj) if dataclasses.is_dataclass(obj) else obj.tolist()
 
 
 def _problem(cfg, mesh):
@@ -310,7 +300,7 @@ def _run_mobility(cfg, record):
     mesh = _build_mesh(cfg)
     prob = _problem(cfg, mesh)
     record["mesh"] = {"n_nodes": mesh.n_nodes, "area": mesh.area}
-    record["grand_matrix"] = _gm_record(prob.grand_matrix)
+    record["grand_matrix"] = prob.grand_matrix
     record["aux_residual_worst"] = prob.worst_residual()
 
 
@@ -321,16 +311,15 @@ def _run_swim(cfg, record, with_certificate=False):
     prob = _problem(cfg, mesh)
     v_star = _build_data(cfg, mesh)
     sol = prob.solve(v_star)
-    wrench = prob.wrench(v_star)
     coeff, resid, moving = thrust_projection(v_star, prob.basis, mesh)
     record["mesh"] = {"n_nodes": mesh.n_nodes, "area": mesh.area}
-    record["grand_matrix"] = _gm_record(prob.grand_matrix)
-    record["wrench"] = wrench.W.tolist()
-    record["xi"] = sol.xi.tolist()
-    record["omega"] = sol.omega.tolist()
-    record["coefficients"] = sol.coefficients.tolist()
+    record["grand_matrix"] = prob.grand_matrix
+    record["wrench"] = prob.wrench(v_star)
+    record["xi"] = sol.xi
+    record["omega"] = sol.omega
+    record["coefficients"] = sol.coefficients
     record["thrust_projection"] = {
-        "coefficients": coeff.tolist(),
+        "coefficients": coeff,
         "residual_norm": resid,
         "is_nonzero": moving,
     }
@@ -343,20 +332,7 @@ def _run_swim(cfg, record, with_certificate=False):
     }
     if with_certificate:
         thr = cfg["thresholds"]
-        cert = prob.certificate(cfg["re"], v_star, (thr["c1"], thr["c2"]))
-        record["certificate"] = {
-            "phi": cert.phi,
-            "re": cert.re,
-            "re_phi": cert.re_phi,
-            "beta_star_half_norm": cert.beta_star_half_norm,
-            "re_beta": cert.re_beta,
-            "c1_user": cert.c1_user,
-            "c2_user": cert.c2_user,
-            "passes": cert.passes,
-            "xi_bracket": list(cert.xi_bracket),
-            "omega_bracket": list(cert.omega_bracket),
-            "note": cert.note,
-        }
+        record["certificate"] = prob.certificate(cfg["re"], v_star, (thr["c1"], thr["c2"]))
 
 
 def _run_validate(cfg, record):
@@ -372,7 +348,7 @@ def _run_validate(cfg, record):
         energy_identity_check(1, 1, basis, mesh, cfg["alpha"], cfg["r_t"]),
     ]
     record["mesh"] = {"n_nodes": mesh.n_nodes, "area": mesh.area}
-    record["checks"] = [_check_record(c) for c in checks]
+    record["checks"] = checks
     record["all_passed"] = all(c.passed for c in checks)
 
 
@@ -388,7 +364,8 @@ def _run_converge(cfg, out_path):
     else:
         kwargs["a_axis"] = shape["a_axis"]
         kwargs["c_axis"] = shape["c_axis"]
-    study = convergence_study(shape["kind"], cfg["alpha"], cfg["resolutions"], **kwargs)
+    resolutions = [int(r) for r in cfg["resolutions"]]
+    study = convergence_study(shape["kind"], cfg["alpha"], resolutions, **kwargs)
     write_convergence_csv(study, out_path)
     return study
 
@@ -461,7 +438,9 @@ def main(argv=None) -> int:
     if args.timing:
         record["timing"] = {"total_seconds": time.perf_counter() - t0}
     try:
-        text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        text = json.dumps(
+            record, indent=2, sort_keys=True, allow_nan=False, default=_jsonable
+        ) + "\n"
     except ValueError:
         print("solver error: the results contain NaN or infinite values", file=sys.stderr)
         return 3

@@ -54,6 +54,7 @@ from .geometry import (
 )
 from .stokeslets import (
     FlowField,
+    _inside_body,
     point_source_traction,
     point_source_velocity,
     traction_matrix,
@@ -428,12 +429,6 @@ class SlipSolver:
         return field, SolveReport(res_n, res_t, self.svd_rank, self.condition_estimate)
 
 
-def _inside_body(mesh: SurfaceMesh, x0) -> bool:
-    x0 = np.asarray(x0, dtype=float).reshape(3)
-    j = int(np.argmin(np.linalg.norm(mesh.nodes - x0[None, :], axis=1)))
-    return float((x0 - mesh.nodes[j]) @ mesh.normals[j]) > 0.0
-
-
 def normalized_carrier(mesh: SurfaceMesh, x0):
     """Flux-carrier trace at the nodes, normalized to unit discrete flux.
 
@@ -442,7 +437,8 @@ def normalized_carrier(mesh: SurfaceMesh, x0):
     this mesh.  ``strength`` is the coefficient of the raw unit-flux sink.
     """
     x0 = np.asarray(x0, dtype=float).reshape(3)
-    if not _inside_body(mesh, x0):
+    inside, _ = _inside_body(mesh, x0[None])
+    if not inside[0]:
         raise PlacementError("carrier point must lie strictly inside the body")
     raw = point_source_velocity(x0, mesh.nodes)
     s_disc = float(
@@ -457,13 +453,13 @@ def normalized_carrier(mesh: SurfaceMesh, x0):
     return raw / s_disc, 1.0 / s_disc
 
 
-def solve_lifting(v_star: BoundaryData, solver: SlipSolver, x0=None):
+def solve_lifting(v_star: BoundaryData, solver: SlipSolver):
     """Lift arbitrary boundary data to an exterior Stokes field.
 
-    If the data carries net flux phi, a point sink at ``x0`` (default: the
-    centroid) absorbs it: the sink's discrete flux is normalized to phi
-    exactly and its boundary trace (velocity and slip-row traction) is
-    subtracted from the data before the Stokeslet fit on ``solver``'s mesh.
+    If the data carries net flux phi, a point sink at the mesh centroid
+    absorbs it: the sink's discrete flux is normalized to phi exactly and
+    its boundary trace (velocity and slip-row traction) is subtracted from
+    the data before the Stokeslet fit on ``solver``'s mesh.
     By linearity the reported residuals are those of the complete composite
     field against the original data.  Returns (FlowField, SolveReport).
     """
@@ -474,7 +470,7 @@ def solve_lifting(v_star: BoundaryData, solver: SlipSolver, x0=None):
     if abs(phi) <= flux_floor:
         return solver.solve_data(v_star)
 
-    x0 = mesh.centroid if x0 is None else np.asarray(x0, dtype=float).reshape(3)
+    x0 = mesh.centroid
     sigma_hat, unit_strength = normalized_carrier(mesh, x0)
     c_src = phi * unit_strength
     sink_traction = c_src * point_source_traction(x0, mesh.nodes, mesh.normals)

@@ -18,7 +18,7 @@ documented: theta-major, phi-minor (see :func:`make_parametric_surface`).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -27,7 +27,6 @@ from .errors import GeometryError, MeshFormatError
 
 __all__ = [
     "SurfaceMesh",
-    "RigidMotion",
     "make_parametric_surface",
     "load_triangle_mesh",
     "elementary_rigid_motion",
@@ -52,10 +51,6 @@ class SurfaceMesh:
         Positive quadrature weights; their sum approximates the area.
     tangent1, tangent2 : (N, 3) arrays
         Orthonormal tangent pair completing the frame at each node.
-    mass : float
-        Body mass, stored metadata only (unused by steady solves).
-    inertia : (3, 3) array
-        Body inertia tensor about the frame origin, symmetric; metadata only.
     shape_info : tuple or None
         ("sphere", radius) or ("spheroid", a, c) for parametric meshes,
         None for loaded triangle meshes.  Volume quadrature in the
@@ -67,12 +62,10 @@ class SurfaceMesh:
     weights: np.ndarray
     tangent1: np.ndarray
     tangent2: np.ndarray
-    mass: float = 0.0
-    inertia: np.ndarray = field(default_factory=lambda: np.zeros((3, 3)))
     shape_info: tuple | None = None
 
     def __post_init__(self):
-        for name in ("nodes", "normals", "weights", "tangent1", "tangent2", "inertia"):
+        for name in ("nodes", "normals", "weights", "tangent1", "tangent2"):
             arr = np.asarray(getattr(self, name), dtype=float)
             # NaN fails every comparison below, so it must be caught here.
             if not np.all(np.isfinite(arr)):
@@ -101,10 +94,6 @@ class SurfaceMesh:
         )
         if frame_defect > _FRAME_TOL:
             raise GeometryError(f"tangent frame not orthonormal (defect {frame_defect:.2e})")
-        if self.mass < 0:
-            raise GeometryError("mass must be nonnegative")
-        if self.inertia.shape != (3, 3) or np.max(np.abs(self.inertia - self.inertia.T)) > 1e-12:
-            raise GeometryError("inertia must be a symmetric 3x3 matrix")
 
     @property
     def n_nodes(self) -> int:
@@ -120,49 +109,24 @@ class SurfaceMesh:
         return self.weights @ self.nodes / self.area
 
 
-@dataclass(frozen=True)
-class RigidMotion:
-    """Rigid velocity field x -> a + b x x."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float).reshape(3))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float).reshape(3))
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return self.a + np.cross(self.b, x)
-
-    @classmethod
-    def elementary(cls, i: int) -> "RigidMotion":
-        """The i-th elementary motion: unit translations for i=1..3, unit spins for i=4..6."""
-        if not 1 <= i <= 6:
-            raise ValueError(f"elementary motion index must be 1..6, got {i}")
-        e = np.zeros(3)
-        if i <= 3:
-            e[i - 1] = 1.0
-            return cls(e, np.zeros(3))
-        e[i - 4] = 1.0
-        return cls(np.zeros(3), e)
-
-
 def elementary_rigid_motion(i: int, x) -> np.ndarray:
-    """Evaluate the i-th elementary rigid motion at x (a point or an (N, 3) batch)."""
-    return RigidMotion.elementary(i)(x)
+    """The i-th elementary rigid motion a + b x x at x (a point or an (N, 3) batch).
+
+    Unit translations (a = e_i) for i = 1..3, unit spins (b = e_(i-3)) for i = 4..6.
+    """
+    if not 1 <= i <= 6:
+        raise ValueError(f"elementary motion index must be 1..6, got {i}")
+    a, b = np.zeros(3), np.zeros(3)
+    (a if i <= 3 else b)[(i - 1) % 3] = 1.0
+    return a + np.cross(b, np.asarray(x, dtype=float))
 
 
 def tangential_part(v, n):
-    """Project v onto the plane orthogonal to the unit normal(s) n.
+    """Project (N, 3) vectors v onto the planes orthogonal to the unit normals n.
 
-    Works on single vectors or matching (N, 3) batches; returns
-    v - (v.n) n, which is idempotent and linear.
+    Returns v - (v.n) n, which is idempotent and linear.
     """
     v = np.asarray(v, dtype=float)
-    n = np.asarray(n, dtype=float)
-    if v.ndim == 1:
-        return v - np.dot(v, n) * n
     return v - np.einsum("ij,ij->i", v, n)[:, None] * n
 
 
@@ -208,8 +172,6 @@ def make_parametric_surface(
     radius: float = 1.0,
     a_axis: float = 1.0,
     c_axis: float = 1.0,
-    mass: float = 0.0,
-    inertia=None,
 ) -> SurfaceMesh:
     """Build a sphere or spheroid quadrature mesh.
 
@@ -225,8 +187,6 @@ def make_parametric_surface(
         (south to north) and phi = 2*pi*i_phi/resolution.
     radius, a_axis, c_axis : float
         Dimensions, all > 0.
-    mass, inertia
-        Optional body metadata carried by the mesh.
 
     Returns
     -------
@@ -267,15 +227,10 @@ def make_parametric_surface(
     normals = -grad / np.linalg.norm(grad, axis=1)[:, None]
 
     t1, t2 = _tangent_frame(normals, axial_switch=False)
-    return SurfaceMesh(
-        nodes, normals, weights, t1, t2,
-        mass=mass,
-        inertia=np.zeros((3, 3)) if inertia is None else inertia,
-        shape_info=shape_info,
-    )
+    return SurfaceMesh(nodes, normals, weights, t1, t2, shape_info=shape_info)
 
 
-def load_triangle_mesh(path, mass: float = 0.0, inertia=None) -> SurfaceMesh:
+def load_triangle_mesh(path) -> SurfaceMesh:
     """Load a closed triangle surface (OFF or Wavefront OBJ) as a centroid mesh.
 
     Each triangle contributes one node at its centroid with its area as the
@@ -337,12 +292,7 @@ def load_triangle_mesh(path, mass: float = 0.0, inertia=None) -> SurfaceMesh:
     normals = -np.sign(signed_vol) * area_vec / areas[:, None]
 
     t1, t2 = _tangent_frame(normals)
-    return SurfaceMesh(
-        centroids, normals, areas, t1, t2,
-        mass=mass,
-        inertia=np.zeros((3, 3)) if inertia is None else inertia,
-        shape_info=None,
-    )
+    return SurfaceMesh(centroids, normals, areas, t1, t2)
 
 
 def _read_text(path) -> str:

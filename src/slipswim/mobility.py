@@ -12,7 +12,8 @@ into-body normal convention, M comes out symmetric positive definite:
 for the no-slip unit sphere K = 6 pi I and R = 8 pi I.
 
 The rigid velocity generated by boundary data v_star solves M (xi, omega) = W
-with the wrench W_i = -integral of v_star . g_i.  The Schur-complement blocks
+with the wrench, the 6-vector W_i = -integral of v_star . g_i.  The
+Schur-complement blocks
 
     A = (K - S^T R^-1 S)^-1,      B = (R - S K^-1 S^T)^-1
 
@@ -30,13 +31,11 @@ import numpy as np
 
 from .errors import BasisRankError, SolverError
 from .geometry import SurfaceMesh, elementary_rigid_motion, tangential_part
-from .stokeslets import FlowField, evaluate_traction
 from .collocation import BoundaryData, data_vector
 
 __all__ = [
     "ThrustBasis",
     "GrandMatrix",
-    "Wrench",
     "traction_basis",
     "assemble_grand_matrix",
     "invert_grand_matrix",
@@ -46,60 +45,51 @@ __all__ = [
 ]
 
 _RANK_TOL = 1e-10
+_PROJECTION_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class ThrustBasis:
     """The six auxiliary traction fields on the surface.
 
-    ``tractions[i]`` is g_(i+1) at the nodes; ``tangential_tractions`` their
-    tangential projections.  The weighted Gram matrices of both families are
-    kept for projections; construction fails if either is rank deficient.
+    ``tractions[i]`` is g_(i+1) at the nodes.  The weighted Gram matrices of
+    the tractions and of their tangential projections are kept for
+    projections; construction fails if either is rank deficient.
     """
 
     tractions: np.ndarray
-    tangential_tractions: np.ndarray
     aux_fields: tuple
     gram: np.ndarray
     gram_tangential: np.ndarray
 
 
-def _gram_rank(gram: np.ndarray, tol: float) -> int:
-    ev = np.linalg.eigvalsh(gram)
-    return int(np.count_nonzero(ev > tol * ev[-1]))
+def traction_basis(aux_fields, mesh: SurfaceMesh, tractions) -> ThrustBasis:
+    """Build the thrust basis from the six auxiliary fields and their tractions.
 
-
-def traction_basis(
-    aux_fields, mesh: SurfaceMesh, tractions=None, rank_tol: float = _RANK_TOL
-) -> ThrustBasis:
-    """Build the thrust basis from the six auxiliary fields.
-
-    ``tractions`` may carry precomputed (6, N, 3) node tractions (e.g. from a
-    cached solver); otherwise they are evaluated here.  Raises
+    ``tractions`` holds g_1..g_6 at the nodes, shape (6, N, 3), e.g. from
+    :meth:`slipswim.collocation.SlipSolver.node_traction`.  Raises
     :class:`BasisRankError` if either Gram matrix is numerically rank
     deficient, which signals a broken discretization.
     """
     aux_fields = tuple(aux_fields)
     if len(aux_fields) != 6:
         raise ValueError(f"need exactly 6 auxiliary fields, got {len(aux_fields)}")
-    if tractions is None:
-        tractions = np.array([evaluate_traction(f, mesh) for f in aux_fields])
-    else:
-        tractions = np.asarray(tractions, dtype=float)
-        if tractions.shape != (6, mesh.n_nodes, 3):
-            raise ValueError("precomputed tractions must be (6, N, 3)")
+    tractions = np.asarray(tractions, dtype=float)
+    if tractions.shape != (6, mesh.n_nodes, 3):
+        raise ValueError("tractions must be (6, N, 3)")
     tang = np.array([tangential_part(t, mesh.normals) for t in tractions])
     w = mesh.weights
     gram = np.einsum("n,inj,knj->ik", w, tractions, tractions)
     gram_t = np.einsum("n,inj,knj->ik", w, tang, tang)
     for name, g in (("traction", gram), ("tangential traction", gram_t)):
-        r = _gram_rank(g, rank_tol)
+        ev = np.linalg.eigvalsh(g)
+        r = int(np.count_nonzero(ev > _RANK_TOL * ev[-1]))
         if r < 6:
             raise BasisRankError(
                 f"{name} Gram matrix has numerical rank {r} < 6; "
                 "the discretization cannot resolve all six rigid modes"
             )
-    return ThrustBasis(tractions, tang, aux_fields, gram, gram_t)
+    return ThrustBasis(tractions, aux_fields, gram, gram_t)
 
 
 @dataclass(frozen=True)
@@ -164,53 +154,33 @@ def invert_grand_matrix(gm: GrandMatrix):
     return block, np.linalg.inv(gm.M)
 
 
-@dataclass(frozen=True)
-class Wrench:
-    """Generalized force 6-vector driving the rigid motion."""
-
-    W: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "W", np.asarray(self.W, dtype=float).reshape(6))
-
-    @property
-    def force_part(self) -> np.ndarray:
-        return self.W[:3]
-
-    @property
-    def torque_part(self) -> np.ndarray:
-        return self.W[3:]
-
-
-def compute_wrench(v_star: BoundaryData, basis: ThrustBasis, mesh: SurfaceMesh) -> Wrench:
-    """W_i = -sum_n w_n v_star(x_n) . g_i(x_n)."""
+def compute_wrench(v_star: BoundaryData, basis: ThrustBasis, mesh: SurfaceMesh) -> np.ndarray:
+    """The wrench 6-vector W_i = -sum_n w_n v_star(x_n) . g_i(x_n)."""
     v = data_vector(v_star, mesh)
-    w = -np.einsum("n,nj,inj->i", mesh.weights, v, basis.tractions)
-    return Wrench(w)
+    return -np.einsum("n,nj,inj->i", mesh.weights, v, basis.tractions)
 
 
-def swim_velocity(gm: GrandMatrix, wrench: Wrench):
-    """Rigid-body velocity (xi, omega) generated by the wrench.
+def swim_velocity(gm: GrandMatrix, wrench: np.ndarray):
+    """Rigid-body velocity (xi, omega) generated by the wrench 6-vector W.
 
     Solves M (xi, omega) = W and cross-checks that the solution reproduces
     the wrench to near rounding.
     """
-    sol = np.linalg.solve(gm.M, wrench.W)
-    defect = np.max(np.abs(gm.M @ sol - wrench.W))
-    if defect > 1e-10 * max(1.0, float(np.max(np.abs(wrench.W)))):
+    wrench = np.asarray(wrench, dtype=float)
+    sol = np.linalg.solve(gm.M, wrench)
+    defect = np.max(np.abs(gm.M @ sol - wrench))
+    if defect > 1e-10 * max(1.0, float(np.max(np.abs(wrench)))):
         raise SolverError(
             f"grand-matrix solve failed to reproduce the wrench (defect {defect:.3e})"
         )
     return sol[:3], sol[3:]
 
 
-def thrust_projection(
-    v_star: BoundaryData, basis: ThrustBasis, mesh: SurfaceMesh, tol: float = 1e-8
-):
+def thrust_projection(v_star: BoundaryData, basis: ThrustBasis, mesh: SurfaceMesh):
     """L2(surface) projection of the boundary data onto span{g_1..g_6}.
 
     Returns (coefficients, residual_norm, is_nonzero) where is_nonzero
-    states whether the projection exceeds ``tol`` relative to the data
+    states whether the projection exceeds 1e-8 relative to the data
     norm.  The motion dichotomy rests on this flag: the body moves exactly
     when the projection is nonzero.
     """
@@ -224,5 +194,5 @@ def thrust_projection(
     proj_sq = float(coeff @ rhs)
     residual = float(np.sqrt(max(v_sq - proj_sq, 0.0)))
     v_norm = np.sqrt(v_sq)
-    is_nonzero = bool(np.sqrt(max(proj_sq, 0.0)) > tol * v_norm) if v_norm > 0 else False
+    is_nonzero = bool(v_norm > 0 and np.sqrt(max(proj_sq, 0.0)) > _PROJECTION_TOL * v_norm)
     return coeff, residual, is_nonzero

@@ -23,7 +23,7 @@ pass/fail is always relative to user-supplied thresholds.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -35,13 +35,13 @@ from .collocation import (
     DEFAULT_SVD_TOL,
     BoundaryData,
     SlipSolver,
+    SolveReport,
     normalized_carrier,
     rigid_trace_data,
     solve_lifting,
 )
 from .mobility import (
     GrandMatrix,
-    Wrench,
     _rigid_modes,
     assemble_grand_matrix,
     compute_wrench,
@@ -53,7 +53,6 @@ __all__ = [
     "SwimProblem",
     "SelfPropSolution",
     "NSCertificate",
-    "solve_selfpropelled_stokes",
     "flux_and_carrier",
     "h_half_norm",
     "ns_certificate",
@@ -63,6 +62,8 @@ CERTIFICATE_NOTE = (
     "pass/fail is relative to the user-supplied thresholds; the smallness "
     "constants of the underlying theory are nonconstructive"
 )
+# Rows per block of the O(N^2) double sum in h_half_norm.
+_H_HALF_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ class SelfPropSolution:
     omega: np.ndarray
     force_residual: float
     torque_residual: float
-    lifting_report: object = None
+    lifting_report: SolveReport
 
 
 @dataclass(frozen=True)
@@ -170,7 +171,7 @@ class SwimProblem:
             for r in self.aux_reports
         )
 
-    def wrench(self, v_star: BoundaryData) -> Wrench:
+    def wrench(self, v_star: BoundaryData) -> np.ndarray:
         return compute_wrench(v_star, self.basis, self.mesh)
 
     def swim(self, v_star: BoundaryData):
@@ -217,50 +218,37 @@ class SwimProblem:
             lifting_report=report,
         )
 
-    def certificate(self, re, v_star, thresholds=(1.0, 1.0), x0=None) -> NSCertificate:
+    def certificate(self, re, v_star, thresholds=(1.0, 1.0)) -> NSCertificate:
         return ns_certificate(
-            re, v_star, self.mesh, self.grand_matrix, self.wrench(v_star),
-            thresholds, x0=x0,
+            re, v_star, self.mesh, self.grand_matrix, self.wrench(v_star), thresholds
         )
 
 
-def solve_selfpropelled_stokes(
-    v_star: BoundaryData,
-    mesh: SurfaceMesh,
-    alpha: float,
-    shrink: float = 0.7,
-    stride: int = 1,
-    svd_tol: float = DEFAULT_SVD_TOL,
-) -> SelfPropSolution:
-    """One-shot self-propelled solve; see :class:`SwimProblem` for reuse."""
-    return SwimProblem(mesh, alpha, shrink, stride, svd_tol).solve(v_star)
-
-
-def flux_and_carrier(v_star: BoundaryData, mesh: SurfaceMesh, x0=None):
+def flux_and_carrier(v_star: BoundaryData, mesh: SurfaceMesh):
     """Boundary flux, normalized carrier trace, and flux-free remainder.
 
     Returns (phi, sigma_trace, beta_star): phi is the quadrature flux of the
-    normal data; sigma_trace the carrier velocity at the nodes, normalized
-    so its discrete flux is exactly 1; and beta_star = (v.n) n - phi sigma
-    the per-node remainder, whose discrete flux is zero by construction.
+    normal data; sigma_trace the velocity of the carrier at the centroid,
+    evaluated at the nodes and normalized so its discrete flux is exactly 1;
+    and beta_star = (v.n) n - phi sigma the per-node remainder, whose
+    discrete flux is zero by construction.
     """
     if v_star.n_nodes != mesh.n_nodes:
         raise ValueError("boundary data does not match the mesh")
-    x0 = mesh.centroid if x0 is None else x0
-    sigma_hat, _ = normalized_carrier(mesh, x0)
+    sigma_hat, _ = normalized_carrier(mesh, mesh.centroid)
     phi = surface_integral(mesh, v_star.normal_data)
     beta_star = v_star.normal_data[:, None] * mesh.normals - phi * sigma_hat
     return phi, sigma_hat, beta_star
 
 
-def h_half_norm(values, mesh: SurfaceMesh, chunk: int = 256) -> float:
+def h_half_norm(values, mesh: SurfaceMesh) -> float:
     """Discrete H^{1/2}(surface) norm by the Gagliardo double sum.
 
     ||f||^2 = sum_j w_j |f_j|^2
             + sum_{j != k} w_j w_k |f_j - f_k|^2 / |x_j - x_k|^3.
 
     The exponent 3 is d + 2s for a two-dimensional surface at s = 1/2.
-    O(N^2) work, evaluated in row chunks.
+    O(N^2) work, evaluated in chunks of ``_H_HALF_CHUNK`` rows.
     """
     f = np.asarray(values, dtype=float)
     if f.ndim == 1:
@@ -271,8 +259,8 @@ def h_half_norm(values, mesh: SurfaceMesh, chunk: int = 256) -> float:
     x = mesh.nodes
     total = float(np.sum(w * np.sum(f**2, axis=1)))
     n = mesh.n_nodes
-    for lo in range(0, n, chunk):
-        sl = slice(lo, min(lo + chunk, n))
+    for lo in range(0, n, _H_HALF_CHUNK):
+        sl = slice(lo, min(lo + _H_HALF_CHUNK, n))
         diff = np.sum((f[sl, None, :] - f[None, :, :]) ** 2, axis=2)
         dist = np.linalg.norm(x[sl, None, :] - x[None, :, :], axis=2)
         np.fill_diagonal(dist[:, sl], np.inf)  # the j = k terms are excluded
@@ -285,9 +273,8 @@ def ns_certificate(
     v_star: BoundaryData,
     mesh: SurfaceMesh,
     gm: GrandMatrix,
-    wrench: Wrench,
+    wrench: np.ndarray,
     thresholds=(1.0, 1.0),
-    x0=None,
 ) -> NSCertificate:
     """Evaluate the small-Reynolds certificate for the given data.
 
@@ -299,7 +286,7 @@ def ns_certificate(
     if re < 0:
         raise ValueError(f"Reynolds number must be nonnegative, got {re}")
     c1, c2 = float(thresholds[0]), float(thresholds[1])
-    phi, _, beta_star = flux_and_carrier(v_star, mesh, x0=x0)
+    phi, _, beta_star = flux_and_carrier(v_star, mesh)
     bnorm = h_half_norm(beta_star, mesh)
     xi, omega = swim_velocity(gm, wrench)
     xi_mag, om_mag = float(np.linalg.norm(xi)), float(np.linalg.norm(omega))

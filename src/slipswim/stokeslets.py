@@ -166,6 +166,22 @@ class SourceSet:
         return len(self.locations)
 
 
+def _inside_body(mesh: SurfaceMesh, points):
+    """Nearest-node half-space test for a (K, 3) batch of points.
+
+    Returns (inside, offset): ``offset[k]`` is points[k] minus its nearest
+    node, and the point counts as inside when that offset has a positive
+    component along the node's normal (normals point into the body).  The
+    nearest nodes are found a block of points at a time to bound the memory.
+    """
+    nearest = np.empty(len(points), dtype=np.intp)
+    for lo in range(0, len(points), _CHUNK):
+        dist = np.linalg.norm(points[lo : lo + _CHUNK, None, :] - mesh.nodes, axis=2)
+        nearest[lo : lo + _CHUNK] = np.argmin(dist, axis=1)
+    offset = points - mesh.nodes[nearest]
+    return np.einsum("kj,kj->k", offset, mesh.normals[nearest]) > 0, offset
+
+
 def place_sources(mesh: SurfaceMesh, shrink: float, stride: int = 1) -> SourceSet:
     """Place Stokeslet sources by shrinking the node cloud toward the centroid.
 
@@ -189,16 +205,8 @@ def place_sources(mesh: SurfaceMesh, shrink: float, stride: int = 1) -> SourceSe
         raise ValueError(f"stride must be a positive integer, got {stride}")
     c = mesh.centroid
     locs = c + shrink * (mesh.nodes[::stride] - c)
-
-    # Nearest node per source, a block of sources at a time to bound the memory.
-    nearest = np.empty(len(locs), dtype=np.intp)
-    for lo in range(0, len(locs), _CHUNK):
-        dist = np.linalg.norm(locs[lo : lo + _CHUNK, None, :] - mesh.nodes, axis=2)
-        nearest[lo : lo + _CHUNK] = np.argmin(dist, axis=1)
-    offset = locs - mesh.nodes[nearest]
-    # Normals point into the body, so interior points see (src - node).n > 0.
-    side = np.einsum("kj,kj->k", offset, mesh.normals[nearest])
-    if np.any(side <= 0):
+    inside, offset = _inside_body(mesh, locs)
+    if not np.all(inside):
         raise PlacementError(
             "source placement escaped the body; the surface is not star-shaped "
             "about its centroid (try a smaller shrink)"

@@ -61,6 +61,8 @@ __all__ = [
 _N_ANGULAR = 32
 _N_RADIAL = 48
 _IDENTITY_TOL = 0.03
+# Pass threshold of each fitted slip length in calibrate_slip_length.
+_CALIBRATION_TOL = 0.05
 # field -> {(shape_info, r_t): volume strain}; entries die with their field.
 _STRAINS = weakref.WeakKeyDictionary()
 
@@ -131,7 +133,7 @@ def _volume_rule(mesh: SurfaceMesh, r_t: float):
     w_phi = 2.0 * np.pi / _N_ANGULAR
     rho0 = _ray_radius(mesh, t)
     if np.any(rho0 >= r_t):
-        raise ValueError(f"truncation radius {r_t} does not enclose the body")
+        raise GeometryError(f"truncation radius {r_t} does not enclose the body")
 
     s = np.sqrt(1.0 - t**2)
     dirs = np.stack(
@@ -335,31 +337,27 @@ def write_convergence_csv(study: ConvergenceStudy, path):
 
 
 def calibrate_slip_length(
-    alphas=(0.5, 1.0, 2.0, 5.0),
-    resolution: int = 20,
-    radius: float = 1.0,
-    shrink: float = 0.7,
-    tolerance: float = 0.05,
+    alphas=(0.5, 1.0, 2.0, 5.0), resolution: int = 20, shrink: float = 0.7
 ):
-    """Fit the slip length from discrete sphere resistances, one check per alpha.
+    """Fit the slip length from discrete unit-sphere resistances, one check per alpha.
 
     Inverting K = 6 pi (1 + 2b)/(1 + 3b) for the unit sphere gives
     b = (6 pi - K)/(3 K - 12 pi); each fitted b is compared against 1/alpha.
     This pins the operational identification between the slip coefficient
     of the boundary condition and the classical slip length.
     """
-    mesh = make_parametric_surface("sphere", resolution, radius=radius)
+    mesh = make_parametric_surface("sphere", resolution)
     checks = []
     for alpha in alphas:
         gm = SwimProblem(mesh, alpha, shrink=shrink).grand_matrix
-        k = float(np.mean(np.diag(gm.K))) / radius
-        b_fit = radius * (6.0 * np.pi - k) / (3.0 * k - 12.0 * np.pi)
+        k = float(np.mean(np.diag(gm.K)))
+        b_fit = (6.0 * np.pi - k) / (3.0 * k - 12.0 * np.pi)
         checks.append(
             _make_check(
                 f"slip-calibration[alpha={alpha:g}]",
                 b_fit,
                 1.0 / alpha,
-                tolerance,
+                _CALIBRATION_TOL,
                 scale=1.0 / alpha,
             )
         )

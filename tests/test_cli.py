@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -157,6 +158,14 @@ class TestSubcommands:
         assert lines[0].startswith("N,")
         assert len(lines) == 4
 
+    def test_converge_accepts_integral_floats(self, tmp_path):
+        cfg = _write_config(tmp_path / "c.json", resolutions=[8.0, 10, 12.0], alpha=1.0)
+        out = tmp_path / "study.csv"
+        assert main(["converge", "--config", str(cfg), "--output", str(out)]) == 0
+        assert [line.split(",")[0] for line in out.read_text().splitlines()[1:]] == [
+            "64", "100", "144"
+        ]
+
     def test_custom_data_pipeline(self, tmp_path, rng):
         mesh = make_parametric_surface("sphere", 10)
         lines = ["node_index,normal,t1,t2"]
@@ -192,6 +201,7 @@ class TestSubcommands:
         assert main(["swim", "--config", str(p)]) == 2
 
 
+# non-finite numbers, fractional integers and values outside their domain
 @pytest.mark.parametrize(
     "command, override",
     [
@@ -201,8 +211,20 @@ class TestSubcommands:
         ("swim", "csv"),
         ("mobility", {"alpha": "abc"}),
         ("swim", {"data": {"preset": "squirmer", "b1": "nan"}}),
+        ("mobility", {"shape": {"kind": "sphere", "resolution": 8.7}}),
+        ("mobility", {"stride": 2.9}),
+        ("swim", {"data": {"preset": "rigid-trace", "index": 2.9}}),
+        ("converge", {"resolutions": [8.5, 9, 10]}),
+        ("converge", {"resolutions": []}),
+        ("converge", {"resolutions": [6, 8, 10]}),
+        ("validate", {"shape": {"kind": "sphere", "resolution": 8}, "r_t": 0.5}),
     ],
-    ids=["alpha-nan", "b1-inf", "re-nan", "csv-nan", "alpha-string", "b1-string-nan"],
+    ids=[
+        "alpha-nan", "b1-inf", "re-nan", "csv-nan", "alpha-string", "b1-string-nan",
+        "resolution-fractional", "stride-fractional", "index-fractional",
+        "resolutions-fractional", "resolutions-empty", "resolutions-below-8",
+        "r_t-inside-body",
+    ],
 )
 def test_non_finite_input_exits_2(tmp_path, capsys, command, override):
     if override == "csv":
@@ -254,6 +276,27 @@ def test_integer_path_is_not_a_file_descriptor(tmp_path, capsys, where):
         assert err.startswith("config error") and err.count("\n") == 1
         os.fstat(fd)  # still open
         assert fh.read() == "mine\n"
+
+
+def _dataclass_fields(cls):
+    return sorted(f.name for f in dataclasses.fields(cls))
+
+
+def test_output_objects_carry_the_dataclass_fields(tmp_path):
+    from slipswim import CheckResult, GrandMatrix, NSCertificate
+
+    shape = {"kind": "sphere", "resolution": 8}
+    records = {}
+    for command in ("certify", "validate"):
+        cfg = _write_config(tmp_path / f"{command}.json", shape=shape, r_t=10.0)
+        out = tmp_path / f"{command}.out.json"
+        assert main([command, "--config", str(cfg), "--output", str(out)]) == 0
+        records[command] = json.loads(out.read_text())
+    assert sorted(records["certify"]["grand_matrix"]) == _dataclass_fields(GrandMatrix)
+    assert sorted(records["certify"]["certificate"]) == _dataclass_fields(NSCertificate)
+    assert len(records["validate"]["checks"]) == 3
+    for check in records["validate"]["checks"]:
+        assert sorted(check) == _dataclass_fields(CheckResult)
 
 
 def test_non_finite_output_exits_3(tmp_path, capsys):

@@ -6,7 +6,6 @@ from slipswim import (
     GeometryError,
     MeshFormatError,
     PlacementError,
-    RigidMotion,
     SurfaceMesh,
     elementary_rigid_motion,
     load_triangle_mesh,
@@ -195,14 +194,6 @@ class TestFramesAndMotions:
         with pytest.raises(ValueError):
             elementary_rigid_motion(7, x)
 
-    def test_rigid_motion_callable(self, rng):
-        a = np.array([0.3, -0.1, 2.0])
-        b = np.array([1.0, 0.5, -0.2])
-        motion = RigidMotion(a, b)
-        x = rng.normal(size=(4, 3))
-        npt.assert_allclose(motion(x), a + np.cross(b, x))
-        npt.assert_allclose(motion(x[0]), a + np.cross(b, x[0]))
-
     def test_tangential_part_is_tangent(self, sphere12, rng):
         v = rng.normal(size=(sphere12.n_nodes, 3))
         vt = tangential_part(v, sphere12.normals)
@@ -229,17 +220,6 @@ class TestMeshDataclass:
         with pytest.raises(ValueError):
             sphere12.nodes[0, 0] = 99.0
 
-    def test_mass_and_inertia(self):
-        inertia = np.diag([1.0, 1.0, 2.0])
-        mesh = make_parametric_surface("sphere", 8, mass=3.5, inertia=inertia)
-        assert mesh.mass == 3.5
-        npt.assert_allclose(mesh.inertia, inertia)
-
-    def test_asymmetric_inertia_rejected(self):
-        bad = np.array([[1.0, 0.5, 0], [0, 1.0, 0], [0, 0, 1.0]])
-        with pytest.raises(GeometryError):
-            make_parametric_surface("sphere", 8, inertia=bad)
-
     @pytest.mark.parametrize(
         "name, value",
         [
@@ -248,14 +228,13 @@ class TestMeshDataclass:
             ("weights", np.nan),
             ("tangent1", np.nan),
             ("tangent2", -np.inf),
-            ("inertia", np.nan),
         ],
     )
     def test_non_finite_arrays_rejected(self, sphere8, name, value):
         # NaN passes every range comparison, so each array needs its own check
         fields = {
             k: np.array(getattr(sphere8, k))
-            for k in ("nodes", "normals", "weights", "tangent1", "tangent2", "inertia")
+            for k in ("nodes", "normals", "weights", "tangent1", "tangent2")
         }
         fields[name].flat[0] = value
         with pytest.raises(GeometryError, match="finite"):

@@ -69,7 +69,7 @@ class TestThrustBasis:
     def test_degenerate_basis_rejected(self, problem12):
         same = (problem12.aux_fields[0],) * 6
         with pytest.raises(BasisRankError):
-            traction_basis(same, problem12.mesh)
+            traction_basis(same, problem12.mesh, problem12.basis.tractions[[0] * 6])
 
 
 class TestWrenchAndSwim:
@@ -79,13 +79,7 @@ class TestWrenchAndSwim:
             w = compute_wrench(
                 rigid_trace_data(problem12.mesh, k), problem12.basis, problem12.mesh
             )
-            npt.assert_allclose(w.W, -gm.M[k - 1], rtol=1e-12, atol=1e-13)
-
-    def test_wrench_parts(self, problem12):
-        w = compute_wrench(
-            rigid_trace_data(problem12.mesh, 2), problem12.basis, problem12.mesh
-        )
-        npt.assert_allclose(np.concatenate([w.force_part, w.torque_part]), w.W)
+            npt.assert_allclose(w, -gm.M[k - 1], rtol=1e-12, atol=1e-13)
 
     def test_swim_velocity_solves_system(self, problem12, rng):
         data = boundary_data_from_field(
@@ -94,18 +88,14 @@ class TestWrenchAndSwim:
         wrench = problem12.wrench(data)
         xi, omega = swim_velocity(problem12.grand_matrix, wrench)
         sol = np.concatenate([xi, omega])
-        npt.assert_allclose(problem12.grand_matrix.M @ sol, wrench.W, atol=1e-10)
+        npt.assert_allclose(problem12.grand_matrix.M @ sol, wrench, atol=1e-10)
 
     def test_swim_velocity_matches_plain_solve(self, rng):
         m = _random_spd_grand(rng)
         gm = GrandMatrix.from_matrix(m)
-        from slipswim.mobility import Wrench
-
-        w = Wrench(rng.normal(size=6))
+        w = rng.normal(size=6)
         xi, omega = swim_velocity(gm, w)
-        npt.assert_allclose(
-            np.concatenate([xi, omega]), np.linalg.solve(m, w.W), rtol=1e-10
-        )
+        npt.assert_allclose(np.concatenate([xi, omega]), np.linalg.solve(m, w), rtol=1e-10)
 
 
 class TestThrustProjection:

@@ -76,7 +76,7 @@ class TestIdentityChecks:
         assert chk.tail_bound < 1e-20
 
     def test_truncation_radius_must_enclose(self, problem12):
-        with pytest.raises(ValueError):
+        with pytest.raises(GeometryError, match="enclose"):
             reciprocal_check(1, 1, problem12.basis, problem12.mesh, 0.5)
 
     def test_indices_must_lie_in_range(self, problem12):
