@@ -25,11 +25,8 @@ from .stokeslets import (
     SourceSet,
     evaluate_flow,
     evaluate_strain,
-    evaluate_traction,
     place_sources,
     point_source_velocity,
-    stokeslet_stress,
-    stokeslet_velocity,
     traction_matrix,
     velocity_matrix,
 )

@@ -357,7 +357,6 @@ class SlipSolver:
         self.mesh = mesh
         self.sources = sources
         self.alpha = float(alpha)
-        self.svd_tol = float(svd_tol)
         p = _ring_count(mesh, sources)
         self._rot = _z_rotations(p)
         ring0 = slice(None, None, p)
@@ -416,6 +415,9 @@ class SlipSolver:
         """
         _check_match(data, self.mesh)
         _check_tangential(data, self.mesh)
+        return self._solve(data)
+
+    def _solve(self, data: BoundaryData):
         p = len(self._rot)
         rhs = _build_rhs(self.mesh, self.alpha, data)
         # the rows are scalars, so their ring-major order needs no rotation
@@ -465,10 +467,11 @@ def solve_lifting(v_star: BoundaryData, solver: SlipSolver):
     """
     mesh, alpha = solver.mesh, solver.alpha
     _check_match(v_star, mesh)
+    _check_tangential(v_star, mesh)
     phi = surface_integral(mesh, v_star.normal_data)
     flux_floor = 1e-12 * mesh.area * max(1.0, float(np.max(np.abs(v_star.normal_data), initial=0.0)))
     if abs(phi) <= flux_floor:
-        return solver.solve_data(v_star)
+        return solver._solve(v_star)
 
     x0 = mesh.centroid
     sigma_hat, unit_strength = normalized_carrier(mesh, x0)
@@ -482,8 +485,10 @@ def solve_lifting(v_star: BoundaryData, solver: SlipSolver):
         - tangential_part(carrier, mesh.normals)
         - tangential_part(sink_traction, mesh.normals) / alpha
     )
-    reduced = BoundaryData(dn, dt)
-    stokeslet_field, report = solver.solve_data(reduced)
+    # dt keeps a normal part of order eps * phi from the carrier, which a
+    # check scaled by dt's own (possibly rounding-sized) values would reject;
+    # v_star was checked above.
+    stokeslet_field, report = solver._solve(BoundaryData(dn, dt))
     field = FlowField(
         solver.sources, stokeslet_field.strengths, source_flux=c_src, source_point=x0
     )

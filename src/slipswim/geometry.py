@@ -241,22 +241,28 @@ def load_triangle_mesh(path) -> SurfaceMesh:
     Raises
     ------
     MeshFormatError
-        Unparseable file or non-triangle faces.
+        Unreadable or malformed file, or non-triangle faces.
     GeometryError
         Surface not closed/manifold (an edge not shared by exactly two faces)
         or faces wound inconsistently (a directed edge used twice).
     """
     text = _read_text(path)
     ext = os.path.splitext(str(path))[1].lower()
-    if ext == ".off" or text.lstrip().upper().startswith("OFF"):
-        verts, faces = _parse_off(text)
-    elif ext == ".obj":
-        verts, faces = _parse_obj(text)
-    else:
-        raise MeshFormatError(f"unsupported mesh format for {path!r} (need .off or .obj)")
+    try:
+        if ext == ".off" or text.lstrip().upper().startswith("OFF"):
+            verts, faces = _parse_off(text)
+        elif ext == ".obj":
+            verts, faces = _parse_obj(text)
+        else:
+            raise MeshFormatError(f"unsupported mesh format for {path!r} (need .off or .obj)")
+    except ValueError as exc:
+        # bad numbers and ragged vertex or face lines
+        raise MeshFormatError(f"malformed mesh file {path!r}: {exc}") from exc
 
     if faces.size == 0 or len(verts) == 0:
         raise MeshFormatError("mesh has no faces")
+    if verts.shape[1:] != (3,):
+        raise MeshFormatError(f"malformed mesh file {path!r}: vertices need three coordinates")
     if faces.min() < 0 or faces.max() >= len(verts):
         raise MeshFormatError("face references a vertex index out of range")
 
@@ -317,16 +323,10 @@ def _parse_off(text: str):
         if not rest:
             raise MeshFormatError("truncated OFF file")
         counts, rest = rest[0].split(), rest[1:]
-    try:
-        nv, nf = int(counts[0]), int(counts[1])
-    except (IndexError, ValueError) as exc:
-        raise MeshFormatError("bad OFF count line") from exc
+    nv, nf = map(int, counts[:2])
     if len(rest) < nv + nf:
         raise MeshFormatError("truncated OFF file")
-    try:
-        verts = np.array([[float(x) for x in rest[i].split()[:3]] for i in range(nv)])
-    except ValueError as exc:
-        raise MeshFormatError("bad OFF vertex line") from exc
+    verts = np.array([[float(x) for x in rest[i].split()[:3]] for i in range(nv)])
     faces = []
     for i in range(nv, nv + nf):
         parts = rest[i].split()

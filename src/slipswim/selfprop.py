@@ -36,6 +36,7 @@ from .collocation import (
     BoundaryData,
     SlipSolver,
     SolveReport,
+    _check_match,
     normalized_carrier,
     rigid_trace_data,
     solve_lifting,
@@ -233,8 +234,7 @@ def flux_and_carrier(v_star: BoundaryData, mesh: SurfaceMesh):
     and beta_star = (v.n) n - phi sigma the per-node remainder, whose
     discrete flux is zero by construction.
     """
-    if v_star.n_nodes != mesh.n_nodes:
-        raise ValueError("boundary data does not match the mesh")
+    _check_match(v_star, mesh)
     sigma_hat, _ = normalized_carrier(mesh, mesh.centroid)
     phi = surface_integral(mesh, v_star.normal_data)
     beta_star = v_star.normal_data[:, None] * mesh.normals - phi * sigma_hat

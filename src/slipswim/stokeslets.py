@@ -22,8 +22,7 @@ and its stress is pure strain, -(1/2 pi)(I - 3 rhat rhat)/d^3.
 Each singularity has one batch kernel: the Stokeslet velocity and traction
 rows behind ``velocity_matrix``/``traction_matrix`` and the sink stress.
 The batch evaluators are chunked matrix-vector products over them, which
-keeps results reproducible for a fixed thread count.  The single-point
-functions are independent reference implementations.
+keeps results reproducible for a fixed thread count.
 """
 
 from __future__ import annotations
@@ -39,13 +38,9 @@ from .geometry import SurfaceMesh
 __all__ = [
     "SourceSet",
     "FlowField",
-    "stokeslet_velocity",
-    "stokeslet_stress",
     "point_source_velocity",
-    "point_source_stress",
     "place_sources",
     "evaluate_flow",
-    "evaluate_traction",
     "evaluate_strain",
     "point_source_traction",
     "velocity_matrix",
@@ -64,51 +59,14 @@ def _displacements(points, sources):
     return r, d
 
 
-def stokeslet_velocity(source, strength, x):
-    """Velocity and pressure of one Stokeslet at ``x``.
-
-    ``x`` may be a single 3-vector or an (M, 3) batch; returns
-    (velocity, pressure) with matching leading shape.
-    """
-    source = np.asarray(source, dtype=float).reshape(3)
-    strength = np.asarray(strength, dtype=float).reshape(3)
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x.reshape(-1, 3)
-    r, d = _displacements(pts, source[None, :])
-    r, d = r[:, 0, :], d[:, 0]
-    rq = r @ strength
-    vel = (strength[None, :] / d[:, None] + r * (rq / d**3)[:, None]) / (8.0 * np.pi)
-    prs = rq / d**3 / (4.0 * np.pi)
-    if single:
-        return vel[0], float(prs[0])
-    return vel, prs
-
-
-def stokeslet_stress(source, strength, x):
-    """Cartesian stress tensor T = -p I + 2 D of one Stokeslet at ``x``."""
-    source = np.asarray(source, dtype=float).reshape(3)
-    strength = np.asarray(strength, dtype=float).reshape(3)
-    x = np.asarray(x, dtype=float).reshape(3)
-    r = x - source
-    d = float(np.linalg.norm(r))
-    if d < _SINGULAR_DIST:
-        raise SingularEvaluationError("evaluation point coincides with a source")
-    rhat = r / d
-    return -(3.0 / (4.0 * np.pi)) * np.outer(rhat, rhat) * (rhat @ strength) / d**2
-
-
-def point_source_velocity(x0, x):
-    """Velocity of the unit-flux potential sink at ``x0`` (pressure is zero)."""
+def point_source_velocity(x0, points):
+    """Velocity of the unit-flux potential sink at ``x0`` over an (M, 3) batch (pressure is zero)."""
     x0 = np.asarray(x0, dtype=float).reshape(3)
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    r = x.reshape(-1, 3) - x0[None, :]
+    r = np.asarray(points, dtype=float).reshape(-1, 3) - x0[None, :]
     d = np.linalg.norm(r, axis=1)
     if d.min() < _SINGULAR_DIST:
         raise SingularEvaluationError("evaluation point coincides with the point source")
-    vel = -r / (4.0 * np.pi * d[:, None] ** 3)
-    return vel[0] if single else vel
+    return -r / (4.0 * np.pi * d[:, None] ** 3)
 
 
 def _sink_stress(x0, points) -> np.ndarray:
@@ -129,18 +87,6 @@ def point_source_traction(x0, points, normals):
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     nrm = np.asarray(normals, dtype=float).reshape(-1, 3)
     return np.einsum("mab,mb->ma", _sink_stress(x0, pts), nrm)
-
-
-def point_source_stress(x0, x):
-    """Stress of the unit-flux sink: -(1/2 pi)(I - 3 rhat rhat)/d^3."""
-    x0 = np.asarray(x0, dtype=float).reshape(3)
-    x = np.asarray(x, dtype=float).reshape(3)
-    r = x - x0
-    d = float(np.linalg.norm(r))
-    if d < _SINGULAR_DIST:
-        raise SingularEvaluationError("evaluation point coincides with the point source")
-    rhat = r / d
-    return -(np.eye(3) - 3.0 * np.outer(rhat, rhat)) / (2.0 * np.pi * d**3)
 
 
 @dataclass(frozen=True)
@@ -277,17 +223,6 @@ def evaluate_flow(field: FlowField, points):
     if single:
         return vel[0], float(prs[0])
     return vel, prs
-
-
-def evaluate_traction(field: FlowField, mesh: SurfaceMesh) -> np.ndarray:
-    """Traction t = T(v, p) n at every mesh node, with the mesh's own normals."""
-    tmat = traction_matrix(mesh.nodes, mesh.normals, field.sources)
-    out = (tmat @ field.strengths.ravel()).reshape(-1, 3)
-    if field.source_flux != 0.0:
-        out += field.source_flux * point_source_traction(
-            field.source_point, mesh.nodes, mesh.normals
-        )
-    return out
 
 
 def evaluate_strain(field: FlowField, points) -> np.ndarray:

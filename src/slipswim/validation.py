@@ -237,8 +237,6 @@ class ConvergenceRow:
     n_nodes: int
     k_value: float
     k_error: float
-    r_value: float
-    r_error: float
     symmetry_defect: float
     residual: float
 
@@ -269,7 +267,7 @@ def convergence_study(
     resolutions = list(resolutions)
     if len(resolutions) < 3:
         raise ValueError("need at least three resolutions")
-    k_vals, r_vals, defects, residuals, sizes = [], [], [], [], []
+    k_vals, defects, residuals, sizes = [], [], [], []
     for res in resolutions:
         mesh = make_parametric_surface(
             shape, res, radius=radius, a_axis=a_axis, c_axis=c_axis
@@ -277,24 +275,20 @@ def convergence_study(
         prob = SwimProblem(mesh, alpha, shrink=shrink, svd_tol=svd_tol)
         gm = prob.grand_matrix
         k_vals.append(float(np.mean(np.diag(gm.K))))
-        r_vals.append(float(np.mean(np.diag(gm.R))))
         defects.append(gm.symmetry_defect)
         residuals.append(prob.worst_residual())
         sizes.append(mesh.n_nodes)
 
     if shape == "sphere":
-        k_ref, r_ref = analytic_sphere_resistance(radius, 1.0 / alpha)
+        k_ref, _ = analytic_sphere_resistance(radius, 1.0 / alpha)
     else:
         k_ref = _aitken(k_vals)
-        r_ref = _aitken(r_vals)
 
     rows = tuple(
         ConvergenceRow(
             n_nodes=sizes[m],
             k_value=k_vals[m],
             k_error=abs(k_vals[m] - k_ref) / abs(k_ref),
-            r_value=r_vals[m],
-            r_error=abs(r_vals[m] - r_ref) / abs(r_ref),
             symmetry_defect=defects[m],
             residual=residuals[m],
         )

@@ -47,9 +47,12 @@ class TestBoundaryData:
     def test_tangential_must_be_tangential(self, problem12):
         # the orthogonality check runs where normals are available
         mesh = problem12.mesh
-        bad = BoundaryData(np.zeros(mesh.n_nodes), mesh.normals.copy())
-        with pytest.raises(ValueError):
-            problem12.solver.solve_data(bad)
+        for flux in (0.0, 2.0):
+            bad = BoundaryData(uniform_flux_data(mesh, flux).normal_data, mesh.normals.copy())
+            with pytest.raises(ValueError, match="orthogonal"):
+                problem12.solver.solve_data(bad)
+            with pytest.raises(ValueError, match="orthogonal"):
+                solve_lifting(bad, problem12.solver)
 
     def test_non_finite_rejected(self, sphere8):
         tang = np.zeros((sphere8.n_nodes, 3))
@@ -169,6 +172,14 @@ class TestLifting:
         assert np.max(np.abs(normal_defect)) < 1e-6
         assert np.max(np.abs(slip_defect)) < 1e-6
         assert report.residual_normal < 1e-6
+
+    def test_large_flux_lifts(self, sphere8):
+        # only the caller's data is held to the orthogonality check; the
+        # carrier-reduced data carries a normal leak of order eps * phi
+        solver = SwimProblem(sphere8, 2.0, shrink=0.5).solver
+        field, _ = solve_lifting(uniform_flux_data(sphere8, 1e8), solver)
+        assert np.all(np.isfinite(field.strengths))
+        npt.assert_allclose(field.source_flux, 1e8, rtol=1e-6)
 
     def test_carrier_normalization(self, sphere12):
         sigma_hat, unit_strength = normalized_carrier(sphere12, np.zeros(3))

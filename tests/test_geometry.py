@@ -354,6 +354,37 @@ class TestTriangleMeshes:
         with pytest.raises(MeshFormatError):
             load_triangle_mesh(path)
 
+    @pytest.mark.parametrize(
+        "suffix, line, bad",
+        [
+            (".off", -1, "3 3 7 x"),
+            (".off", -1, "3 3 7"),
+            (".off", -1, "3.0 3 7 5"),
+            (".obj", 0, "v 1 1 y"),
+            (".obj", 0, "v 1 1"),
+            (".obj", -1, "f 4 8 z"),
+        ],
+        ids=["off-letter", "off-short-face", "off-float-size", "obj-letter",
+             "obj-short-vertex", "obj-face-letter"],
+    )
+    def test_malformed_line_rejected(self, tmp_path, suffix, line, bad):
+        path = tmp_path / f"cube{suffix}"
+        (_write_off if suffix == ".off" else _write_obj)(path, _CUBE_VERTS, _CUBE_FACES)
+        lines = path.read_text().splitlines()
+        lines[line] = bad
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshFormatError, match=path.name):
+            load_triangle_mesh(path)
+
+    def test_two_coordinate_vertices_rejected(self, tmp_path):
+        path = tmp_path / "flat.off"
+        _write_off(path, _CUBE_VERTS, _CUBE_FACES)
+        lines = path.read_text().splitlines()
+        lines[2:10] = [" ".join(ln.split()[:2]) for ln in lines[2:10]]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshFormatError, match="three coordinates"):
+            load_triangle_mesh(path)
+
     def test_bad_index_rejected(self, tmp_path):
         path = tmp_path / "badidx.off"
         _write_off(path, _CUBE_VERTS, _CUBE_FACES[:-1] + [(3, 4, 99)])

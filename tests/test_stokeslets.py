@@ -7,20 +7,19 @@ from slipswim import (
     FlowField,
     PlacementError,
     SingularEvaluationError,
+    SlipSolver,
     SourceSet,
     evaluate_flow,
     evaluate_strain,
-    evaluate_traction,
     make_parametric_surface,
     place_sources,
     point_source_velocity,
-    stokeslet_stress,
-    stokeslet_velocity,
     surface_integral,
     traction_matrix,
     velocity_matrix,
 )
-from slipswim.stokeslets import point_source_stress, point_source_traction
+from slipswim.collocation import _ring_count
+from slipswim.stokeslets import point_source_traction
 
 
 def _oseen_velocity(source, q, x):
@@ -30,13 +29,47 @@ def _oseen_velocity(source, q, x):
     return (q / d + r * np.dot(r, q) / d**3) / (8.0 * np.pi)
 
 
+def _stokeslet(source, q):
+    """One-source field: the production kernels evaluate a single Stokeslet."""
+    return FlowField(SourceSet(np.reshape(source, (1, 3)), 1.0), np.reshape(q, (1, 3)))
+
+
+def _fd_gradient(velocity, x, h=1e-5):
+    """(3, 3) gradient du_i/dx_k of ``velocity`` at x by central differences."""
+    e = h * np.eye(3)
+    return np.column_stack(
+        [(velocity(x + e[k]) - velocity(x - e[k])) / (2 * h) for k in range(3)]
+    )
+
+
+def _fd_stress(field, x):
+    """-p I + grad u + grad u^T of ``field`` at x, from central differences of the flow."""
+    grad = _fd_gradient(lambda y: evaluate_flow(field, y)[0], x)
+    return -evaluate_flow(field, x)[1] * np.eye(3) + grad + grad.T
+
+
+def _fd_sink_stress(x0, x):
+    """Stress of the unit sink at x from central differences of point_source_velocity.
+
+    Potential flow: the pressure vanishes and the stress is grad u + grad u^T.
+    """
+    grad = _fd_gradient(lambda y: point_source_velocity(x0, y[None])[0], x)
+    return grad + grad.T
+
+
+def _traction_matrix_stress(field, x):
+    """Stress at x recovered column by column from traction_matrix with normals e1, e2, e3."""
+    tmat = traction_matrix(np.tile(x, (3, 1)), np.eye(3), field.sources)
+    return (tmat @ field.strengths.ravel()).reshape(3, 3).T
+
+
 class TestStokesletKernel:
     def test_frozen_axis_values(self):
-        q = np.array([0.0, 0.0, 1.0])
-        u, p = stokeslet_velocity(np.zeros(3), q, np.array([0.0, 0.0, 2.0]))
+        field = _stokeslet(np.zeros(3), [0.0, 0.0, 1.0])
+        u, p = evaluate_flow(field, np.array([0.0, 0.0, 2.0]))
         npt.assert_allclose(u, [0.0, 0.0, 1.0 / (8.0 * np.pi)], rtol=1e-15)
         npt.assert_allclose(p, 1.0 / (16.0 * np.pi), rtol=1e-15)
-        u, p = stokeslet_velocity(np.zeros(3), q, np.array([2.0, 0.0, 0.0]))
+        u, p = evaluate_flow(field, np.array([2.0, 0.0, 0.0]))
         npt.assert_allclose(u, [0.0, 0.0, 1.0 / (16.0 * np.pi)], rtol=1e-15)
         npt.assert_allclose(p, 0.0, atol=1e-18)
 
@@ -45,67 +78,47 @@ class TestStokesletKernel:
             src = rng.normal(size=3)
             q = rng.normal(size=3)
             x = src + rng.normal(size=3) * 2.0
-            u, _ = stokeslet_velocity(src, q, x)
+            u, _ = evaluate_flow(_stokeslet(src, q), x)
             npt.assert_allclose(u, _oseen_velocity(src, q, x), rtol=1e-13)
 
     def test_incompressible(self, rng):
-        src = np.zeros(3)
-        q = rng.normal(size=3)
-        h = 1e-5
+        field = _stokeslet(np.zeros(3), rng.normal(size=3))
         for _ in range(3):
             x = rng.normal(size=3) + np.array([2.0, 0, 0])
-            div = 0.0
-            for k in range(3):
-                e = np.zeros(3)
-                e[k] = h
-                up, _ = stokeslet_velocity(src, q, x + e)
-                um, _ = stokeslet_velocity(src, q, x - e)
-                div += (up[k] - um[k]) / (2 * h)
-            assert abs(div) < 1e-9
+            grad = _fd_gradient(lambda y: evaluate_flow(field, y)[0], x)
+            assert abs(np.trace(grad)) < 1e-9
 
     def test_momentum_balance(self, rng):
         # mu lap(u) = grad p away from the singularity (unit viscosity)
-        src = np.zeros(3)
-        q = rng.normal(size=3)
+        field = _stokeslet(np.zeros(3), rng.normal(size=3))
         x = np.array([1.3, -0.7, 0.9])
         h = 1e-3
         lap = np.zeros(3)
         grad_p = np.zeros(3)
-        u0, _ = stokeslet_velocity(src, q, x)
+        u0, _ = evaluate_flow(field, x)
         for k in range(3):
             e = np.zeros(3)
             e[k] = h
-            up, pp = stokeslet_velocity(src, q, x + e)
-            um, pm = stokeslet_velocity(src, q, x - e)
+            up, pp = evaluate_flow(field, x + e)
+            um, pm = evaluate_flow(field, x - e)
             lap += (up - 2 * u0 + um) / h**2
             grad_p[k] = (pp - pm) / (2 * h)
         npt.assert_allclose(lap, grad_p, atol=1e-5)
 
     def test_stress_from_finite_differences(self, rng):
-        src = np.zeros(3)
-        q = rng.normal(size=3)
+        field = _stokeslet(np.zeros(3), rng.normal(size=3))
         x = np.array([0.8, 1.1, -0.6])
-        h = 1e-5
-        grad = np.zeros((3, 3))
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = h
-            up, _ = stokeslet_velocity(src, q, x + e)
-            um, _ = stokeslet_velocity(src, q, x - e)
-            grad[:, k] = (up - um) / (2 * h)
-        _, p = stokeslet_velocity(src, q, x)
-        expected = -p * np.eye(3) + grad + grad.T
-        npt.assert_allclose(stokeslet_stress(src, q, x), expected, atol=1e-9)
+        npt.assert_allclose(_traction_matrix_stress(field, x), _fd_stress(field, x), atol=1e-9)
 
     def test_singular_evaluation_raises(self):
         with pytest.raises(SingularEvaluationError):
-            stokeslet_velocity(np.zeros(3), np.ones(3), np.zeros(3))
+            evaluate_flow(_stokeslet(np.zeros(3), np.ones(3)), np.zeros(3))
 
 
 class TestPointSource:
     def test_velocity_is_radial_sink(self):
-        v = point_source_velocity(np.zeros(3), np.array([0.0, 0.0, 2.0]))
-        npt.assert_allclose(v, [0.0, 0.0, -1.0 / (16.0 * np.pi)], rtol=1e-15)
+        v = point_source_velocity(np.zeros(3), np.array([[0.0, 0.0, 2.0]]))
+        npt.assert_allclose(v[0], [0.0, 0.0, -1.0 / (16.0 * np.pi)], rtol=1e-15)
 
     def test_unit_flux_through_surface(self, sphere12):
         # into-body normals make the discrete flux of the sink field +1;
@@ -122,21 +135,13 @@ class TestPointSource:
         n /= np.linalg.norm(n, axis=1, keepdims=True)
         tr = point_source_traction(x0, pts, n)
         for k in range(4):
-            npt.assert_allclose(tr[k], point_source_stress(x0, pts[k]) @ n[k], rtol=1e-13)
+            npt.assert_allclose(tr[k], _fd_sink_stress(x0, pts[k]) @ n[k], atol=1e-9)
 
     def test_stress_from_finite_differences(self):
         x0 = np.zeros(3)
         x = np.array([0.9, -0.4, 1.2])
-        h = 1e-5
-        grad = np.zeros((3, 3))
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = h
-            grad[:, k] = (
-                point_source_velocity(x0, x + e) - point_source_velocity(x0, x - e)
-            ) / (2 * h)
-        # potential flow: pressure vanishes, stress is the symmetric gradient
-        npt.assert_allclose(point_source_stress(x0, x), grad + grad.T, atol=1e-9)
+        stress = point_source_traction(x0, np.tile(x, (3, 1)), np.eye(3)).T
+        npt.assert_allclose(stress, _fd_sink_stress(x0, x), atol=1e-9)
 
 
 class TestSourcePlacement:
@@ -190,8 +195,7 @@ class TestMatricesAndFields:
         want = np.zeros((5, 3))
         for m in range(5):
             for k in range(3):
-                u, _ = stokeslet_velocity(srcs.locations[k], q[k], pts[m])
-                want[m] += u
+                want[m] += _oseen_velocity(srcs.locations[k], q[k], pts[m])
         npt.assert_allclose(got, want, rtol=1e-12)
 
     def test_traction_matrix_against_loop(self, rng):
@@ -199,14 +203,11 @@ class TestMatricesAndFields:
         n = rng.normal(size=(4, 3))
         n /= np.linalg.norm(n, axis=1, keepdims=True)
         srcs = SourceSet(rng.normal(size=(2, 3)) * 0.2, 1.0)
-        q = rng.normal(size=(2, 3))
+        field = FlowField(srcs, rng.normal(size=(2, 3)))
         mat = traction_matrix(pts, n, srcs)
-        got = (mat @ q.ravel()).reshape(4, 3)
-        want = np.zeros((4, 3))
+        got = (mat @ field.strengths.ravel()).reshape(4, 3)
         for m in range(4):
-            for k in range(2):
-                want[m] += stokeslet_stress(srcs.locations[k], q[k], pts[m]) @ n[m]
-        npt.assert_allclose(got, want, rtol=1e-12)
+            npt.assert_allclose(got[m], _fd_stress(field, pts[m]) @ n[m], atol=1e-9)
 
     def test_evaluate_flow_chunking(self, rng):
         srcs = SourceSet(rng.normal(size=(6, 3)) * 0.2, 1.0)
@@ -230,20 +231,26 @@ class TestMatricesAndFields:
         vel, _ = evaluate_flow(field, x)
         bare = FlowField(srcs, field.strengths)
         vel0, _ = evaluate_flow(bare, x)
-        npt.assert_allclose(vel[0] - vel0[0], 2.0 * point_source_velocity(np.zeros(3), x[0]))
+        npt.assert_allclose(vel - vel0, 2.0 * point_source_velocity(np.zeros(3), x))
 
     def test_flux_requires_source_point(self, rng):
         srcs = SourceSet(rng.normal(size=(2, 3)) * 0.1, 1.0)
         with pytest.raises(ValueError):
             FlowField(srcs, np.zeros((2, 3)), source_flux=1.0)
 
-    def test_total_force_identity(self, sphere16, rng):
+    @pytest.mark.parametrize(
+        "mesh, shrink, stride, rings",
+        [("sphere16", 0.2, 7, 1), ("sphere12", 0.1, 1, 12)],
+        ids=["dense", "ring"],
+    )
+    def test_total_force_identity(self, request, rng, mesh, shrink, stride, rings):
         # momentum flux through the surface recovers the summed strengths
-        srcs = place_sources(sphere16, 0.2, stride=7)
+        mesh = request.getfixturevalue(mesh)
+        srcs = place_sources(mesh, shrink, stride=stride)
+        assert _ring_count(mesh, srcs) == rings
         q = rng.normal(size=(srcs.count, 3))
-        field = FlowField(srcs, q)
-        traction = evaluate_traction(field, sphere16)
-        force = surface_integral(sphere16, traction)
+        traction = SlipSolver(mesh, srcs, 1.0).node_traction(FlowField(srcs, q))
+        force = surface_integral(mesh, traction)
         npt.assert_allclose(force, q.sum(axis=0), rtol=1e-7)
 
     def test_traction_includes_source_term(self, sphere12, rng):
@@ -252,7 +259,8 @@ class TestMatricesAndFields:
         x0 = np.array([0.1, 0.0, -0.2])
         field = FlowField(srcs, q, source_flux=1.5, source_point=x0)
         bare = FlowField(srcs, q)
-        diff = evaluate_traction(field, sphere12) - evaluate_traction(bare, sphere12)
+        solver = SlipSolver(sphere12, srcs, 1.0)
+        diff = solver.node_traction(field) - solver.node_traction(bare)
         want = 1.5 * point_source_traction(x0, sphere12.nodes, sphere12.normals)
         npt.assert_allclose(diff, want, rtol=1e-12, atol=1e-14)
 
