@@ -242,32 +242,49 @@ def _z_rotations(p: int) -> np.ndarray:
     return rot
 
 
+def _repeats(values, ring0) -> bool:
+    defect = np.max(np.abs(values - ring0))
+    return bool(defect <= _RING_TOL * np.max(np.abs(values)))
+
+
+def _rings_rotate(v, rot) -> bool:
+    """Whether every ring of the (n, 3) vectors ``v`` is ring 0 rotated by R_q."""
+    rings = v.reshape(-1, len(rot), 3)
+    return _repeats(rings, np.einsum("qab,tb->tqa", rot, rings[:, 0]))
+
+
+def _mesh_ring_count(mesh: SurfaceMesh) -> int:
+    """Number P of phi rings over which ``mesh`` is symmetric under rotation about z.
+
+    Ring q holds every P-th node starting at q: one phi sample of a
+    parametric mesh.  The mesh is symmetric when every ring is ring 0
+    rotated about z by 2 pi q / P, for the nodes and their frames, and the
+    weights repeat from ring to ring; this holds for sphere and spheroid
+    meshes.  Returns 1 (one ring) otherwise.
+    """
+    n = mesh.n_nodes
+    p = math.isqrt(n)
+    if mesh.shape_info is None or p < 2 or p * p != n:
+        return 1
+    rot = _z_rotations(p)
+    for v in (mesh.nodes, mesh.normals, mesh.tangent1, mesh.tangent2):
+        if not _rings_rotate(v, rot):
+            return 1
+    w = mesh.weights.reshape(-1, p)
+    return p if _repeats(w, w[:, :1]) else 1
+
+
 def _ring_count(mesh: SurfaceMesh, sources) -> int:
     """Number P of rings over which the collocation operator is block-circulant.
 
-    Ring q holds every P-th node (and source) starting at q: one phi sample
-    of a parametric mesh.  The operator is block-circulant when every ring
-    is ring 0 rotated about z by 2 pi q / P, for the nodes, their frames
-    and the sources, and the weights repeat from ring to ring; this holds
-    for sphere and spheroid meshes with one source per node.  Returns 1
+    The mesh must be symmetric (:func:`_mesh_ring_count`) and the sources
+    must follow its rings, which holds for one source per node.  Returns 1
     (one ring: the dense operator) otherwise.
     """
-    n, k = mesh.n_nodes, sources.count
-    p = math.isqrt(n)
-    if mesh.shape_info is None or p < 2 or p * p != n or k % p:
+    p = _mesh_ring_count(mesh)
+    if p == 1 or sources.count % p or not _rings_rotate(sources.locations, _z_rotations(p)):
         return 1
-    rot = _z_rotations(p)
-
-    def repeats(values, ring0):
-        defect = np.max(np.abs(values - ring0))
-        return bool(defect <= _RING_TOL * np.max(np.abs(values)))
-
-    for v in (mesh.nodes, mesh.normals, mesh.tangent1, mesh.tangent2, sources.locations):
-        rings = v.reshape(-1, p, 3)
-        if not repeats(rings, np.einsum("qab,tb->tqa", rot, rings[:, 0])):
-            return 1
-    w = mesh.weights.reshape(-1, p)
-    return p if repeats(w, w[:, :1]) else 1
+    return p
 
 
 def _to_rings(v, rot) -> np.ndarray:
@@ -289,6 +306,15 @@ def _from_rings(y, rot) -> np.ndarray:
 def _rfft(y, p):
     """DFT over the leading ring axis; the identity for one ring."""
     return y if p == 1 else np.fft.rfft(y, axis=0)
+
+
+def _mode_multiplicity(p) -> np.ndarray:
+    """How often each stored DFT mode m = 0..P//2 occurs among all P modes.
+
+    Modes 0 < m < P/2 stand for themselves and their conjugates P - m.
+    """
+    m = np.arange(p // 2 + 1)
+    return np.where((m == 0) | (2 * m == p), 1, 2)
 
 
 def _irfft(y, p):
@@ -379,8 +405,7 @@ class SlipSolver:
         if s_max == 0.0:
             raise SolverError("collocation matrix is identically zero")
         kept = np.array([np.count_nonzero(s >= svd_tol * s_max) for _, s, _ in factors])
-        m = np.arange(len(factors))
-        rank = int(np.where((m == 0) | (2 * m == p), 1, 2) @ kept)
+        rank = int(_mode_multiplicity(p) @ kept)
         if rank == 0:
             raise SolverError("truncated SVD kept no singular values")
         r = int(kept.max())

@@ -228,7 +228,7 @@ def evaluate_flow(field: FlowField, points):
 def evaluate_strain(field: FlowField, points) -> np.ndarray:
     """Strain tensor D(v) of ``field`` at an (M, 3) batch of points."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    out = np.zeros((len(pts), 3, 3))
+    out = np.empty((len(pts), 3, 3))
     q = field.strengths
     eye = np.eye(3)
     for lo in range(0, len(pts), _CHUNK):
@@ -236,10 +236,15 @@ def evaluate_strain(field: FlowField, points) -> np.ndarray:
         r, d = _displacements(pts[sl], field.sources.locations)
         rhat = r / d[..., None]
         f = np.einsum("mkj,kj->mk", rhat, q) / d**2
-        out[sl] = (
-            np.sum(f, axis=1)[:, None, None] * eye[None]
-            - 3.0 * np.einsum("mk,mka,mkb->mab", f, rhat, rhat)
-        ) / (8.0 * np.pi)
+        s = out[sl]
+        # the six unique components of sum_k f rhat rhat, mirrored
+        for a in range(3):
+            fa = f * rhat[..., a]
+            for b in range(a, 3):
+                s[:, a, b] = s[:, b, a] = np.sum(fa * rhat[..., b], axis=1)
+        s *= -3.0
+        s += np.sum(f, axis=1)[:, None, None] * eye
+        s /= 8.0 * np.pi
     if field.source_flux != 0.0:
         # potential flow: the strain is half the sink stress
         out += 0.5 * field.source_flux * _sink_stress(field.source_point, pts)

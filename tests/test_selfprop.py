@@ -1,22 +1,31 @@
+import copy
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from slipswim import (
+    AccuracyWarning,
+    GrandMatrix,
     SwimProblem,
     evaluate_flow,
     flux_and_carrier,
     h_half_norm,
+    load_triangle_mesh,
     make_parametric_surface,
     ns_certificate,
+    random_boundary_data,
     rigid_trace_data,
     squirmer_data,
     squirmer_oracle,
     surface_integral,
     uniform_flux_data,
 )
-from slipswim.collocation import BoundaryData, data_vector
+from slipswim.collocation import BoundaryData, _mesh_ring_count, data_vector
 from slipswim.geometry import tangential_part
+from test_geometry import _icosphere, _write_off
 
 
 class TestRestState:
@@ -144,15 +153,72 @@ class TestSobolevSeminorm:
         )
 
     def test_chunk_size_invariance(self, rng):
-        # 400 nodes span two row chunks; compare with the unchunked double sum
-        mesh = make_parametric_surface("sphere", 20)
+        # one ring of 400 rows spans two row chunks; compare with the unchunked double sum
+        mesh = dataclasses.replace(make_parametric_surface("sphere", 20), shape_info=None)
         values = rng.normal(size=(mesh.n_nodes, 3))
         diff = np.sum((values[:, None] - values[None]) ** 2, axis=2)
         dist = np.linalg.norm(mesh.nodes[:, None] - mesh.nodes[None], axis=2)
         np.fill_diagonal(dist, np.inf)
         w = mesh.weights
         want = np.sum(w * np.sum(values**2, axis=1)) + np.sum(np.outer(w, w) * diff / dist**3)
+        assert _mesh_ring_count(mesh) == 1
         npt.assert_allclose(h_half_norm(values, mesh), np.sqrt(want), rtol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["random", "squirmer", "random+flux", "uniform-flux"])
+    @pytest.mark.parametrize(
+        "body, rings",
+        [("sphere12", 12), ("sphere24", 24), ("spheroid16", 16), ("sphere24-one-ring", 1), ("icosphere", 1)],
+    )
+    def test_matches_double_sum(self, tmp_path, rng, body, rings, kind):
+        mesh = _sobolev_mesh(body, tmp_path)
+        assert _mesh_ring_count(mesh) == rings
+        data = {
+            "random": lambda: random_boundary_data(mesh, rng),
+            "squirmer": lambda: squirmer_data(mesh),
+            "random+flux": lambda: random_boundary_data(mesh, rng, flux=0.7),
+            "uniform-flux": lambda: uniform_flux_data(mesh, 2.0),
+        }[kind]()
+        beta_star = flux_and_carrier(data, mesh)[2]
+        want = _gagliardo_double_sum(beta_star, mesh)
+        # squirmer and uniform-flux beta_star vanish on a sphere up to rounding
+        scale = np.sqrt(np.sum(mesh.weights * np.sum(beta_star**2, axis=1)))
+        npt.assert_allclose(h_half_norm(beta_star, mesh), want, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_ring_blocks_bound_memory(self, rng):
+        # the N x N double sum in 256-row chunks peaked at 125 MiB here
+        mesh = make_parametric_surface("sphere", 80)
+        values = rng.normal(size=(mesh.n_nodes, 3))
+        tracemalloc.start()
+        try:
+            h_half_norm(values, mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
+
+
+def _sobolev_mesh(body, tmp_path):
+    if body == "icosphere":
+        verts, faces = _icosphere(3)
+        _write_off(tmp_path / "ico.off", verts, faces)
+        return load_triangle_mesh(tmp_path / "ico.off")
+    if body == "spheroid16":
+        return make_parametric_surface("spheroid", 16, a_axis=1.0, c_axis=1.6)
+    if body == "sphere24-one-ring":
+        return dataclasses.replace(make_parametric_surface("sphere", 24), shape_info=None)
+    return make_parametric_surface("sphere", {"sphere12": 12, "sphere24": 24}[body])
+
+
+def _gagliardo_double_sum(values, mesh):
+    """The O(N^2) double sum of :func:`h_half_norm`, one row at a time."""
+    w, x = mesh.weights, mesh.nodes
+    total = np.sum(w * np.sum(values**2, axis=1))
+    for j in range(mesh.n_nodes):
+        others = np.arange(mesh.n_nodes) != j
+        diff = np.sum((values[j] - values[others]) ** 2, axis=1)
+        dist = np.linalg.norm(x[j] - x[others], axis=1)
+        total += w[j] * np.sum(w[others] * diff / dist**3)
+    return np.sqrt(total)
 
 
 class TestSolutionRecord:
@@ -162,6 +228,13 @@ class TestSolutionRecord:
         npt.assert_allclose(sol.coefficients[3:], sol.omega)
         assert sol.lifting_report is not None
         assert sol.lifting_report.residual_normal < 1e-8
+
+    def test_inaccurate_solve_warns(self, problem12):
+        # a grand matrix 1% off leaves the composite field a net force and torque
+        prob = copy.copy(problem12)
+        prob.grand_matrix = GrandMatrix.from_matrix(1.01 * problem12.grand_matrix.M)
+        with pytest.warns(AccuracyWarning, match="self-propulsion residuals"):
+            prob.solve(squirmer_data(prob.mesh))
 
 
 class TestStridedBody:

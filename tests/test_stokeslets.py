@@ -281,3 +281,19 @@ class TestMatricesAndFields:
         want = 0.5 * (grad + grad.T)
         got = evaluate_strain(field, x[None, :])[0]
         npt.assert_allclose(got, want, atol=1e-9)
+
+    def test_strain_matches_einsum_form(self, rng):
+        # 700 points span two row chunks
+        srcs = SourceSet(rng.normal(size=(40, 3)) * 0.3, 1.0)
+        field = FlowField(srcs, rng.normal(size=(40, 3)))
+        pts = rng.normal(size=(700, 3)) * 3.0
+        r = pts[:, None, :] - srcs.locations[None, :, :]
+        d = np.linalg.norm(r, axis=2)
+        rhat = r / d[..., None]
+        f = np.einsum("mkj,kj->mk", rhat, field.strengths) / d**2
+        want = (
+            np.sum(f, axis=1)[:, None, None] * np.eye(3)
+            - 3.0 * np.einsum("mk,mka,mkb->mab", f, rhat, rhat)
+        ) / (8.0 * np.pi)
+        got = evaluate_strain(field, pts)
+        npt.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
