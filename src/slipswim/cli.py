@@ -10,15 +10,19 @@ converge   resistance refinement study, written as CSV
 
 Usage: ``slipswim <subcommand> --config cfg.json [--output out] [--threads n]``.
 
-Exit codes: 0 success (accuracy warnings are recorded in the output, not
-fatal), 2 configuration/input error, 3 solver failure.
+Exit codes: 0 success, 2 configuration/input error, 3 solver failure.
+Warnings are not fatal: the output JSON lists them under ``warnings``, and
+``converge``, whose output is CSV, prints each one to stderr.
 
 Determinism: with a fixed thread count, rerunning a config byte-identically
 reproduces the output JSON.  Wall-clock timings would break that, so they
 are only included under ``--timing``.  ``--threads`` (or the
-SLIPSWIM_THREADS environment variable) caps the BLAS thread pools; it must
-act before numpy is first imported, which is why this module defers all
-heavy imports into the command handlers.
+SLIPSWIM_THREADS environment variable) caps the BLAS thread pools.  That
+works only before numpy is first imported, so neither this module nor the
+package imports numpy at import time: the cap takes effect when
+``slipswim`` starts the process (the console script or ``python -m
+slipswim.cli``), not when :func:`main` runs in a process that has already
+imported numpy.
 
 Custom boundary data is a CSV with header ``node_index,normal,t1,t2``
 giving, per node, the normal velocity component and the two tangential
@@ -33,11 +37,15 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
 import sys
 import time
+import warnings
+
+from .errors import ConfigError, GeometryError, SlipswimError
 
 _TOP_KEYS = {
     "shape", "alpha", "data", "re", "shrink", "stride", "svd_tol",
@@ -56,54 +64,48 @@ _DATA_KEYS = {
 }
 
 
-def _cfg_error(msg):
-    from .errors import ConfigError
-
-    return ConfigError(msg)
-
-
 def _check_keys(section, given, allowed):
     extra = set(given) - allowed
     if extra:
-        raise _cfg_error(f"unknown {section} keys: {sorted(extra)}")
+        raise ConfigError(f"unknown {section} keys: {sorted(extra)}")
 
 
 def _reject_constant(name):
-    raise _cfg_error(f"non-finite number {name} in config")
+    raise ConfigError(f"non-finite number {name} in config")
 
 
 def _number(value, name):
     """Pass ``value`` through if it is a finite JSON number (not a string or bool)."""
     is_number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if not (is_number and math.isfinite(value)):
-        raise _cfg_error(f"{name} must be a finite number, got {value!r}")
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
     return value
 
 
 def _integer(value, name):
     """Pass ``value`` through if it is a finite JSON number with no fractional part."""
     if _number(value, name) != int(value):
-        raise _cfg_error(f"{name} must be an integer, got {value!r}")
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value
 
 
 def _object(value, name):
     """A copy of config section ``value``, which must be a JSON object."""
     if not isinstance(value, dict):
-        raise _cfg_error(f"{name} must be a JSON object, got {type(value).__name__}")
+        raise ConfigError(f"{name} must be a JSON object, got {type(value).__name__}")
     return dict(value)
 
 
 def _list(value):
     if not isinstance(value, list):
-        raise _cfg_error(f"resolutions must be a JSON array, got {value!r}")
+        raise ConfigError(f"resolutions must be a JSON array, got {value!r}")
     return value
 
 
 def _path(value, name):
     """Pass ``value`` through if it is a string; an int would reach open() as an fd."""
     if not isinstance(value, str):
-        raise _cfg_error(f"{name} must be a string, got {value!r}")
+        raise ConfigError(f"{name} must be a string, got {value!r}")
     return value
 
 
@@ -113,36 +115,36 @@ def load_config(path) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
-        raise _cfg_error(f"cannot read config {path!r}: {exc}") from exc
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _cfg_error(f"config {path!r} is not valid JSON: {exc}") from exc
+        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise _cfg_error("config root must be a JSON object")
+        raise ConfigError("config root must be a JSON object")
     _check_keys("config", raw, _TOP_KEYS)
 
     if "shape" not in raw or "alpha" not in raw:
-        raise _cfg_error("config must define 'shape' and 'alpha'")
+        raise ConfigError("config must define 'shape' and 'alpha'")
 
     shape = _object(raw["shape"], "shape")
     kind = shape.get("kind")
     if kind not in _SHAPE_KEYS:
-        raise _cfg_error(f"shape.kind must be one of {sorted(_SHAPE_KEYS)}, got {kind!r}")
+        raise ConfigError(f"shape.kind must be one of {sorted(_SHAPE_KEYS)}, got {kind!r}")
     _check_keys("shape", shape, _SHAPE_KEYS[kind])
     if kind in ("sphere", "spheroid"):
         shape.setdefault("resolution", 20)
         if _integer(shape["resolution"], "shape.resolution") < 8:
-            raise _cfg_error("shape.resolution must be at least 8")
+            raise ConfigError("shape.resolution must be at least 8")
         if kind == "sphere":
             shape.setdefault("radius", 1.0)
             if _number(shape["radius"], "shape.radius") <= 0:
-                raise _cfg_error("shape.radius must be positive")
+                raise ConfigError("shape.radius must be positive")
         else:
             shape.setdefault("a_axis", 1.0)
             shape.setdefault("c_axis", 1.0)
             if min(_number(shape[k], f"shape.{k}") for k in ("a_axis", "c_axis")) <= 0:
-                raise _cfg_error("spheroid semi-axes must be positive")
+                raise ConfigError("spheroid semi-axes must be positive")
     elif "path" not in shape:
-        raise _cfg_error("shape.kind 'mesh' requires shape.path")
+        raise ConfigError("shape.kind 'mesh' requires shape.path")
     else:
         _path(shape["path"], "shape.path")
 
@@ -160,19 +162,19 @@ def load_config(path) -> dict:
         "output": None if raw.get("output") is None else _path(raw["output"], "output"),
     }
     if cfg["alpha"] <= 0:
-        raise _cfg_error("alpha must be positive")
+        raise ConfigError("alpha must be positive")
     if cfg["re"] < 0:
-        raise _cfg_error("re must be nonnegative")
+        raise ConfigError("re must be nonnegative")
     if not 0.0 < cfg["shrink"] < 1.0:
-        raise _cfg_error("shrink must lie in (0, 1)")
+        raise ConfigError("shrink must lie in (0, 1)")
     if cfg["stride"] < 1:
-        raise _cfg_error("stride must be a positive integer")
+        raise ConfigError("stride must be a positive integer")
     if not 0.0 < cfg["svd_tol"] < 1.0:
-        raise _cfg_error("svd_tol must lie in (0, 1)")
+        raise ConfigError("svd_tol must lie in (0, 1)")
     if cfg["r_t"] <= 0:
-        raise _cfg_error("r_t must be positive")
+        raise ConfigError("r_t must be positive")
     if len(cfg["resolutions"]) < 3 or min(cfg["resolutions"]) < 8:
-        raise _cfg_error("resolutions must list at least three integers, each at least 8")
+        raise ConfigError("resolutions must list at least three integers, each at least 8")
 
     thr = _object(raw.get("thresholds", {}), "thresholds")
     _check_keys("thresholds", thr, {"c1", "c2"})
@@ -180,48 +182,46 @@ def load_config(path) -> dict:
         c: float(_number(thr.get(c, 1.0), f"thresholds.{c}")) for c in ("c1", "c2")
     }
     if cfg["thresholds"]["c1"] <= 0 or cfg["thresholds"]["c2"] <= 0:
-        raise _cfg_error("thresholds must be positive")
+        raise ConfigError("thresholds must be positive")
 
     if "data" in raw:
         data = _object(raw["data"], "data")
         preset = data.get("preset")
         if preset not in _DATA_KEYS:
-            raise _cfg_error(
+            raise ConfigError(
                 f"data.preset must be one of {sorted(_DATA_KEYS)}, got {preset!r}"
             )
         _check_keys("data", data, _DATA_KEYS[preset])
         if preset == "rigid-trace":
             data.setdefault("index", 1)
             if not 1 <= _integer(data["index"], "data.index") <= 6:
-                raise _cfg_error("data.index must lie in 1..6")
+                raise ConfigError("data.index must lie in 1..6")
         elif preset == "squirmer":
             _number(data.setdefault("b1", 1.0), "data.b1")
         elif preset == "source":
             _number(data.setdefault("phi", 1.0), "data.phi")
         elif "path" not in data:
-            raise _cfg_error("data.preset 'custom' requires data.path")
+            raise ConfigError("data.preset 'custom' requires data.path")
         else:
             _path(data["path"], "data.path")
         cfg["data"] = data
     return cfg
 
 
+def _dimensions(shape):
+    """The :func:`make_parametric_surface` keywords of a sphere or spheroid section."""
+    return {k: v for k, v in shape.items() if k not in ("kind", "resolution")}
+
+
 def _build_mesh(cfg):
     from .geometry import load_triangle_mesh, make_parametric_surface
 
     shape = cfg["shape"]
-    if shape["kind"] == "sphere":
-        return make_parametric_surface(
-            "sphere", int(shape["resolution"]), radius=shape["radius"]
-        )
-    if shape["kind"] == "spheroid":
-        return make_parametric_surface(
-            "spheroid",
-            int(shape["resolution"]),
-            a_axis=shape["a_axis"],
-            c_axis=shape["c_axis"],
-        )
-    return load_triangle_mesh(shape["path"])
+    if shape["kind"] == "mesh":
+        return load_triangle_mesh(shape["path"])
+    return make_parametric_surface(
+        shape["kind"], int(shape["resolution"]), **_dimensions(shape)
+    )
 
 
 def read_nodal_csv(path, mesh):
@@ -236,12 +236,12 @@ def read_nodal_csv(path, mesh):
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
     except OSError as exc:
-        raise _cfg_error(f"cannot read data file {path!r}: {exc}") from exc
+        raise ConfigError(f"cannot read data file {path!r}: {exc}") from exc
     if not rows or [c.strip() for c in rows[0]] != ["node_index", "normal", "t1", "t2"]:
-        raise _cfg_error("nodal CSV must start with header node_index,normal,t1,t2")
+        raise ConfigError("nodal CSV must start with header node_index,normal,t1,t2")
     body = [r for r in rows[1:] if r]
     if len(body) != mesh.n_nodes:
-        raise _cfg_error(
+        raise ConfigError(
             f"nodal CSV has {len(body)} rows for a mesh with {mesh.n_nodes} nodes"
         )
     seen = np.zeros(mesh.n_nodes, dtype=bool)
@@ -252,13 +252,13 @@ def read_nodal_csv(path, mesh):
         for r in body:
             idx = int(r[0])
             if not 0 <= idx < mesh.n_nodes or seen[idx]:
-                raise _cfg_error(f"bad or repeated node index {idx} in nodal CSV")
+                raise ConfigError(f"bad or repeated node index {idx} in nodal CSV")
             seen[idx] = True
             normal[idx], c1[idx], c2[idx] = float(r[1]), float(r[2]), float(r[3])
     except (IndexError, ValueError) as exc:
-        raise _cfg_error(f"malformed nodal CSV row: {exc}") from exc
+        raise ConfigError(f"malformed nodal CSV row: {exc}") from exc
     if not np.all(np.isfinite([normal, c1, c2])):
-        raise _cfg_error("nodal CSV contains non-finite values")
+        raise ConfigError("nodal CSV contains non-finite values")
     tangential = c1[:, None] * mesh.tangent1 + c2[:, None] * mesh.tangent2
     return BoundaryData(normal, tangential)
 
@@ -267,7 +267,7 @@ def _build_data(cfg, mesh):
     from .collocation import rigid_trace_data, squirmer_data, uniform_flux_data
 
     if "data" not in cfg:
-        raise _cfg_error("this subcommand requires a 'data' section in the config")
+        raise ConfigError("this subcommand requires a 'data' section in the config")
     data = cfg["data"]
     preset = data["preset"]
     if preset == "rigid-trace":
@@ -352,22 +352,29 @@ def _run_validate(cfg, record):
     record["all_passed"] = all(c.passed for c in checks)
 
 
-def _run_converge(cfg, out_path):
-    from .validation import convergence_study, write_convergence_csv
+def _run_converge(cfg, record):
+    from .validation import convergence_study
 
     shape = cfg["shape"]
     if shape["kind"] == "mesh":
-        raise _cfg_error("converge needs a parametric shape (sphere or spheroid)")
-    kwargs = {"shrink": cfg["shrink"], "svd_tol": cfg["svd_tol"]}
-    if shape["kind"] == "sphere":
-        kwargs["radius"] = shape["radius"]
-    else:
-        kwargs["a_axis"] = shape["a_axis"]
-        kwargs["c_axis"] = shape["c_axis"]
-    resolutions = [int(r) for r in cfg["resolutions"]]
-    study = convergence_study(shape["kind"], cfg["alpha"], resolutions, **kwargs)
-    write_convergence_csv(study, out_path)
-    return study
+        raise ConfigError("converge needs a parametric shape (sphere or spheroid)")
+    record["study"] = convergence_study(
+        shape["kind"],
+        cfg["alpha"],
+        [int(r) for r in cfg["resolutions"]],
+        shrink=cfg["shrink"],
+        svd_tol=cfg["svd_tol"],
+        **_dimensions(shape),
+    )
+
+
+_COMMANDS = {
+    "mobility": _run_mobility,
+    "swim": _run_swim,
+    "certify": functools.partial(_run_swim, with_certificate=True),
+    "validate": _run_validate,
+    "converge": _run_converge,
+}
 
 
 def _set_thread_env(n: int):
@@ -381,7 +388,7 @@ def main(argv=None) -> int:
         description="Self-propelled rigid bodies in exterior Stokes flow with Navier slip.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("mobility", "swim", "certify", "validate", "converge"):
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--output", help="output path (JSON; CSV for converge)")
@@ -403,31 +410,14 @@ def main(argv=None) -> int:
             return 2
         _set_thread_env(threads)
 
-    import warnings as _warnings
-
-    from .errors import ConfigError, GeometryError, SlipswimError
-
     t0 = time.perf_counter()
     try:
         cfg = load_config(args.config)
         out_path = args.output or cfg.get("output")
         record = {"command": args.command, "config": cfg}
-        with _warnings.catch_warnings(record=True) as caught:
-            _warnings.simplefilter("always")
-            if args.command == "mobility":
-                _run_mobility(cfg, record)
-            elif args.command == "swim":
-                _run_swim(cfg, record)
-            elif args.command == "certify":
-                _run_swim(cfg, record, with_certificate=True)
-            elif args.command == "validate":
-                _run_validate(cfg, record)
-            else:
-                _run_converge(cfg, out_path or "convergence.csv")
-                if args.timing:
-                    print(f"converge finished in {time.perf_counter() - t0:.2f}s")
-                return 0
-        record["warnings"] = sorted(str(w.message) for w in caught)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _COMMANDS[args.command](cfg, record)
     except (ConfigError, GeometryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -435,6 +425,18 @@ def main(argv=None) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
 
+    if args.command == "converge":
+        from .validation import write_convergence_csv
+
+        # the study is written as CSV, so its warnings go to stderr
+        for w in caught:
+            print(f"warning: {w.message}", file=sys.stderr)
+        write_convergence_csv(record["study"], out_path or "convergence.csv")
+        if args.timing:
+            print(f"converge finished in {time.perf_counter() - t0:.2f}s")
+        return 0
+
+    record["warnings"] = sorted(str(w.message) for w in caught)
     if args.timing:
         record["timing"] = {"total_seconds": time.perf_counter() - t0}
     try:

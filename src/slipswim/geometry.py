@@ -35,6 +35,8 @@ __all__ = [
 ]
 
 _FRAME_TOL = 1e-12
+# Largest semi-axis whose square is a finite float.
+_MAX_SEMI_AXIS = float(np.sqrt(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -186,7 +188,7 @@ def make_parametric_surface(
         node index = i_theta * resolution + i_phi, with cos(theta) ascending
         (south to north) and phi = 2*pi*i_phi/resolution.
     radius, a_axis, c_axis : float
-        Dimensions, all > 0.
+        Dimensions, all > 0 and below sqrt(float max), about 1.34e154.
 
     Returns
     -------
@@ -208,6 +210,8 @@ def make_parametric_surface(
         shape_info = ("spheroid", float(a_axis), float(c_axis))
     else:
         raise GeometryError(f"unknown shape {shape!r}")
+    if max(a, c) >= _MAX_SEMI_AXIS:
+        raise GeometryError(f"{shape} dimensions must be below {_MAX_SEMI_AXIS:.4g}")
 
     t, wt = leggauss(resolution)
     phi = 2.0 * np.pi * np.arange(resolution) / resolution

@@ -54,7 +54,8 @@ class ThrustBasis:
 
     ``tractions[i]`` is g_(i+1) at the nodes.  The weighted Gram matrices of
     the tractions and of their tangential projections are kept for
-    projections; construction fails if either is rank deficient.
+    projections; construction fails if either is rank deficient after
+    scaling to unit diagonal.
     """
 
     tractions: np.ndarray
@@ -82,7 +83,11 @@ def traction_basis(aux_fields, mesh: SurfaceMesh, tractions) -> ThrustBasis:
     gram = np.einsum("n,inj,knj->ik", w, tractions, tractions)
     gram_t = np.einsum("n,inj,knj->ik", w, tang, tang)
     for name, g in (("traction", gram), ("tangential traction", gram_t)):
-        ev = np.linalg.eigvalsh(g)
+        # Translation and rotation tractions differ by a length, so the rank
+        # is read off the unit-diagonal Gram, which no choice of units changes.
+        d = np.sqrt(np.diag(g))
+        d[d == 0.0] = 1.0  # a zero field keeps its zero row and fails the test
+        ev = np.linalg.eigvalsh(g / np.outer(d, d))
         r = int(np.count_nonzero(ev > _RANK_TOL * ev[-1]))
         if r < 6:
             raise BasisRankError(

@@ -185,11 +185,16 @@ class SwimProblem:
         return swim_velocity(self.grand_matrix, self.wrench(v_star))
 
     def solve(self, v_star: BoundaryData) -> SelfPropSolution:
-        """Full composite solution via the lifting route (M c = beta)."""
+        """Full composite solution via the lifting route (M c = beta).
+
+        M c = beta is solved by :func:`slipswim.mobility.swim_velocity`, the
+        solve of the wrench route, with its check that c reproduces beta.
+        """
         lifting, report = solve_lifting(v_star, self.solver)
         t_lift = self.solver.node_traction(lifting)
         beta = -np.einsum("n,inj,nj->i", self.mesh.weights, _rigid_modes(self.mesh), t_lift)
-        c = np.linalg.solve(self.grand_matrix.M, beta)
+        xi, omega = swim_velocity(self.grand_matrix, beta)
+        c = np.concatenate((xi, omega))
 
         strengths = lifting.strengths + np.einsum(
             "i,ikj->kj", c, np.array([f.strengths for f in self.aux_fields])
@@ -219,8 +224,8 @@ class SwimProblem:
             coefficients=c,
             lifting=lifting,
             field=composite,
-            xi=c[:3].copy(),
-            omega=c[3:].copy(),
+            xi=xi,
+            omega=omega,
             force_residual=force_res,
             torque_residual=torque_res,
             lifting_report=report,

@@ -244,7 +244,6 @@ class ConvergenceRow:
 @dataclass(frozen=True)
 class ConvergenceStudy:
     rows: tuple
-    warnings: tuple
 
 
 def convergence_study(
@@ -261,8 +260,8 @@ def convergence_study(
 
     Spheres are compared against the analytic slip-sphere values with
     b = 1/alpha; other shapes against Aitken extrapolation of the computed
-    sequence.  Non-monotone error decay is flagged in the warnings, not
-    raised.
+    sequence.  Non-monotone error decay is reported through
+    :func:`warnings.warn` (a ``UserWarning``), not raised.
     """
     resolutions = list(resolutions)
     if len(resolutions) < 3:
@@ -294,15 +293,13 @@ def convergence_study(
         )
         for m in range(len(resolutions))
     )
-    notes = []
     for m in range(1, len(rows)):
         if rows[m].k_error > rows[m - 1].k_error and rows[m].k_error > 1e-12:
-            notes.append(
-                f"K error did not decrease from N={rows[m-1].n_nodes} to N={rows[m].n_nodes}"
+            warnings.warn(
+                f"K error did not decrease from N={rows[m-1].n_nodes} to N={rows[m].n_nodes}",
+                stacklevel=2,
             )
-    for note in notes:
-        warnings.warn(note, stacklevel=2)
-    return ConvergenceStudy(rows, tuple(notes))
+    return ConvergenceStudy(rows)
 
 
 def _aitken(seq):

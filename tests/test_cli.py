@@ -158,6 +158,16 @@ class TestSubcommands:
         assert lines[0].startswith("N,")
         assert len(lines) == 4
 
+    def test_converge_warnings_reach_stderr(self, tmp_path, capsys):
+        # the errors grow as the resolutions fall; the output is CSV, so the
+        # warnings can only go to stderr
+        cfg = _write_config(tmp_path / "c.json", resolutions=[14, 10, 8])
+        out = tmp_path / "study.csv"
+        assert main(["converge", "--config", str(cfg), "--output", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all("did not decrease" in line for line in err)
+        assert len(out.read_text().splitlines()) == 4
+
     def test_converge_accepts_integral_floats(self, tmp_path):
         cfg = _write_config(tmp_path / "c.json", resolutions=[8.0, 10, 12.0], alpha=1.0)
         out = tmp_path / "study.csv"
@@ -236,12 +246,17 @@ class TestSubcommands:
         ("converge", {"resolutions": [6, 8, 10]}),
         ("validate", {"shape": {"kind": "sphere", "resolution": 8}, "r_t": 0.5}),
         ("mobility", "mesh"),
+        ("mobility", {"shape": {"kind": "sphere", "radius": 1e155, "resolution": 8}}),
+        (
+            "mobility",
+            {"shape": {"kind": "spheroid", "a_axis": 1.0, "c_axis": 1e200, "resolution": 8}},
+        ),
     ],
     ids=[
         "alpha-nan", "b1-inf", "re-nan", "csv-nan", "alpha-string", "b1-string-nan",
         "resolution-fractional", "stride-fractional", "index-fractional",
         "resolutions-fractional", "resolutions-empty", "resolutions-below-8",
-        "r_t-inside-body", "mesh-bad-face",
+        "r_t-inside-body", "mesh-bad-face", "radius-overflow", "spheroid-axis-overflow",
     ],
 )
 def test_non_finite_input_exits_2(tmp_path, capsys, command, override):
@@ -301,6 +316,25 @@ def test_integer_path_is_not_a_file_descriptor(tmp_path, capsys, where):
         assert err.startswith("config error") and err.count("\n") == 1
         os.fstat(fd)  # still open
         assert fh.read() == "mine\n"
+
+
+@pytest.mark.parametrize("radius, alpha", [(1e-6, 2e6), (1e6, 2e-6)])
+def test_mobility_in_any_units(tmp_path, radius, alpha):
+    # the slip length is half the radius here as on the unit sphere at alpha
+    # 2, so K, S and R are those of the unit sphere times radius, radius^2
+    # and radius^3
+    blocks = []
+    for a, al in ((1.0, 2.0), (radius, alpha)):
+        cfg = _write_config(
+            tmp_path / "c.json", shape={"kind": "sphere", "radius": a, "resolution": 12}, alpha=al
+        )
+        out = tmp_path / "out.json"
+        assert main(["mobility", "--config", str(cfg), "--output", str(out)]) == 0
+        m = np.array(json.loads(out.read_text())["grand_matrix"]["M"])
+        s = np.array([1.0, 1.0, 1.0, a, a, a])
+        blocks.append(m / (a * np.outer(s, s)))
+    unit, scaled = blocks
+    npt.assert_allclose(scaled, unit, rtol=1e-9, atol=1e-9 * np.max(np.abs(unit)))
 
 
 def _dataclass_fields(cls):

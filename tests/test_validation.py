@@ -175,6 +175,11 @@ class TestConvergence:
         for row in study.rows:
             assert np.isfinite(row.k_value) and np.isfinite(row.k_error)
 
+    def test_non_monotone_decay_warns(self):
+        with pytest.warns(UserWarning, match="did not decrease") as caught:
+            convergence_study("sphere", 2.0, (12, 10, 8), shrink=0.5)
+        assert len(caught) == 2
+
     def test_too_few_resolutions(self):
         with pytest.raises(ValueError):
             convergence_study("sphere", 1.0, (8, 10))
