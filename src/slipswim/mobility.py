@@ -114,8 +114,12 @@ class GrandMatrix:
     def from_matrix(cls, m) -> "GrandMatrix":
         """Split a 6x6 matrix into blocks and compute the Schur inverses.
 
-        Raises :class:`SolverError` if the symmetrized matrix is not
-        positive definite.
+        ``min_eigenvalue`` is the smallest eigenvalue of the symmetric part
+        scaled to unit diagonal, so it is dimensionless: the K, S and R
+        blocks scale as length, length^2 and length^3, and rounding in R
+        would otherwise swamp K on large bodies.  Raises
+        :class:`SolverError` if that matrix is not positive definite,
+        including when a diagonal entry is not positive.
         """
         m = np.asarray(m, dtype=float)
         if m.shape != (6, 6):
@@ -124,11 +128,19 @@ class GrandMatrix:
         r = m[3:, 3:]
         s = m[3:, :3]
         defect = float(np.linalg.norm(m - m.T) / np.linalg.norm(m))
-        min_ev = float(np.linalg.eigvalsh(0.5 * (m + m.T))[0])
+        sym = 0.5 * (m + m.T)
+        diag = np.diag(sym)
+        if not np.all(diag > 0.0):
+            raise SolverError(
+                f"grand matrix is not positive definite (diagonal entry {diag.min():.3e}, "
+                f"symmetry defect {defect:.3e}); refine the discretization"
+            )
+        d = np.sqrt(diag)
+        min_ev = float(np.linalg.eigvalsh(sym / np.outer(d, d))[0])
         if min_ev <= 0.0:
             raise SolverError(
-                f"grand matrix is not positive definite (min eigenvalue {min_ev:.3e}, "
-                f"symmetry defect {defect:.3e}); refine the discretization"
+                f"grand matrix is not positive definite (min eigenvalue {min_ev:.3e} "
+                f"at unit diagonal, symmetry defect {defect:.3e}); refine the discretization"
             )
         a = np.linalg.inv(k - s.T @ np.linalg.solve(r, s))
         b = np.linalg.inv(r - s @ np.linalg.solve(k, s.T))

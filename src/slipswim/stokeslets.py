@@ -19,10 +19,18 @@ whose normals point back toward the source (the package convention of
 normals oriented out of the fluid) its flux is +1.  Its pressure vanishes
 and its stress is pure strain, -(1/2 pi)(I - 3 rhat rhat)/d^3.
 
-Each singularity has one batch kernel: the Stokeslet velocity and traction
-rows behind ``velocity_matrix``/``traction_matrix`` and the sink stress.
-The batch evaluators are chunked matrix-vector products over them, which
-keeps results reproducible for a fixed thread count.
+Each singularity has one batch kernel:
+
+* the Stokeslet velocity rows, behind ``velocity_matrix`` and
+  ``evaluate_flow``;
+* the Stokeslet traction rows, behind ``traction_matrix``;
+* the Stokeslet strain rows (the six unique components of D), behind
+  ``evaluate_strain`` and the volume pass of the identity checks in
+  ``validation``, which applies them to many strength columns at once;
+* the sink stress, which also gives the sink's traction and strain.
+
+The batch evaluators are chunked matrix products over them, which keeps
+results reproducible for a fixed thread count.
 """
 
 from __future__ import annotations
@@ -49,6 +57,11 @@ __all__ = [
 
 _SINGULAR_DIST = 1e-12
 _CHUNK = 512
+# Size of one block of strain rows in _strain_product; small enough to stay in cache.
+_ROW_BYTES = 2 * 2**20
+# Index pairs (a, b) of the six unique components of a symmetric 3x3 tensor.
+_SYM_A = (0, 1, 2, 0, 0, 1)
+_SYM_B = (0, 1, 2, 1, 2, 2)
 
 
 def _displacements(points, sources):
@@ -228,26 +241,58 @@ def evaluate_flow(field: FlowField, points):
 def evaluate_strain(field: FlowField, points) -> np.ndarray:
     """Strain tensor D(v) of ``field`` at an (M, 3) batch of points."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    comps = _strain_product(pts, field.sources.locations, field.strengths.T.reshape(-1, 1))
     out = np.empty((len(pts), 3, 3))
-    q = field.strengths
-    eye = np.eye(3)
-    for lo in range(0, len(pts), _CHUNK):
-        sl = slice(lo, lo + _CHUNK)
-        r, d = _displacements(pts[sl], field.sources.locations)
-        rhat = r / d[..., None]
-        f = np.einsum("mkj,kj->mk", rhat, q) / d**2
-        s = out[sl]
-        # the six unique components of sum_k f rhat rhat, mirrored
-        for a in range(3):
-            fa = f * rhat[..., a]
-            for b in range(a, 3):
-                s[:, a, b] = s[:, b, a] = np.sum(fa * rhat[..., b], axis=1)
-        s *= -3.0
-        s += np.sum(f, axis=1)[:, None, None] * eye
-        s /= 8.0 * np.pi
+    out[:, _SYM_A, _SYM_B] = out[:, _SYM_B, _SYM_A] = comps[..., 0]
     if field.source_flux != 0.0:
         # potential flow: the strain is half the sink stress
         out += 0.5 * field.source_flux * _sink_stress(field.source_point, pts)
+    return out
+
+
+def _strain_rows(points, locations, out) -> np.ndarray:
+    """(6M, 3K) strain rows of (M, 3) points against (K, 3) source locations.
+
+    Row block m holds the six unique components of D at points[m], in the
+    order (_SYM_A, _SYM_B); the columns are component-major, column
+    c K + k for strength component c of source k.  The rows are written
+    into ``out``, an (M, 6, 3, K) buffer.  Each entry is
+    (delta_ab - 3 rhat_a rhat_b) rhat_c / (8 pi d^2), written as
+    (rhat_a rhat_b - delta_ab / 3) times -3 rhat_c / (8 pi d^2).
+    """
+    u = points[:, :, None] - locations.T  # (M, 3, K)
+    d = np.sqrt(np.einsum("mck,mck->mk", u, u))
+    if d.min() < _SINGULAR_DIST:
+        raise SingularEvaluationError("evaluation point coincides with a source")
+    inv = np.divide(1.0, d, out=d)
+    u *= inv[:, None]
+    dyad = np.empty((len(u), 6, u.shape[2]))
+    np.multiply(u, u, out=dyad[:, :3])
+    dyad[:, :3] -= 1.0 / 3.0
+    np.multiply(u[:, :1], u[:, 1:], out=dyad[:, 3:5])
+    np.multiply(u[:, 1], u[:, 2], out=dyad[:, 5])
+    inv *= inv * (-3.0 / (8.0 * np.pi))
+    u *= inv[:, None]
+    np.multiply(dyad[:, :, None], u[:, None], out=out)
+    return out.reshape(6 * len(u), -1)
+
+
+def _strain_product(points, locations, columns) -> np.ndarray:
+    """Unique strain components (M, 6, C) of C strength columns (3K, C).
+
+    Column j holds the strengths of a Stokeslet field on ``locations`` in
+    the component-major order of :func:`_strain_rows`.  The rows are built
+    a block of points at a time, each block about ``_ROW_BYTES``, and
+    applied to all columns by one product.
+    """
+    m, k = len(points), len(locations)
+    out = np.empty((m, 6, columns.shape[1]))
+    chunk = max(1, _ROW_BYTES // (6 * 3 * k * 8))
+    buf = np.empty((min(chunk, m), 6, 3, k))
+    for lo in range(0, m, chunk):
+        pts = points[lo : lo + chunk]
+        rows = _strain_rows(pts, locations, buf[: len(pts)])
+        out[lo : lo + len(pts)] = (rows @ columns).reshape(len(pts), 6, -1)
     return out
 
 

@@ -15,14 +15,22 @@ Stokeslet strength of each field; it is added to the volume term and its
 magnitude reported, never silently dropped.
 
 Both identity checks pair the same volume term with a boundary reading of
-their own.  The volume strain of each field is evaluated once per
-(shape, R_t) rule and shared across checks; it is held in a weak-keyed memo
-and freed together with the field.
+their own.  The rule's 32 uniform phi samples and the ring sources of a
+sphere or spheroid (P phi samples) share the rotations about z by 2 pi / g,
+g = gcd(32, P), and the pairing is invariant under them.  So the strain
+rows are built only for the 1/g of the points with phi index below 32/g
+and applied, in one matrix product, to the six auxiliary fields with their
+strengths rotated for each of the g shifts; inputs without the symmetry
+(strided sources, odd P, P = 1) take the same pass with g = 1.  The result
+for all six fields of a basis is computed once per (shape, R_t) rule and
+shared across checks; it is held in a weak-keyed memo and freed together
+with the fields.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 import weakref
 from dataclasses import dataclass
@@ -38,8 +46,24 @@ from .geometry import (
     surface_integral,
     tangential_part,
 )
-from .stokeslets import FlowField, SourceSet, evaluate_flow, evaluate_strain
-from .collocation import BoundaryData, boundary_data_from_field, uniform_flux_data
+from .stokeslets import (
+    _SYM_A,
+    _SYM_B,
+    FlowField,
+    SourceSet,
+    _sink_stress,
+    _strain_product,
+    evaluate_flow,
+    # unused here: perfbench's traced run wraps this attribute by name
+    evaluate_strain,  # noqa: F401
+)
+from .collocation import (
+    BoundaryData,
+    _ring_count,
+    _z_rotations,
+    boundary_data_from_field,
+    uniform_flux_data,
+)
 from .mobility import ThrustBasis
 from .selfprop import SwimProblem
 
@@ -63,7 +87,7 @@ _N_RADIAL = 48
 _IDENTITY_TOL = 0.03
 # Pass threshold of each fitted slip length in calibrate_slip_length.
 _CALIBRATION_TOL = 0.05
-# field -> {(shape_info, r_t): volume strain}; entries die with their field.
+# field -> {(shape_info, r_t): weighted orbit strain}; entries die with their field.
 _STRAINS = weakref.WeakKeyDictionary()
 
 
@@ -161,22 +185,56 @@ def _volume_rule(mesh: SurfaceMesh, r_t: float):
     return pts.reshape(-1, 3), wvol.reshape(-1)
 
 
+def _orbit_strains(fields, mesh: SurfaceMesh, r_t: float):
+    """Weighted unique strain components of ``fields`` over the volume rule.
+
+    The volume rule and the sources are both invariant under the rotations
+    R_s about z by 2 pi s / g, g = gcd(32, P), so D_f(R_s x) = R_s D_f_s(x)
+    R_s^T, where f_s has the strengths R_s^T q of the sources that R_s
+    maps each source onto.  The strain is evaluated at the 1/g of the
+    points with phi index below 32/g, for every field and shift in one
+    product.  Returns one (M/g, 6, g) array per field, scaled by the square
+    root of the volume weight and of each component's Frobenius
+    multiplicity, so 2 int D_i : D_j is twice the dot product of two of them.
+    """
+    sources = fields[0].sources
+    if any(f.sources is not sources for f in fields):
+        raise ValueError("the auxiliary fields must share one source set")
+    p = _ring_count(mesh, sources)
+    g = math.gcd(_N_ANGULAR, p)
+    pts, wvol = _volume_rule(mesh, r_t)
+    ring0 = (slice(None), slice(_N_ANGULAR // g))
+    pts = pts.reshape(_N_ANGULAR, _N_ANGULAR, -1, 3)[ring0].reshape(-1, 3)
+    wvol = wvol.reshape(_N_ANGULAR, _N_ANGULAR, -1)[ring0].reshape(-1)
+    rot = _z_rotations(g)
+    # shift s moves source ring q onto ring q + s P / g
+    q = np.array([f.strengths.reshape(-1, p, 3) for f in fields])
+    cols = np.array([np.roll(q, -s * (p // g), axis=2) @ rot[s] for s in range(g)])
+    cols = cols.reshape(g, len(fields), -1, 3).T.reshape(-1, len(fields) * g)
+    comps = _strain_product(pts, sources.locations, cols).reshape(len(pts), 6, len(fields), g)
+    for c, f in enumerate(fields):
+        if f.source_flux != 0.0:
+            # the sink at x0 seen from R_s x is the sink at R_s^T x0 seen from x
+            for s in range(g):
+                sink = _sink_stress(f.source_point @ rot[s], pts)
+                comps[:, :, c, s] += 0.5 * f.source_flux * sink[:, _SYM_A, _SYM_B]
+    mult = np.where(np.equal(_SYM_A, _SYM_B), 1.0, 2.0)
+    comps *= np.sqrt(np.outer(wvol, mult))[:, :, None, None]
+    return [np.ascontiguousarray(comps[:, :, c]) for c in range(len(fields))]
+
+
 def _volume_term(i: int, j: int, basis: ThrustBasis, mesh: SurfaceMesh, r_t: float):
     """2 int D_i : D_j over the truncated exterior plus its tail, and the tail."""
     if not (1 <= i <= 6 and 1 <= j <= 6):
         raise ValueError("indices must lie in 1..6")
-    pts, wvol = _volume_rule(mesh, r_t)
     fa, fb = basis.aux_fields[i - 1], basis.aux_fields[j - 1]
     key = (mesh.shape_info, r_t)
-    strains = []
-    for f in (fa, fb):
-        memo = _STRAINS.setdefault(f, {})
-        if key not in memo:
-            memo[key] = evaluate_strain(f, pts)
-        strains.append(memo[key])
+    if any(key not in _STRAINS.get(f, {}) for f in (fa, fb)):
+        for f, comps in zip(basis.aux_fields, _orbit_strains(basis.aux_fields, mesh, r_t)):
+            _STRAINS.setdefault(f, {})[key] = comps
     # closed-form leading tail of 2 int_{r > r_t} D_i : D_j dV
     tail = float(fa.total_strength @ fb.total_strength) / (4.0 * np.pi * r_t)
-    pairing = 2.0 * float(np.sum(wvol * np.einsum("mab,mab->m", *strains)))
+    pairing = 2.0 * float(np.vdot(_STRAINS[fa][key], _STRAINS[fb][key]))
     return pairing + tail, tail
 
 

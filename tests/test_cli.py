@@ -372,6 +372,37 @@ def test_non_finite_output_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+class TestLargeBody:
+    """The grand-matrix guard reads K, S and R at unit diagonal, so it holds at any scale."""
+
+    @staticmethod
+    def _certify(tmp_path, radius):
+        cfg = _write_config(
+            tmp_path / f"c{radius:g}.json",
+            shape={"kind": "sphere", "radius": radius, "resolution": 12},
+            alpha=2.0 / radius,
+        )
+        out = tmp_path / f"o{radius:g}.json"
+        return main(["certify", "--config", str(cfg), "--output", str(out)]), out
+
+    def test_radius_1e8_matches_unit_sphere(self, tmp_path):
+        (code1, out1), (code8, out8) = (self._certify(tmp_path, a) for a in (1.0, 1e8))
+        assert code1 == 0 and code8 == 0
+        unit, large = (json.loads(o.read_text())["grand_matrix"] for o in (out1, out8))
+        for block, power in (("K", 1), ("R", 3)):
+            want, got = np.array(unit[block]), np.array(large[block]) / 1e8**power
+            assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
+        npt.assert_allclose(large["min_eigenvalue"], unit["min_eigenvalue"], rtol=1e-5)
+
+    def test_radius_1e15_exits_3(self, tmp_path, capsys):
+        code, out = self._certify(tmp_path, 1e15)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error") and err.count("\n") == 1
+        assert "not positive definite" in err
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, tmp_path):
         cfg = _write_config(tmp_path / "c.json")

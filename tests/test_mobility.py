@@ -51,6 +51,22 @@ class TestGrandMatrix:
         with pytest.raises(SolverError):
             GrandMatrix.from_matrix(0.5 * (m + m.T))
 
+    def test_min_eigenvalue_is_dimensionless(self, rng):
+        # K, S and R scale as length, length^2 and length^3
+        m = _random_spd_grand(rng)
+        units = np.array([1.0, 1.0, 1.0, 1e8, 1e8, 1e8])
+        a, b = GrandMatrix.from_matrix(m), GrandMatrix.from_matrix(m * np.outer(units, units) * 1e8)
+        npt.assert_allclose(b.min_eigenvalue, a.min_eigenvalue, rtol=1e-10)
+        d = np.sqrt(np.diag(m))
+        npt.assert_allclose(a.min_eigenvalue, np.linalg.eigvalsh(m / np.outer(d, d))[0], rtol=1e-12)
+
+    @pytest.mark.parametrize("entry", [0.0, -1.0, np.nan])
+    def test_non_positive_diagonal_rejected(self, rng, entry):
+        m = _random_spd_grand(rng)
+        m[2, 2] = entry
+        with pytest.raises(SolverError, match="diagonal entry"):
+            GrandMatrix.from_matrix(m)
+
     def test_block_inverse_agrees_with_direct(self, problem12):
         block, direct = invert_grand_matrix(problem12.grand_matrix)
         rel = np.linalg.norm(block - direct) / np.linalg.norm(direct)

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import weakref
 
 import numpy as np
@@ -22,6 +23,9 @@ from slipswim import (
 )
 from slipswim import validation
 from slipswim.cli import main
+from slipswim.collocation import _ring_count
+from slipswim.mobility import ThrustBasis
+from slipswim.stokeslets import FlowField, evaluate_strain, place_sources
 from slipswim.validation import write_convergence_csv
 
 
@@ -99,19 +103,21 @@ class TestIdentityChecks:
             reciprocal_check(1, 1, problem12.basis, anonymous, 20.0)
 
 
+@pytest.fixture()
+def kernel_passes(monkeypatch):
+    """(points, strength columns) of every strain-kernel pass of the identity checks."""
+    calls, original = [], validation._strain_product
+
+    def counted(points, locations, columns):
+        calls.append((len(points), columns.shape[1]))
+        return original(points, locations, columns)
+
+    monkeypatch.setattr(validation, "_strain_product", counted)
+    return calls
+
+
 class TestSharedVolumeStrain:
-    @pytest.fixture()
-    def strain_calls(self, monkeypatch):
-        calls, original = [], validation.evaluate_strain
-
-        def counted(field, points):
-            calls.append(field)
-            return original(field, points)
-
-        monkeypatch.setattr(validation, "evaluate_strain", counted)
-        return calls
-
-    def test_validate_job_evaluates_each_field_once(self, tmp_path, strain_calls):
+    def test_validate_job_evaluates_each_field_once(self, tmp_path, kernel_passes):
         cfg = tmp_path / "c.json"
         cfg.write_text(
             json.dumps(
@@ -120,13 +126,14 @@ class TestSharedVolumeStrain:
         )
         held = len(validation._STRAINS)
         assert main(["validate", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 0
-        # reciprocal[1,1], reciprocal[1,2] and energy[1,1] need fields 1 and 2
-        assert len(strain_calls) == 2
-        del strain_calls[:]
+        # reciprocal[1,1], reciprocal[1,2] and energy[1,1] share one pass:
+        # 1/16 of the volume points against six fields times 16 rotations
+        assert kernel_passes == [(32 * 32 * 48 // 16, 6 * 16)]
+        del kernel_passes[:]
         gc.collect()
         assert len(validation._STRAINS) == held
 
-    def test_identity_suite_shares_strains(self, strain_calls):
+    def test_identity_suite_shares_strains(self, kernel_passes):
         prob = SwimProblem(make_parametric_surface("sphere", 8), 2.0, shrink=0.5)
         basis, mesh = prob.basis, prob.mesh
 
@@ -143,15 +150,67 @@ class TestSharedVolumeStrain:
             ]
 
         first = suite()
-        assert len(strain_calls) == 4  # fields 1 and 4 at two radii
-        assert suite() == first and len(strain_calls) == 4
+        assert len(kernel_passes) == 2  # one pass per radius
+        assert suite() == first and len(kernel_passes) == 2
 
         alive = weakref.ref(basis.aux_fields[0])
         held = len(validation._STRAINS)
-        del prob, basis, strain_calls[:]
+        del prob, basis, kernel_passes[:]
         gc.collect()
         assert alive() is None
-        assert len(validation._STRAINS) == held - 2
+        assert len(validation._STRAINS) == held - 6
+
+
+def _full_pairings(fa, fb, mesh, r_t):
+    """2 int D : D' plus the tail for (a, a), (a, b) and (b, b), from
+    evaluate_strain at every volume point."""
+    pts, wvol = validation._volume_rule(mesh, r_t)
+    strain = {f: evaluate_strain(f, pts) for f in (fa, fb)}
+
+    def pairing(f, h):
+        tail = float(f.total_strength @ h.total_strength) / (4.0 * np.pi * r_t)
+        return 2.0 * float(np.sum(wvol * np.einsum("mab,mab->m", strain[f], strain[h]))) + tail
+
+    return [pairing(fa, fa), pairing(fa, fb), pairing(fb, fb)]
+
+
+class TestOrbitStrain:
+    """The orbit pass against a full evaluate_strain pairing over 32 x 32 x 48 points."""
+
+    @pytest.mark.parametrize(
+        "kind, resolution, axes, stride, g",
+        [
+            ("sphere", 16, {}, 1, 16),
+            ("sphere", 20, {}, 1, 4),
+            ("sphere", 9, {}, 1, 1),  # odd P
+            ("spheroid", 12, {"a_axis": 1.0, "c_axis": 1.3}, 1, 4),
+            ("sphere", 16, {}, 2, 1),  # strided sources: one ring
+        ],
+        ids=["sphere16", "sphere20", "sphere9", "spheroid12", "sphere16-stride2"],
+    )
+    def test_matches_full_pairing(self, kind, resolution, axes, stride, g, rng, kernel_passes):
+        mesh = make_parametric_surface(kind, resolution, **axes)
+        sources = place_sources(mesh, 0.5, stride)
+        assert math.gcd(32, _ring_count(mesh, sources)) == g
+        fields = [FlowField(sources, rng.normal(size=(sources.count, 3))) for _ in range(5)]
+        # a flux source off the axis: its strain is not rotation-invariant
+        fields.append(
+            FlowField(
+                sources, rng.normal(size=(sources.count, 3)),
+                source_flux=0.7, source_point=np.array([0.1, -0.05, 0.2]),
+            )
+        )
+        basis = ThrustBasis(None, tuple(fields), None, None)
+        got = [validation._volume_term(i, j, basis, mesh, 20.0)[0] for i, j in ((1, 1), (1, 6), (6, 6))]
+        npt.assert_allclose(got, _full_pairings(fields[0], fields[5], mesh, 20.0), rtol=1e-12)
+        assert kernel_passes == [(32 * 32 * 48 // g, 6 * g)]
+
+    def test_fields_must_share_sources(self, sphere8, rng):
+        a, b = (place_sources(sphere8, shrink) for shrink in (0.5, 0.6))
+        fields = [FlowField(s, rng.normal(size=(s.count, 3))) for s in (a, b, a, a, a, a)]
+        basis = ThrustBasis(None, tuple(fields), None, None)
+        with pytest.raises(ValueError, match="one source set"):
+            reciprocal_check(1, 1, basis, sphere8, 20.0)
 
 
 class TestConvergence:
