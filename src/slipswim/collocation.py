@@ -25,11 +25,18 @@ rotation by 2 pi / P about z (P phi samples); with each source's
 strength in its ring's rotated frame the matrix is block-circulant over
 the P phi rings, and an FFT over the ring index (the matrix-decomposition
 MFS of Karageorghis & Smyrlis, J. Comput. Appl. Math. 206, 2007) leaves
-P // 2 + 1 blocks of size 3N/P x 3K/P with one SVD each.  Every other
-input (triangle meshes, strided or hand-built sources) takes the dense
-route: one SVD of the full 3N x 3K matrix.  Both truncate against the
-global largest singular value, so the rank, the condition estimate and
-the solution agree up to rounding.
+P // 2 + 1 blocks of size 3N/P x 3K/P.  Two reflections split them
+further (Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986; Allgower,
+Georg & Miranda, SIAM J. Numer. Anal. 29, 1992): phi -> -phi makes every
+block real after a phase i on the t2 rows and the y-strength columns,
+and z -> -z, where the body and its sources have it, splits every block
+into an even and an odd half of about half the size, by a butterfly over
+the mirrored Gauss-Legendre rings.  Each half takes one real SVD.  Every
+other input (triangle meshes, strided or hand-built sources, source sets
+without the phi reflection) takes the dense route: one SVD of the full
+3N x 3K matrix.  Both truncate against the global largest singular
+value, so the rank, the condition estimate and the solution agree up to
+rounding.
 
 Boundary data with nonzero net flux cannot be matched by Stokeslets alone
 (their velocities are divergence-free with zero flux).  ``solve_lifting``
@@ -48,6 +55,10 @@ import numpy as np
 from .errors import PlacementError, SolverError
 from .geometry import (
     SurfaceMesh,
+    _mesh_ring_count,
+    _repeats,
+    _rings_rotate,
+    _z_rotations,
     elementary_rigid_motion,
     surface_integral,
     tangential_part,
@@ -76,8 +87,6 @@ __all__ = [
 
 DEFAULT_SVD_TOL = 1e-12
 _ORTHO_TOL = 1e-10
-# Relative defect up to which a mesh and its sources count as rotation-symmetric.
-_RING_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -233,58 +242,47 @@ def _residual_norms(residual, weights):
     )
 
 
-def _z_rotations(p: int) -> np.ndarray:
-    """(P, 3, 3) rotations about z by 2 pi q / P, q = 0..P-1."""
-    c, s = np.cos(2.0 * np.pi * np.arange(p) / p), np.sin(2.0 * np.pi * np.arange(p) / p)
-    rot = np.zeros((p, 3, 3))
-    rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1] = c, -s, s, c
-    rot[:, 2, 2] = 1.0
-    return rot
+# Component signs under the reflections y -> -y (phi -> -phi) and z -> -z:
+# (phi signs, z signs) of vectors in x, y, z and of the node frame (n, t1, t2).
+_XYZ = (np.array([1.0, -1.0, 1.0]), np.array([1.0, 1.0, -1.0]))
+_FRAME = (np.array([1.0, 1.0, -1.0]), np.array([1.0, -1.0, 1.0]))
 
 
-def _repeats(values, ring0) -> bool:
-    defect = np.max(np.abs(values - ring0))
-    return bool(defect <= _RING_TOL * np.max(np.abs(values)))
+def _reflects(mesh: SurfaceMesh, sources, p: int, which: int, order) -> bool:
+    """Whether reflection ``which`` (0: y -> -y, 1: z -> -z) maps ring 0 onto itself.
 
-
-def _rings_rotate(v, rot) -> bool:
-    """Whether every ring of the (n, 3) vectors ``v`` is ring 0 rotated by R_q."""
-    rings = v.reshape(-1, len(rot), 3)
-    return _repeats(rings, np.einsum("qab,tb->tqa", rot, rings[:, 0]))
-
-
-def _mesh_ring_count(mesh: SurfaceMesh) -> int:
-    """Number P of phi rings over which ``mesh`` is symmetric under rotation about z.
-
-    Ring q holds every P-th node starting at q: one phi sample of a
-    parametric mesh.  The mesh is symmetric when every ring is ring 0
-    rotated about z by 2 pi q / P, for the nodes and their frames, and the
-    weights repeat from ring to ring; this holds for sphere and spheroid
-    meshes.  Returns 1 (one ring) otherwise.
+    Ring-0 entry j of the nodes, their frames and the sources must map
+    onto entry ``order[j]``, each component signed as :data:`_XYZ` and
+    :data:`_FRAME` say.
     """
-    n = mesh.n_nodes
-    p = math.isqrt(n)
-    if mesh.shape_info is None or p < 2 or p * p != n:
-        return 1
-    rot = _z_rotations(p)
-    for v in (mesh.nodes, mesh.normals, mesh.tangent1, mesh.tangent2):
-        if not _rings_rotate(v, rot):
-            return 1
-    w = mesh.weights.reshape(-1, p)
-    return p if _repeats(w, w[:, :1]) else 1
+    vectors = (mesh.nodes, mesh.normals, mesh.tangent1, mesh.tangent2, sources.locations)
+    signs = (1.0, *_FRAME[which], 1.0)
+    return all(
+        _repeats(v[::p][order] * _XYZ[which] * sign, v[::p]) for v, sign in zip(vectors, signs)
+    )
 
 
-def _ring_count(mesh: SurfaceMesh, sources) -> int:
-    """Number P of rings over which the collocation operator is block-circulant.
+def _ring_symmetry(mesh: SurfaceMesh, sources) -> tuple[int, bool]:
+    """Rings P of the block-circulant collocation operator, and its z mirror.
 
-    The mesh must be symmetric (:func:`_mesh_ring_count`) and the sources
-    must follow its rings, which holds for one source per node.  Returns 1
-    (one ring: the dense operator) otherwise.
+    The mesh must be symmetric under rotation (:func:`_mesh_ring_count`),
+    the sources must follow its rings (one source per node), and both must
+    be symmetric under the phi reflection y -> -y, which fixes ring 0.
+    The mirror z -> -z maps ring-0 entry j onto entry T - 1 - j (the
+    Gauss-Legendre rings ascend in z) and needs equal weights there.  All
+    of this holds for sphere and spheroid meshes.  Returns (1, False), one
+    ring (the dense operator), otherwise.
     """
     p = _mesh_ring_count(mesh)
-    if p == 1 or sources.count % p or not _rings_rotate(sources.locations, _z_rotations(p)):
-        return 1
-    return p
+    if (
+        p == 1
+        or sources.count % p
+        or not _rings_rotate(sources.locations, _z_rotations(p))
+        or not _reflects(mesh, sources, p, 0, slice(None))
+    ):
+        return 1, False
+    w = mesh.weights[::p]
+    return p, _repeats(w[::-1], w) and _reflects(mesh, sources, p, 1, slice(None, None, -1))
 
 
 def _to_rings(v, rot) -> np.ndarray:
@@ -321,30 +319,147 @@ def _irfft(y, p):
     return y if p == 1 else np.fft.irfft(y, n=p, axis=0)
 
 
-def _mode_blocks(mat, rot) -> np.ndarray:
-    """Ring-0 rows (3T, 3K) of a block-circulant operator to its (P//2+1) DFT blocks.
+def _gather(x, terms, axis):
+    """c1 x[i1] + c2 x[i2] along ``axis``; the shape of the indices replaces that axis."""
+    i1, c1, i2, c2 = terms
+    tail = (1,) * (x.ndim - axis - 1)
+    out = np.take(x, i1, axis)
+    out *= c1.reshape(c1.shape + tail)
+    second = np.take(x, i2, axis)
+    second *= c2.reshape(c2.shape + tail)
+    out += second
+    return out
+
+
+class _RingSide:
+    """One side of the ring route's DFT blocks: the node rows or the source columns.
+
+    A ring-0 vector holds ``t`` entries of three components, signed under
+    the two reflections by ``kind`` = (phi signs, z signs).  On one ring
+    (``rings`` False, the dense route) every map here is the identity.
+    Otherwise the blocks B_m become real and split in two:
+
+    * The phi reflection maps ring q onto ring P - q and flips the
+      components with phi sign -1, so B_m equals its conjugate up to those
+      signs.  The phase D = i on the flipped components of both sides makes
+      D_r B_m D_c real.
+    * With ``mirror``, z -> -z maps entry j onto entry t - 1 - j and
+      multiplies component c by its z sign s_c.  The orthogonal butterfly
+      Q^T: (v_j + s_c v_(t-1-j)) / sqrt 2 to the even half and
+      (v_j - s_c v_(t-1-j)) / sqrt 2 to the odd half decouples the blocks;
+      with odd t the equator entry goes whole to the half of its sign.
+      Without the mirror there is one half, and Q is the identity.
+
+    Both Q^T and Q are gathers of two terms per entry, never dense
+    matrices.  The halves are stored zero-padded to one length h.
+    """
+
+    def __init__(self, t, kind, rings, mirror):
+        phi_signs, z_signs = kind
+        n = 3 * t
+        self.phase = np.tile(np.where(phi_signs < 0, 1j, 1.0), t) if rings else None
+        if not mirror:
+            self.sizes, self._split, self._join = (n,), None, None
+            self.half_phase = None if self.phase is None else self.phase[None]
+            return
+        k, root = t // 2, math.sqrt(0.5)
+        idx = np.arange(n).reshape(t, 3)
+        lo, hi, pos = idx[:k].ravel(), idx[::-1][:k].ravel(), np.arange(3 * k)
+        signed = np.tile(z_signs, k) * root
+        equator = [idx[k][z_signs > 0], idx[k][z_signs < 0]] if t % 2 else [idx[:0, 0]] * 2
+        self.sizes = tuple(3 * k + len(m) for m in equator)
+        h = max(self.sizes)
+        i1, c1 = np.zeros((2, h), np.intp), np.zeros((2, h))
+        i2, c2 = np.zeros((2, h), np.intp), np.zeros((2, h))
+        j1, d1 = np.zeros(n, np.intp), np.zeros(n)
+        j2, d2 = np.zeros(n, np.intp), np.zeros(n)
+        for half, (m, sign) in enumerate(zip(equator, (1.0, -1.0))):
+            i1[half, : 3 * k], c1[half, : 3 * k] = lo, root
+            i2[half, : 3 * k], c2[half, : 3 * k] = hi, sign * signed
+            i1[half, 3 * k : self.sizes[half]] = i2[half, 3 * k : self.sizes[half]] = m
+            c1[half, 3 * k : self.sizes[half]] = 1.0
+            j1[m] = j2[m] = half * h + 3 * k + np.arange(len(m))
+            d1[m] = 1.0
+        # Q: v_j = (even + odd) / sqrt 2 and v_(t-1-j) = s_c (even - odd) / sqrt 2
+        j1[lo], d1[lo], j2[lo], d2[lo] = pos, root, h + pos, root
+        j1[hi], d1[hi], j2[hi], d2[hi] = pos, signed, h + pos, -signed
+        self._split, self._join = (i1, c1, i2, c2), (j1, d1, j2, d2)
+        self.half_phase = self.phase[i1]
+
+    def split(self, x, axis, half=None):
+        """Q^T along ``axis``: length n to (2, h), or to (h,) for one ``half``."""
+        if self._split is None:
+            return x if half is not None else np.expand_dims(x, axis)
+        terms = self._split if half is None else tuple(a[half] for a in self._split)
+        return _gather(x, terms, axis)
+
+    def halves(self, v, conj=False):
+        """Q^T D v, or Q^T conj(D) v, for ring-0 vectors (..., n): (..., H, h)."""
+        w = self.split(v, v.ndim - 1)
+        if self.half_phase is not None:
+            w = w * (self.half_phase.conj() if conj else self.half_phase)
+        return w
+
+    def join(self, w, conj=False):
+        """D Q w, or conj(D) Q w, for halves (..., H, h): (..., n)."""
+        if self._join is None:
+            v = w[..., 0, :]
+        else:
+            v = _gather(w.reshape(w.shape[:-2] + (-1,)), self._join, w.ndim - 2)
+        if self.phase is not None:
+            v = v * (self.phase.conj() if conj else self.phase)
+        return v
+
+
+def _mode_blocks(mat, rot, rows, cols) -> np.ndarray:
+    """Ring-0 rows (3T, 3K) of a block-circulant operator to its real DFT half blocks.
 
     The three columns of each source in ring q are rotated into that ring's
     frame (times R_q), which makes block (p, q) of the full operator depend
-    on q - p only.  Block m is then sum_d C_d exp(2 pi i m d / P); blocks
-    P - m are the conjugates and are not stored.  One ring returns the
-    matrix itself, real.
+    on q - p only.  Block m is then B_m = sum_d C_d exp(2 pi i m d / P);
+    blocks P - m are the conjugates and are not stored.  Returns the real
+    (P//2+1, H, h_r, h_c) halves of D_r Q_r^T B_m Q_c D_c (see
+    :class:`_RingSide`); the imaginary part left over is rounding.  One
+    ring returns the matrix itself as a (1, 1, 3N, 3K) view.
     """
-    p, rows = len(rot), len(mat)
+    p = len(rot)
     if p == 1:
-        return mat[None]
-    blocks = mat.reshape(rows, -1, p, 3).transpose(2, 0, 1, 3) @ rot[:, None]
-    return np.fft.rfft(blocks.reshape(p, rows, -1), axis=0).conj()
+        return mat[None, None]
+    # the rows split first, on contiguous rows, then each source ring turns into its frame
+    c = rows.split(mat, 0)
+    halves = c.shape[:2]
+    c = c.reshape(halves[0] * halves[1], -1, p, 3).transpose(2, 0, 1, 3) @ rot[:, None]
+    c = c.reshape((p,) + halves + (-1,))
+    c = np.stack([cols.split(c[:, k], 2, half=k) for k in range(len(rows.sizes))], axis=1)
+    f = np.fft.rfft(c, axis=0)
+    phase = rows.half_phase[:, :, None] * cols.half_phase[:, None, :]
+    # Re(conj(f) phase), without complex temporaries
+    return f.real * phase.real + f.imag * phase.imag
 
 
-def _stack(blocks):
-    # one block stays a view, so the dense path holds no second copy
-    return blocks[0][None] if len(blocks) == 1 else np.stack(blocks)
+def _stack(mats, lead, shape):
+    """2-D matrices into a zero-padded (*lead, *shape) stack.
+
+    One matrix stays a view, so the dense path holds no second copy.
+    """
+    if len(mats) == 1:
+        return mats[0][None, None]
+    out = np.zeros((len(mats),) + shape)
+    for o, m in zip(out, mats):
+        o[: m.shape[0], : m.shape[1]] = m
+    return out.reshape(lead + shape)
 
 
-def _adjoint(x):
-    xt = np.swapaxes(x, -1, -2)
-    return xt.conj() if np.iscomplexobj(xt) else xt
+def _real_matmul(mat, x):
+    """Stacked real matrices times stacked real or complex vectors.
+
+    A complex vector goes through as two real columns (a float view), so
+    the real matrices are never upcast.
+    """
+    if np.iscomplexobj(x):
+        y = mat @ x.view(float).reshape(x.shape + (2,))
+        return y.view(complex)[..., 0]
+    return (mat @ x[..., None])[..., 0]
 
 
 class SlipSolver:
@@ -356,23 +471,28 @@ class SlipSolver:
     it, and both give the same rank, condition estimate and solution up to
     rounding:
 
-    * **Ring (Fourier) route.**  Sphere and spheroid meshes with one source
-      per node are symmetric under rotation by 2 pi / P about z, with P the
-      number of phi samples.  With each source's strength written in its
-      ring's rotated frame the operator is block-circulant over the P phi
-      rings, so only the 3T rows of ring 0 (T = N / P) are assembled and an
-      FFT over the ring index splits it into P // 2 + 1 independent blocks
-      of size 3T x 3K/P (modes m and P - m are conjugate).  Each block gets
-      its own SVD, and all are truncated against the global largest
-      singular value.
+    * **Ring route.**  Sphere and spheroid meshes with one source per node
+      are symmetric under rotation by 2 pi / P about z, with P the number
+      of phi samples, and under the reflection phi -> -phi.  With each
+      source's strength written in its ring's rotated frame the operator
+      is block-circulant over the P phi rings, so only the 3T rows of ring
+      0 (T = N / P) are assembled and an FFT over the ring index splits it
+      into P // 2 + 1 independent blocks of size 3T x 3K/P (modes m and
+      P - m are conjugate).  The reflection makes each block real after
+      phases i on the t2 rows and the y-strength columns.  The mirror
+      z -> -z, where the body and its sources have it, splits each block
+      into an even and an odd half by a butterfly over the mirrored rings
+      (:class:`_RingSide`).  Each half gets its own real SVD, and all are
+      truncated against the global largest singular value.
     * **Dense route.**  Everything else (triangle meshes, strided or
-      hand-built sources, any mesh that fails the symmetry check to 1e-12)
-      assembles the full 3N x 3K matrix and takes one SVD.  It is the ring
-      route with a single ring.
+      hand-built sources, any mesh or source set that fails the symmetry
+      checks to 1e-12) assembles the full 3N x 3K matrix and takes one
+      SVD.  It is the ring route with a single ring and no transform.
 
-    The route is chosen by :func:`_ring_count` from the inputs alone.  The
-    DFT blocks of the row-weighted and of the node traction matrices are
-    kept for the a-posteriori residuals and for traction extraction.
+    The route is chosen by :func:`_ring_symmetry` from the inputs alone.
+    The real half blocks of the row-weighted and of the node traction
+    matrices are kept for the a-posteriori residuals and for traction
+    extraction.
     """
 
     def __init__(self, mesh, sources, alpha, svd_tol=DEFAULT_SVD_TOL):
@@ -383,50 +503,62 @@ class SlipSolver:
         self.mesh = mesh
         self.sources = sources
         self.alpha = float(alpha)
-        p = _ring_count(mesh, sources)
+        p, mirror = _ring_symmetry(mesh, sources)
         self._rot = _z_rotations(p)
+        t = mesh.n_nodes // p
+        self._rows = _RingSide(t, _FRAME, p > 1, mirror)
+        self._trows = _RingSide(t, _XYZ, p > 1, mirror)
+        self._cols = _RingSide(sources.count // p, _XYZ, p > 1, mirror)
         ring0 = slice(None, None, p)
         nodes, normals = mesh.nodes[ring0], mesh.normals[ring0]
         tmat = traction_matrix(nodes, normals, sources)
-        self._tmat = _mode_blocks(tmat, self._rot)
+        self._tmat = _mode_blocks(tmat, self._rot, self._trows, self._cols)
         a = _build_matrix(
             normals, mesh.tangent1[ring0], mesh.tangent2[ring0],
             velocity_matrix(nodes, sources), tmat, alpha,
         )
+        del tmat
         self._scale = _row_scale(mesh.weights[ring0], alpha)
         a *= self._scale[:, None]
-        self._a = _mode_blocks(a, self._rot)
+        self._a = _mode_blocks(a, self._rot, self._rows, self._cols)
+        sizes = list(zip(self._rows.sizes, self._cols.sizes))
         try:
-            # one 2-D call per block: the perfbench SVD counter reads (m, n) from its shape
-            factors = [np.linalg.svd(block, full_matrices=False) for block in self._a]
+            # one 2-D call per half: the perfbench SVD counter reads (m, n) from its shape
+            factors = [
+                np.linalg.svd(mode[k, :m, :n], full_matrices=False)
+                for mode in self._a for k, (m, n) in enumerate(sizes)
+            ]
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"SVD of the collocation matrix failed: {exc}") from exc
         s_max = max(s[0] for _, s, _ in factors)
         if s_max == 0.0:
             raise SolverError("collocation matrix is identically zero")
         kept = np.array([np.count_nonzero(s >= svd_tol * s_max) for _, s, _ in factors])
-        rank = int(_mode_multiplicity(p) @ kept)
+        rank = int(np.repeat(_mode_multiplicity(p), len(sizes)) @ kept)
         if rank == 0:
             raise SolverError("truncated SVD kept no singular values")
         r = int(kept.max())
-        self._uh = _adjoint(_stack([u[:, :r] for u, _, _ in factors]))
-        self._v = _adjoint(_stack([vh[:r] for _, _, vh in factors]))
-        self._inv_s = np.zeros((len(factors), r, 1))
-        for i, ((_, s, _), k) in enumerate(zip(factors, kept)):
-            self._inv_s[i, :k, 0] = 1.0 / s[:k]
+        lead = self._a.shape[:2]
+        self._uh = _stack([u[:, :r].T for u, _, _ in factors], lead, (r, self._a.shape[2]))
+        self._v = _stack([vh[:r].T for _, _, vh in factors], lead, (self._a.shape[3], r))
+        inv_s = np.zeros((len(factors), r))
+        for row, (_, s, _), k in zip(inv_s, factors, kept):
+            row[:k] = 1.0 / s[:k]
+        self._inv_s = inv_s.reshape(lead + (r,))
         self.svd_rank = rank
         s_min = min(s[k - 1] for (_, s, _), k in zip(factors, kept) if k)
         self.condition_estimate = float(s_max / s_min)
 
-    def _apply(self, blocks, xi):
-        """Block-circulant product of DFT ``blocks`` with ring-major ``xi`` (P, 3K/P)."""
+    def _apply(self, blocks, rows, xi):
+        """Block-circulant product of the half ``blocks`` with ring-major ``xi`` (P, 3K/P)."""
         p = len(self._rot)
-        return _irfft(np.matmul(blocks, _rfft(xi, p)[..., None])[..., 0], p)
+        x = self._cols.halves(_rfft(xi, p), conj=True)
+        return _irfft(rows.join(_real_matmul(blocks, x), conj=True), p)
 
     def node_traction(self, field: FlowField) -> np.ndarray:
         """Traction T n of ``field`` at the mesh nodes via the cached matrix."""
         xi = _to_rings(field.strengths, self._rot)
-        t = _from_rings(self._apply(self._tmat, xi), self._rot)
+        t = _from_rings(self._apply(self._tmat, self._trows, xi), self._rot)
         if field.source_flux != 0.0:
             t = t + field.source_flux * point_source_traction(
                 field.source_point, self.mesh.nodes, self.mesh.normals
@@ -447,9 +579,9 @@ class SlipSolver:
         rhs = _build_rhs(self.mesh, self.alpha, data)
         # the rows are scalars, so their ring-major order needs no rotation
         b = rhs.reshape(-1, p, 3).swapaxes(0, 1).reshape(p, -1) * self._scale
-        coef = np.matmul(self._uh, _rfft(b, p)[..., None]) * self._inv_s
-        xi = _irfft(np.matmul(self._v, coef)[..., 0], p)
-        y = self._apply(self._a, xi) / self._scale
+        coef = _real_matmul(self._uh, self._rows.halves(_rfft(b, p))) * self._inv_s
+        xi = _irfft(self._cols.join(_real_matmul(self._v, coef)), p)
+        y = self._apply(self._a, self._rows, xi) / self._scale
         residual = y.reshape(p, -1, 3).swapaxes(0, 1).reshape(-1) - rhs
         res_n, res_t = _residual_norms(residual, self.mesh.weights)
         field = FlowField(self.sources, _from_rings(xi, self._rot))

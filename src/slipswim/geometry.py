@@ -17,6 +17,7 @@ documented: theta-major, phi-minor (see :func:`make_parametric_surface`).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -37,6 +38,8 @@ __all__ = [
 _FRAME_TOL = 1e-12
 # Largest semi-axis whose square is a finite float.
 _MAX_SEMI_AXIS = float(np.sqrt(np.finfo(float).max))
+# Relative defect up to which a mesh and its sources count as symmetric.
+_RING_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -146,6 +149,47 @@ def surface_integral(mesh: SurfaceMesh, values):
     if values.ndim == 1:
         return float(mesh.weights @ values)
     return mesh.weights @ values
+
+
+def _z_rotations(p: int) -> np.ndarray:
+    """(P, 3, 3) rotations about z by 2 pi q / P, q = 0..P-1."""
+    c, s = np.cos(2.0 * np.pi * np.arange(p) / p), np.sin(2.0 * np.pi * np.arange(p) / p)
+    rot = np.zeros((p, 3, 3))
+    rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1] = c, -s, s, c
+    rot[:, 2, 2] = 1.0
+    return rot
+
+
+def _repeats(values, ring0) -> bool:
+    defect = np.max(np.abs(values - ring0))
+    return bool(defect <= _RING_TOL * np.max(np.abs(values)))
+
+
+def _rings_rotate(v, rot) -> bool:
+    """Whether every ring of the (n, 3) vectors ``v`` is ring 0 rotated by R_q."""
+    rings = v.reshape(-1, len(rot), 3)
+    return _repeats(rings, np.einsum("qab,tb->tqa", rot, rings[:, 0]))
+
+
+def _mesh_ring_count(mesh: SurfaceMesh) -> int:
+    """Number P of phi rings over which ``mesh`` is symmetric under rotation about z.
+
+    Ring q holds every P-th node starting at q: one phi sample of a
+    parametric mesh.  The mesh is symmetric when every ring is ring 0
+    rotated about z by 2 pi q / P, for the nodes and their frames, and the
+    weights repeat from ring to ring; this holds for sphere and spheroid
+    meshes.  Returns 1 (one ring) otherwise.
+    """
+    n = mesh.n_nodes
+    p = math.isqrt(n)
+    if mesh.shape_info is None or p < 2 or p * p != n:
+        return 1
+    rot = _z_rotations(p)
+    for v in (mesh.nodes, mesh.normals, mesh.tangent1, mesh.tangent2):
+        if not _rings_rotate(v, rot):
+            return 1
+    w = mesh.weights.reshape(-1, p)
+    return p if _repeats(w, w[:, :1]) else 1
 
 
 def _tangent_frame(normals: np.ndarray, axial_switch: bool = True):

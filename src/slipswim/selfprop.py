@@ -31,7 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AccuracyWarning
-from .geometry import SurfaceMesh, surface_integral
+from .geometry import SurfaceMesh, _mesh_ring_count, surface_integral
 from .stokeslets import FlowField, SourceSet, place_sources
 from .collocation import (
     DEFAULT_SVD_TOL,
@@ -39,7 +39,6 @@ from .collocation import (
     SlipSolver,
     SolveReport,
     _check_match,
-    _mesh_ring_count,
     _mode_multiplicity,
     _rfft,
     normalized_carrier,

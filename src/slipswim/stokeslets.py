@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditioningWarning, PlacementError, SingularEvaluationError
-from .geometry import SurfaceMesh
+from .geometry import SurfaceMesh, _mesh_ring_count
 
 __all__ = [
     "SourceSet",
@@ -147,7 +147,10 @@ def place_sources(mesh: SurfaceMesh, shrink: float, stride: int = 1) -> SourceSe
     Sources sit at centroid + shrink*(node - centroid) for every stride-th
     node, which stays inside any body star-shaped about its centroid; a
     local half-space test against the nearest surface node rejects sources
-    that escape non-star-shaped geometries.
+    that escape non-star-shaped geometries.  On a sphere or spheroid mesh
+    with stride 1 every phi ring of sources is ring 0 rotated about z, so
+    only the ring-0 sources are searched: their nearest nodes, rotated,
+    are those of the other rings, and the minimum distance is theirs.
 
     Parameters
     ----------
@@ -164,7 +167,8 @@ def place_sources(mesh: SurfaceMesh, shrink: float, stride: int = 1) -> SourceSe
         raise ValueError(f"stride must be a positive integer, got {stride}")
     c = mesh.centroid
     locs = c + shrink * (mesh.nodes[::stride] - c)
-    inside, offset = _inside_body(mesh, locs)
+    rings = _mesh_ring_count(mesh) if stride == 1 else 1
+    inside, offset = _inside_body(mesh, locs[::rings])
     if not np.all(inside):
         raise PlacementError(
             "source placement escaped the body; the surface is not star-shaped "

@@ -41,6 +41,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import GeometryError
 from .geometry import (
     SurfaceMesh,
+    _z_rotations,
     elementary_rigid_motion,
     make_parametric_surface,
     surface_integral,
@@ -59,8 +60,7 @@ from .stokeslets import (
 )
 from .collocation import (
     BoundaryData,
-    _ring_count,
-    _z_rotations,
+    _ring_symmetry,
     boundary_data_from_field,
     uniform_flux_data,
 )
@@ -200,7 +200,7 @@ def _orbit_strains(fields, mesh: SurfaceMesh, r_t: float):
     sources = fields[0].sources
     if any(f.sources is not sources for f in fields):
         raise ValueError("the auxiliary fields must share one source set")
-    p = _ring_count(mesh, sources)
+    p, _ = _ring_symmetry(mesh, sources)
     g = math.gcd(_N_ANGULAR, p)
     pts, wvol = _volume_rule(mesh, r_t)
     ring0 = (slice(None), slice(_N_ANGULAR // g))

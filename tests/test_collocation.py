@@ -6,6 +6,7 @@ import pytest
 
 from slipswim import (
     BoundaryData,
+    SourceSet,
     SwimProblem,
     SlipSolver,
     evaluate_flow,
@@ -18,7 +19,8 @@ from slipswim import (
     uniform_flux_data,
 )
 from slipswim.collocation import (
-    _ring_count,
+    _mode_multiplicity,
+    _ring_symmetry,
     boundary_data_from_field,
     data_vector,
     normalized_carrier,
@@ -196,12 +198,23 @@ class TestLifting:
             normalized_carrier(sphere12, np.array([0.0, 0.0, 5.0]))
 
 
+# Bodies built here: (shape, resolution, c_axis).  Odd resolutions put a
+# Gauss-Legendre ring on the equator, which the z-mirror split keeps whole.
+_BODIES = {
+    "sphere9": ("sphere", 9, 1.0),
+    "sphere10": ("sphere", 10, 1.0),
+    "spheroid16": ("spheroid", 16, 1.2),
+    "spheroid21": ("spheroid", 21, 1.2),
+}
+
+
 def _ring_and_dense(request, body):
     """The same body twice: as built (ring route) and without shape_info (dense)."""
     if body == "problem16_noslip":
         ring = request.getfixturevalue(body)
-    elif body == "spheroid16":
-        mesh = make_parametric_surface("spheroid", 16, a_axis=1.0, c_axis=1.2)
+    elif body in _BODIES:
+        kind, res, c_axis = _BODIES[body]
+        mesh = make_parametric_surface(kind, res, a_axis=1.0, c_axis=c_axis)
         ring = SwimProblem(mesh, 2.0, shrink=0.5)
     else:
         ring = SwimProblem(request.getfixturevalue(body), 2.0, shrink=0.5)
@@ -210,32 +223,87 @@ def _ring_and_dense(request, body):
     return ring, dense
 
 
+def _assert_routes_agree(ring, dense, fields=True):
+    assert ring.solver.svd_rank == dense.solver.svd_rank
+    # the smallest kept singular value sits at 1e-12 of the largest, so
+    # it carries a relative rounding error of ~1e-4
+    npt.assert_allclose(
+        ring.solver.condition_estimate, dense.solver.condition_estimate, rtol=1e-3
+    )
+    m_ring, m_dense = ring.grand_matrix.M, dense.grand_matrix.M
+    assert np.max(np.abs(m_ring - m_dense)) <= 1e-9 * np.max(np.abs(m_dense))
+    if not fields:
+        return
+    points = 1.7 * ring.mesh.nodes
+    for f_ring, f_dense in zip(ring.aux_fields, dense.aux_fields):
+        v_ring = evaluate_flow(f_ring, points)[0]
+        v_dense = evaluate_flow(f_dense, points)[0]
+        assert np.max(np.abs(v_ring - v_dense)) <= 1e-9 * np.max(np.abs(v_dense))
+
+
 class TestRingRoute:
     """Parametric bodies factor through an FFT over the phi rings."""
 
     @pytest.mark.parametrize(
-        "body", ["sphere8", "sphere12", "spheroid12", "problem16_noslip", "spheroid16"]
+        "body",
+        [
+            "sphere8", "sphere12", "spheroid12", "problem16_noslip", "spheroid16",
+            "sphere9", "sphere10", "spheroid21",
+        ],
     )
     def test_agrees_with_dense_route(self, request, body):
         ring, dense = _ring_and_dense(request, body)
         res = int(np.sqrt(ring.mesh.n_nodes))
-        assert _ring_count(ring.mesh, ring.sources) == res
-        assert _ring_count(dense.mesh, dense.sources) == 1
-        assert ring.solver.svd_rank == dense.solver.svd_rank
-        # the smallest kept singular value sits at 1e-12 of the largest, so
-        # it carries a relative rounding error of ~1e-4
-        npt.assert_allclose(
-            ring.solver.condition_estimate, dense.solver.condition_estimate, rtol=1e-3
-        )
-        m_ring, m_dense = ring.grand_matrix.M, dense.grand_matrix.M
-        assert np.max(np.abs(m_ring - m_dense)) <= 1e-9 * np.max(np.abs(m_dense))
-        if body == "spheroid12":
-            return  # c = 1.6 at res 12 is under-resolved: the fields differ at 1e-7
-        points = 1.7 * ring.mesh.nodes
-        for f_ring, f_dense in zip(ring.aux_fields, dense.aux_fields):
-            v_ring = evaluate_flow(f_ring, points)[0]
-            v_dense = evaluate_flow(f_dense, points)[0]
-            assert np.max(np.abs(v_ring - v_dense)) <= 1e-9 * np.max(np.abs(v_dense))
+        assert _ring_symmetry(ring.mesh, ring.sources) == (res, True)
+        # the equator ring of an odd resolution gives n and t2 to the even half
+        assert ring.solver._rows.sizes == ((3 * res + 1) // 2, 3 * res // 2)
+        assert _ring_symmetry(dense.mesh, dense.sources) == (1, False)
+        # c = 1.6 at res 12 is under-resolved: the fields differ at 1e-7
+        _assert_routes_agree(ring, dense, fields=body != "spheroid12")
+
+    @pytest.mark.parametrize(
+        "kind, res, c_axis",
+        [("sphere", 8, 1.0), ("sphere", 9, 1.0), ("spheroid", 21, 1.6)],
+    )
+    def test_half_spectra_match_dense(self, kind, res, c_axis):
+        # Under-resolved bodies (c = 1.6) truncate a nearly rank-deficient
+        # matrix, so their fields differ between routes at 1e-5 (at every
+        # commit); the spectra show that the real halves are exact.
+        mesh = make_parametric_surface(kind, res, a_axis=1.0, c_axis=c_axis)
+        srcs = place_sources(mesh, 0.5)
+        ring = SlipSolver(mesh, srcs, 2.0)
+        dense = SlipSolver(dataclasses.replace(mesh, shape_info=None), srcs, 2.0)
+        assert ring.svd_rank == dense.svd_rank
+        npt.assert_allclose(ring.condition_estimate, dense.condition_estimate, rtol=1e-3)
+        halves = list(zip(ring._rows.sizes, ring._cols.sizes))
+        s_ring = np.concatenate([
+            np.repeat(np.linalg.svd(block[k, :m, :n], compute_uv=False), mult)
+            for block, mult in zip(ring._a, _mode_multiplicity(res))
+            for k, (m, n) in enumerate(halves)
+        ])
+        s_dense = np.linalg.svd(dense._a[0, 0], compute_uv=False)
+        assert np.max(np.abs(np.sort(s_ring)[::-1] - s_dense)) <= 1e-13 * s_dense[0]
+
+    @pytest.mark.parametrize("broken", ["z_mirror", "phi_reflection"])
+    def test_broken_symmetry_matches_dense(self, broken):
+        mesh = make_parametric_surface("sphere", 9)
+        locs = place_sources(mesh, 0.5).locations
+        if broken == "z_mirror":
+            locs = locs + np.array([0.0, 0.0, 0.05])  # still rotation-symmetric
+        else:
+            c, s = np.cos(0.01), np.sin(0.01)
+            locs = locs @ np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+        dist = np.linalg.norm(mesh.nodes[:, None] - locs[None], axis=2).min()
+        srcs = SourceSet(locs, dist)
+        ring = SwimProblem(mesh, 2.0, shrink=0.5)
+        dense = SwimProblem(dataclasses.replace(mesh, shape_info=None), 2.0, shrink=0.5)
+        ring.sources = dense.sources = srcs
+        if broken == "z_mirror":
+            assert _ring_symmetry(mesh, srcs) == (9, False)
+            assert ring.solver._rows.sizes == (27,)
+        else:
+            assert _ring_symmetry(mesh, srcs) == (1, False)
+        _assert_routes_agree(ring, dense)
 
     @pytest.mark.parametrize("body", ["sphere12", "spheroid12"])
     def test_tangent1_is_ez_projection(self, request, body):
@@ -249,7 +317,7 @@ class TestRingRoute:
 
     def test_strided_sources_take_dense_route(self, problem20_strided):
         prob = problem20_strided
-        assert _ring_count(prob.mesh, prob.sources) == 1
+        assert _ring_symmetry(prob.mesh, prob.sources)[0] == 1
 
     def test_triangle_mesh_takes_dense_route(self, tmp_path):
         from slipswim import load_triangle_mesh
@@ -265,7 +333,7 @@ class TestRingRoute:
         lines += ["3 " + " ".join(map(str, f)) for f in faces]
         path.write_text("\n".join(lines) + "\n")
         mesh = load_triangle_mesh(path)
-        assert _ring_count(mesh, place_sources(mesh, 0.5)) == 1
+        assert _ring_symmetry(mesh, place_sources(mesh, 0.5))[0] == 1
 
     def test_moved_source_takes_dense_route(self, sphere8):
         from slipswim import SourceSet
@@ -273,5 +341,5 @@ class TestRingRoute:
         srcs = place_sources(sphere8, 0.5)
         locs = srcs.locations.copy()
         locs[5] *= 1.01
-        assert _ring_count(sphere8, srcs) == 8
-        assert _ring_count(sphere8, SourceSet(locs, srcs.min_surface_distance)) == 1
+        assert _ring_symmetry(sphere8, srcs) == (8, True)
+        assert _ring_symmetry(sphere8, SourceSet(locs, srcs.min_surface_distance))[0] == 1

@@ -23,8 +23,8 @@ from slipswim import (
     surface_integral,
     uniform_flux_data,
 )
-from slipswim.collocation import BoundaryData, _mesh_ring_count, data_vector
-from slipswim.geometry import tangential_part
+from slipswim.collocation import BoundaryData, data_vector
+from slipswim.geometry import _mesh_ring_count, tangential_part
 from test_geometry import _icosphere, _write_off
 
 
