@@ -56,6 +56,7 @@ from .errors import PlacementError, SolverError
 from .geometry import (
     SurfaceMesh,
     _mesh_ring_count,
+    _per_mesh,
     _repeats,
     _rings_rotate,
     _z_rotations,
@@ -154,9 +155,10 @@ def squirmer_data(mesh: SurfaceMesh, b1: float = 1.0) -> BoundaryData:
     cos_t = x[:, 2] / rho
     sin_t = s / rho
     # Guard the poles, where theta_hat is ill-defined and sin(theta) = 0 anyway.
-    safe = np.where(s > 1e-14, s, 1.0)
-    cos_p = np.where(s > 1e-14, x[:, 0] / safe, 1.0)
-    sin_p = np.where(s > 1e-14, x[:, 1] / safe, 0.0)
+    off_axis = s > 1e-14 * rho
+    safe = np.where(off_axis, s, 1.0)
+    cos_p = np.where(off_axis, x[:, 0] / safe, 1.0)
+    sin_p = np.where(off_axis, x[:, 1] / safe, 0.0)
     theta_hat = np.column_stack((cos_t * cos_p, cos_t * sin_p, -sin_t))
     vals = b1 * sin_t[:, None] * theta_hat
     return boundary_data_from_field(mesh, vals)
@@ -560,9 +562,7 @@ class SlipSolver:
         xi = _to_rings(field.strengths, self._rot)
         t = _from_rings(self._apply(self._tmat, self._trows, xi), self._rot)
         if field.source_flux != 0.0:
-            t = t + field.source_flux * point_source_traction(
-                field.source_point, self.mesh.nodes, self.mesh.normals
-            )
+            t = t + field.source_flux * _sink_traction(self.mesh, field.source_point)
         return t
 
     def solve_data(self, data: BoundaryData):
@@ -588,14 +588,26 @@ class SlipSolver:
         return field, SolveReport(res_n, res_t, self.svd_rank, self.condition_estimate)
 
 
+def _sink_traction(mesh: SurfaceMesh, x0) -> np.ndarray:
+    """Traction of the unit-flux sink at ``x0`` on the mesh nodes, held per mesh."""
+    return _per_mesh(
+        mesh, "sink_traction", lambda: point_source_traction(x0, mesh.nodes, mesh.normals), x0
+    )
+
+
 def normalized_carrier(mesh: SurfaceMesh, x0):
     """Flux-carrier trace at the nodes, normalized to unit discrete flux.
 
     Returns (sigma_hat, strength) where sigma_hat = strength * sink_kernel
     evaluated at the nodes and sum_k w_k sigma_hat_k . n_k = 1 exactly on
     this mesh.  ``strength`` is the coefficient of the raw unit-flux sink.
+    The pair is computed once per mesh and point; sigma_hat is read-only.
     """
     x0 = np.asarray(x0, dtype=float).reshape(3)
+    return _per_mesh(mesh, "carrier", lambda: _build_carrier(mesh, x0), x0)
+
+
+def _build_carrier(mesh: SurfaceMesh, x0):
     inside, _ = _inside_body(mesh, x0[None])
     if not inside[0]:
         raise PlacementError("carrier point must lie strictly inside the body")
@@ -633,7 +645,7 @@ def solve_lifting(v_star: BoundaryData, solver: SlipSolver):
     x0 = mesh.centroid
     sigma_hat, unit_strength = normalized_carrier(mesh, x0)
     c_src = phi * unit_strength
-    sink_traction = c_src * point_source_traction(x0, mesh.nodes, mesh.normals)
+    sink_traction = c_src * _sink_traction(mesh, x0)
     carrier = phi * sigma_hat
 
     dn = v_star.normal_data - np.einsum("ij,ij->i", carrier, mesh.normals)

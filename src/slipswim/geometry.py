@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import os
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +37,16 @@ __all__ = [
 ]
 
 _FRAME_TOL = 1e-12
-# Largest semi-axis whose square is a finite float.
+# Smallest and largest semi-axis whose square is a normal, finite float.
+_MIN_SEMI_AXIS = float(np.sqrt(np.finfo(float).tiny))
 _MAX_SEMI_AXIS = float(np.sqrt(np.finfo(float).max))
 # Relative defect up to which a mesh and its sources count as symmetric.
 _RING_TOL = 1e-12
+# mesh -> {name: (point key, value)}; entries die with their mesh.
+_MEMO = weakref.WeakKeyDictionary()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SurfaceMesh:
     """Discretized closed surface with per-node quadrature and frames.
 
@@ -60,6 +64,9 @@ class SurfaceMesh:
         ("sphere", radius) or ("spheroid", a, c) for parametric meshes,
         None for loaded triangle meshes.  Volume quadrature in the
         validation layer needs it to find the surface along a ray.
+
+    Meshes compare and hash by identity, so per-mesh constants can be
+    memoized (:func:`_per_mesh`).
     """
 
     nodes: np.ndarray
@@ -151,6 +158,40 @@ def surface_integral(mesh: SurfaceMesh, values):
     return mesh.weights @ values
 
 
+def _freeze(value):
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, tuple):
+        for v in value:
+            _freeze(v)
+    return value
+
+
+def _per_mesh(mesh: SurfaceMesh, name: str, build, point=None):
+    """The value ``build()`` held under ``name`` for ``mesh``, built on first use.
+
+    Entries die with their mesh, so the value must hold no reference to
+    the mesh.  Its arrays are made read-only.  With ``point`` the value
+    also depends on that point, and only the latest point's value is held
+    per name.  A ``build`` that raises leaves nothing behind.
+    """
+    held = _MEMO.setdefault(mesh, {})
+    key = None if point is None else np.asarray(point, dtype=float).tobytes()
+    entry = held.get(name)
+    if entry is None or entry[0] != key:
+        entry = held[name] = (key, _freeze(build()))
+    return entry[1]
+
+
+def _rigid_modes(mesh: SurfaceMesh) -> np.ndarray:
+    """The six elementary rigid motions at the nodes, shape (6, N, 3), read-only."""
+    return _per_mesh(
+        mesh,
+        "rigid_modes",
+        lambda: np.array([elementary_rigid_motion(i, mesh.nodes) for i in range(1, 7)]),
+    )
+
+
 def _z_rotations(p: int) -> np.ndarray:
     """(P, 3, 3) rotations about z by 2 pi q / P, q = 0..P-1."""
     c, s = np.cos(2.0 * np.pi * np.arange(p) / p), np.sin(2.0 * np.pi * np.arange(p) / p)
@@ -178,8 +219,12 @@ def _mesh_ring_count(mesh: SurfaceMesh) -> int:
     parametric mesh.  The mesh is symmetric when every ring is ring 0
     rotated about z by 2 pi q / P, for the nodes and their frames, and the
     weights repeat from ring to ring; this holds for sphere and spheroid
-    meshes.  Returns 1 (one ring) otherwise.
+    meshes.  Returns 1 (one ring) otherwise.  Detected once per mesh.
     """
+    return _per_mesh(mesh, "rings", lambda: _detect_rings(mesh))
+
+
+def _detect_rings(mesh: SurfaceMesh) -> int:
     n = mesh.n_nodes
     p = math.isqrt(n)
     if mesh.shape_info is None or p < 2 or p * p != n:
@@ -232,7 +277,8 @@ def make_parametric_surface(
         node index = i_theta * resolution + i_phi, with cos(theta) ascending
         (south to north) and phi = 2*pi*i_phi/resolution.
     radius, a_axis, c_axis : float
-        Dimensions, all > 0 and below sqrt(float max), about 1.34e154.
+        Dimensions, all from sqrt(float tiny), about 1.49e-154, to below
+        sqrt(float max), about 1.34e154.
 
     Returns
     -------
@@ -256,6 +302,10 @@ def make_parametric_surface(
         raise GeometryError(f"unknown shape {shape!r}")
     if max(a, c) >= _MAX_SEMI_AXIS:
         raise GeometryError(f"{shape} dimensions must be below {_MAX_SEMI_AXIS:.4g}")
+    if min(a, c) < _MIN_SEMI_AXIS:
+        raise GeometryError(
+            f"{shape} dimension {min(a, c):.4g} is below {_MIN_SEMI_AXIS:.4g}"
+        )
 
     t, wt = leggauss(resolution)
     phi = 2.0 * np.pi * np.arange(resolution) / resolution

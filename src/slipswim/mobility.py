@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BasisRankError, SolverError
-from .geometry import SurfaceMesh, elementary_rigid_motion, tangential_part
+from .geometry import SurfaceMesh, _rigid_modes, tangential_part
 from .collocation import BoundaryData, data_vector
 
 __all__ = [
@@ -145,11 +145,6 @@ class GrandMatrix:
         a = np.linalg.inv(k - s.T @ np.linalg.solve(r, s))
         b = np.linalg.inv(r - s @ np.linalg.solve(k, s.T))
         return cls(m, k, s, r, a, b, defect, min_ev)
-
-
-def _rigid_modes(mesh: SurfaceMesh) -> np.ndarray:
-    """The six elementary rigid motions at the nodes, shape (6, N, 3)."""
-    return np.array([elementary_rigid_motion(i, mesh.nodes) for i in range(1, 7)])
 
 
 def assemble_grand_matrix(basis: ThrustBasis, mesh: SurfaceMesh) -> GrandMatrix:

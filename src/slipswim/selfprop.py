@@ -9,8 +9,11 @@ automatic and are re-verified here from the composite tractions.
 
 :class:`SwimProblem` caches the expensive pieces (source placement, the
 SVD factorization, the six auxiliary solves, the grand matrix) for one
-(mesh, alpha) pair so that repeated boundary data cost only matrix-vector
-work.
+(mesh, alpha) pair.  What depends on the mesh alone (its phi rings, the six
+rigid modes at the nodes, the flux carrier and the unit sink's traction at
+the centroid, the ring kernel of the H^{1/2} norm) is computed once per
+mesh and held while the mesh lives.  Each set of boundary data on a ready
+body then costs only matrix-vector work and 6x6 algebra.
 
 The certificate layer evaluates the quantities controlling the weakly
 nonlinear (small Reynolds) regime: the boundary flux phi, the flux-free
@@ -31,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AccuracyWarning
-from .geometry import SurfaceMesh, _mesh_ring_count, surface_integral
+from .geometry import SurfaceMesh, _mesh_ring_count, _per_mesh, _rigid_modes, surface_integral
 from .stokeslets import FlowField, SourceSet, place_sources
 from .collocation import (
     DEFAULT_SVD_TOL,
@@ -47,7 +50,6 @@ from .collocation import (
 )
 from .mobility import (
     GrandMatrix,
-    _rigid_modes,
     assemble_grand_matrix,
     compute_wrench,
     swim_velocity,
@@ -265,36 +267,52 @@ def h_half_norm(values, mesh: SurfaceMesh) -> float:
     on a sphere or spheroid mesh with P phi rings of T = N / P nodes it
     depends only on the ring shift: the T x N rows of ring 0, put through
     an FFT over the shift, give P // 2 + 1 Hermitian T x T blocks, and
-    f^T G f is one batched product of them with the ring DFT of f.  That
-    costs O(N^1.5) per call.  Every other mesh is one ring (P = 1, no FFT),
-    whose N x N kernel is built ``_H_HALF_CHUNK`` rows at a time in O(N^2)
-    work.  The rings are those that :class:`SlipSolver` detects.
+    f^T G f is one batched product of them with the ring DFT of f.  The
+    blocks and D are built once per mesh, in O(N^1.5) work and memory;
+    each call then costs O(N^1.5).  Every other mesh is one ring (P = 1,
+    no FFT), whose N x N kernel is built ``_H_HALF_CHUNK`` rows at a time
+    on every call, in O(N^2) work, and never held.  The rings are those
+    that :class:`SlipSolver` detects.
     """
     f = np.asarray(values, dtype=float)
     if f.ndim == 1:
         f = f[:, None]
     if f.shape[0] != mesh.n_nodes:
         raise ValueError("field does not match the mesh")
-    w, x = mesh.weights, mesh.nodes
     p = _mesh_ring_count(mesh)
     t = mesh.n_nodes // p
     # node t * P + q is row t of ring q
     f_rings = f.reshape(t, p, -1)
     f_hat = _rfft(f_rings.swapaxes(0, 1), p)  # (P//2+1, T, C)
     sq = np.sum(f_rings**2, axis=(1, 2))  # |f|^2 summed over each row's P nodes
+    if p > 1:
+        kernel = _per_mesh(mesh, "h_half", lambda: tuple(_ring_kernel(mesh, p)))
+    else:
+        kernel = _ring_kernel(mesh, p)
     diag, quad = 0.0, np.zeros(len(f_hat))
+    for rows, row_sums, g_hat in kernel:
+        diag += float(row_sums @ sq[rows])
+        quad += np.sum(f_hat[:, rows] * (g_hat @ f_hat.conj()), axis=(1, 2)).real
+    total = float(np.sum(mesh.weights * np.sum(f**2, axis=1)))
+    total += 2.0 * (diag - float(_mode_multiplicity(p) @ quad) / p)
+    return float(np.sqrt(total))
+
+
+def _ring_kernel(mesh: SurfaceMesh, p: int):
+    """Chunks (rows, D[rows], G_hat[:, rows]) of the ring-0 kernel of :func:`h_half_norm`.
+
+    A generator: one chunk of ``_H_HALF_CHUNK`` ring-0 rows is built at a
+    time.
+    """
+    w, x = mesh.weights, mesh.nodes
+    t = mesh.n_nodes // p
     for lo in range(0, t, _H_HALF_CHUNK):
         hi = min(lo + _H_HALF_CHUNK, t)
         ring0 = slice(lo * p, hi * p, p)
         dist = np.linalg.norm(x[ring0, None, :] - x[None, :, :], axis=2)
         dist[np.arange(hi - lo), np.arange(lo, hi) * p] = np.inf  # the j = k terms are excluded
         g = w[ring0, None] * w[None, :] / dist**3
-        diag += float(np.sum(g, axis=1) @ sq[lo:hi])
-        g_hat = _rfft(g.reshape(hi - lo, t, p).transpose(2, 0, 1), p)
-        quad += np.sum(f_hat[:, lo:hi] * (g_hat @ f_hat.conj()), axis=(1, 2)).real
-    total = float(np.sum(w * np.sum(f**2, axis=1)))
-    total += 2.0 * (diag - float(_mode_multiplicity(p) @ quad) / p)
-    return float(np.sqrt(total))
+        yield slice(lo, hi), np.sum(g, axis=1), _rfft(g.reshape(hi - lo, t, p).transpose(2, 0, 1), p)
 
 
 def ns_certificate(

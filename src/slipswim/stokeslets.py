@@ -55,7 +55,8 @@ __all__ = [
     "traction_matrix",
 ]
 
-_SINGULAR_DIST = 1e-12
+# A distance below this share of the largest coordinate is rounding: the point sits on a source.
+_SINGULAR_REL = 1e-12
 _CHUNK = 512
 # Size of one block of strain rows in _strain_product; small enough to stay in cache.
 _ROW_BYTES = 2 * 2**20
@@ -64,10 +65,16 @@ _SYM_A = (0, 1, 2, 0, 0, 1)
 _SYM_B = (0, 1, 2, 1, 2, 2)
 
 
+def _coincide(d, *coords) -> bool:
+    """Whether a distance in ``d`` is rounding against the coordinates it came from."""
+    scale = max(float(np.max(np.abs(c))) for c in coords)
+    return bool(d.min() <= _SINGULAR_REL * scale)
+
+
 def _displacements(points, sources):
     r = points[:, None, :] - sources[None, :, :]
     d = np.linalg.norm(r, axis=2)
-    if d.min() < _SINGULAR_DIST:
+    if _coincide(d, points, sources):
         raise SingularEvaluationError("evaluation point coincides with a source")
     return r, d
 
@@ -75,9 +82,10 @@ def _displacements(points, sources):
 def point_source_velocity(x0, points):
     """Velocity of the unit-flux potential sink at ``x0`` over an (M, 3) batch (pressure is zero)."""
     x0 = np.asarray(x0, dtype=float).reshape(3)
-    r = np.asarray(points, dtype=float).reshape(-1, 3) - x0[None, :]
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    r = pts - x0[None, :]
     d = np.linalg.norm(r, axis=1)
-    if d.min() < _SINGULAR_DIST:
+    if _coincide(d, pts, x0):
         raise SingularEvaluationError("evaluation point coincides with the point source")
     return -r / (4.0 * np.pi * d[:, None] ** 3)
 
@@ -86,7 +94,7 @@ def _sink_stress(x0, points) -> np.ndarray:
     """Stress of the unit-flux sink at ``x0`` over an (M, 3) batch: (M, 3, 3)."""
     r = points - x0[None, :]
     d = np.linalg.norm(r, axis=1)
-    if d.min() < _SINGULAR_DIST:
+    if _coincide(d, points, x0):
         raise SingularEvaluationError("evaluation point coincides with the point source")
     rhat = r / d[:, None]
     return -(np.eye(3)[None] - 3.0 * np.einsum("ma,mb->mab", rhat, rhat)) / (
@@ -266,7 +274,7 @@ def _strain_rows(points, locations, out) -> np.ndarray:
     """
     u = points[:, :, None] - locations.T  # (M, 3, K)
     d = np.sqrt(np.einsum("mck,mck->mk", u, u))
-    if d.min() < _SINGULAR_DIST:
+    if _coincide(d, points, locations):
         raise SingularEvaluationError("evaluation point coincides with a source")
     inv = np.divide(1.0, d, out=d)
     u *= inv[:, None]

@@ -247,6 +247,7 @@ class TestSubcommands:
         ("validate", {"shape": {"kind": "sphere", "resolution": 8}, "r_t": 0.5}),
         ("mobility", "mesh"),
         ("mobility", {"shape": {"kind": "sphere", "radius": 1e155, "resolution": 8}}),
+        ("mobility", {"shape": {"kind": "sphere", "radius": 1e-155, "resolution": 8}}),
         (
             "mobility",
             {"shape": {"kind": "spheroid", "a_axis": 1.0, "c_axis": 1e200, "resolution": 8}},
@@ -256,7 +257,8 @@ class TestSubcommands:
         "alpha-nan", "b1-inf", "re-nan", "csv-nan", "alpha-string", "b1-string-nan",
         "resolution-fractional", "stride-fractional", "index-fractional",
         "resolutions-fractional", "resolutions-empty", "resolutions-below-8",
-        "r_t-inside-body", "mesh-bad-face", "radius-overflow", "spheroid-axis-overflow",
+        "r_t-inside-body", "mesh-bad-face", "radius-overflow", "radius-underflow",
+        "spheroid-axis-overflow",
     ],
 )
 def test_non_finite_input_exits_2(tmp_path, capsys, command, override):
@@ -318,7 +320,7 @@ def test_integer_path_is_not_a_file_descriptor(tmp_path, capsys, where):
         assert fh.read() == "mine\n"
 
 
-@pytest.mark.parametrize("radius, alpha", [(1e-6, 2e6), (1e6, 2e-6)])
+@pytest.mark.parametrize("radius, alpha", [(1e-6, 2e6), (1e6, 2e-6), (1e-13, 2e13)])
 def test_mobility_in_any_units(tmp_path, radius, alpha):
     # the slip length is half the radius here as on the unit sphere at alpha
     # 2, so K, S and R are those of the unit sphere times radius, radius^2
@@ -335,6 +337,21 @@ def test_mobility_in_any_units(tmp_path, radius, alpha):
         blocks.append(m / (a * np.outer(s, s)))
     unit, scaled = blocks
     npt.assert_allclose(scaled, unit, rtol=1e-9, atol=1e-9 * np.max(np.abs(unit)))
+
+
+def test_tiny_squirmer_swims_like_the_unit_sphere(tmp_path):
+    # the stroke is a velocity and alpha * radius is 2 on both bodies, so
+    # the swim velocity is the same
+    xi = []
+    for a in (1.0, 1e-20):
+        cfg = _write_config(
+            tmp_path / "c.json", shape={"kind": "sphere", "radius": a, "resolution": 12}, alpha=2.0 / a
+        )
+        out = tmp_path / "out.json"
+        assert main(["swim", "--config", str(cfg), "--output", str(out)]) == 0
+        xi.append(np.array(json.loads(out.read_text())["xi"]))
+    unit, tiny = xi
+    npt.assert_allclose(tiny, unit, rtol=1e-9, atol=1e-9 * np.max(np.abs(unit)))
 
 
 def _dataclass_fields(cls):

@@ -153,6 +153,15 @@ class TestParametricSphere:
         with pytest.raises(GeometryError):
             make_parametric_surface("torus", 12)
 
+    @pytest.mark.parametrize(
+        "shape, dims, small",
+        [("sphere", {"radius": 1e-155}, "1e-155"), ("spheroid", {"c_axis": 3e-160}, "3e-160")],
+    )
+    def test_dimension_floor(self, shape, dims, small):
+        # below sqrt(float tiny) a squared length is no longer a normal float
+        with pytest.raises(GeometryError, match=f"{small} is below 1.492e-154"):
+            make_parametric_surface(shape, 8, **dims)
+
     def test_shape_info_recorded(self, sphere12, spheroid12):
         assert sphere12.shape_info == ("sphere", 1.0)
         assert spheroid12.shape_info == ("spheroid", 1.0, 1.6)

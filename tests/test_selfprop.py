@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -23,6 +25,7 @@ from slipswim import (
     surface_integral,
     uniform_flux_data,
 )
+from slipswim import collocation, geometry, selfprop
 from slipswim.collocation import BoundaryData, data_vector
 from slipswim.geometry import _mesh_ring_count, tangential_part
 from test_geometry import _icosphere, _write_off
@@ -195,6 +198,80 @@ class TestSobolevSeminorm:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20
+
+
+def _memo_arrays(mesh):
+    """Every array held for ``mesh`` in the per-mesh memo."""
+
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            yield value
+        elif isinstance(value, tuple):
+            for v in value:
+                yield from walk(v)
+
+    return [a for _, value in geometry._MEMO.get(mesh, {}).values() for a in walk(value)]
+
+
+class TestPerMeshMemo:
+    @staticmethod
+    def _use(mesh, rng):
+        """Certificate, lifting and H^{1/2} norm of flux data on a fresh body over ``mesh``."""
+        prob = SwimProblem(mesh, 2.0, shrink=0.5)
+        data = random_boundary_data(mesh, rng, flux=0.7)
+        return prob.certificate(0.1, data), prob.solve(data)
+
+    def test_built_once_per_body(self, monkeypatch, rng):
+        builds = []
+        for module, name in (
+            (selfprop, "_ring_kernel"),
+            (collocation, "_build_carrier"),
+            (collocation, "point_source_traction"),
+        ):
+            original = getattr(module, name)
+
+            def counted(*args, _original=original, _name=name):
+                builds.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        prob = SwimProblem(make_parametric_surface("sphere", 10), 2.0, shrink=0.5)
+        sets = [random_boundary_data(prob.mesh, rng, flux=0.7), uniform_flux_data(prob.mesh, -0.3)]
+        first = [prob.certificate(0.1, data) for data in sets]
+        for k in range(20):
+            assert prob.certificate(0.1, sets[k % 2]) == first[k % 2]
+            prob.solve(sets[k % 2])
+        assert sorted(builds) == ["_build_carrier", "_ring_kernel", "point_source_traction"]
+
+    def test_collected_mesh_leaves_no_entry(self, rng):
+        mesh = make_parametric_surface("sphere", 10)
+        self._use(mesh, rng)
+        assert mesh in geometry._MEMO
+        gc.collect()
+        alive, held = weakref.ref(mesh), len(geometry._MEMO)
+        del mesh
+        gc.collect()
+        assert alive() is None
+        assert len(geometry._MEMO) == held - 1
+
+    def test_memoized_arrays_reject_writes(self, rng):
+        mesh = make_parametric_surface("sphere", 10)
+        self._use(mesh, rng)
+        arrays = _memo_arrays(mesh)
+        # rigid modes, carrier, sink traction, row sums and DFT blocks of the norm
+        assert len(arrays) == 5
+        assert not any(a.flags.writeable for a in arrays)
+        sigma_hat = flux_and_carrier(uniform_flux_data(mesh, 1.0), mesh)[1]
+        with pytest.raises(ValueError):
+            sigma_hat[0, 0] = 0.0
+
+    def test_ring_blocks_are_the_only_kernel_held(self, tmp_path, rng):
+        # a ring mesh holds the (P//2+1) T x T blocks, a one-ring mesh no N x N kernel
+        for body, largest in (("sphere12", 7 * 12 * 12), ("icosphere", 3 * 1280)):
+            mesh = _sobolev_mesh(body, tmp_path)
+            h_half_norm(rng.normal(size=(mesh.n_nodes, 3)), mesh)
+            flux_and_carrier(uniform_flux_data(mesh, 1.0), mesh)
+            assert max(a.size for a in _memo_arrays(mesh)) == largest
 
 
 def _sobolev_mesh(body, tmp_path):
