@@ -19,21 +19,23 @@ a-posteriori residuals in :class:`SolveReport` are the honest accuracy
 measure and are recomputed from the boundary conditions, not taken from
 the least-squares objective.
 
-The factorization takes one of two routes, chosen from the inputs alone.
-Sphere and spheroid meshes with one source per node are symmetric under
-rotation by 2 pi / P about z (P phi samples); with each source's
-strength in its ring's rotated frame the matrix is block-circulant over
-the P phi rings, and an FFT over the ring index (the matrix-decomposition
-MFS of Karageorghis & Smyrlis, J. Comput. Appl. Math. 206, 2007) leaves
-P // 2 + 1 blocks of size 3N/P x 3K/P.  Two reflections split them
-further (Bossavit, Comput. Methods Appl. Mech. Engrg. 56, 1986; Allgower,
-Georg & Miranda, SIAM J. Numer. Anal. 29, 1992): phi -> -phi makes every
-block real after a phase i on the t2 rows and the y-strength columns,
-and z -> -z, where the body and its sources have it, splits every block
-into an even and an odd half of about half the size, by a butterfly over
-the mirrored Gauss-Legendre rings.  Each half takes one real SVD.  Every
-other input (triangle meshes, strided or hand-built sources, source sets
-without the phi reflection) takes the dense route: one SVD of the full
+The factorization takes one of two routes, set by how the inputs were
+built.  ``make_parametric_surface`` records the P phi samples of a sphere
+or spheroid mesh as its ``rings``, and ``place_sources`` passes them on
+to a set of one source per node.  Such a body is symmetric under rotation
+by 2 pi / P about z; with each source's strength in its ring's rotated
+frame the matrix is block-circulant over the P phi rings, and an FFT over
+the ring index (the matrix-decomposition MFS of Karageorghis & Smyrlis,
+J. Comput. Appl. Math. 206, 2007) leaves P // 2 + 1 blocks of size
+3N/P x 3K/P.  Two reflections split them further (Bossavit, Comput.
+Methods Appl. Mech. Engrg. 56, 1986; Allgower, Georg & Miranda, SIAM J.
+Numer. Anal. 29, 1992): phi -> -phi makes every block real after a phase
+i on the t2 rows and the y-strength columns, and z -> -z splits every
+block into an even and an odd half of about half the size, by a butterfly
+over the mirrored Gauss-Legendre rings.  Each half takes one real SVD.
+Every other input (triangle meshes, strided or hand-built sources, mesh
+copies made by ``dataclasses.replace``, a mesh and sources whose rings
+differ) has one ring and takes the dense route: one SVD of the full
 3N x 3K matrix.  Both truncate against the global largest singular
 value, so the rank, the condition estimate and the solution agree up to
 rounding.
@@ -55,10 +57,7 @@ import numpy as np
 from .errors import PlacementError, SolverError
 from .geometry import (
     SurfaceMesh,
-    _mesh_ring_count,
     _per_mesh,
-    _repeats,
-    _rings_rotate,
     _z_rotations,
     elementary_rigid_motion,
     surface_integral,
@@ -250,43 +249,6 @@ _XYZ = (np.array([1.0, -1.0, 1.0]), np.array([1.0, 1.0, -1.0]))
 _FRAME = (np.array([1.0, 1.0, -1.0]), np.array([1.0, -1.0, 1.0]))
 
 
-def _reflects(mesh: SurfaceMesh, sources, p: int, which: int, order) -> bool:
-    """Whether reflection ``which`` (0: y -> -y, 1: z -> -z) maps ring 0 onto itself.
-
-    Ring-0 entry j of the nodes, their frames and the sources must map
-    onto entry ``order[j]``, each component signed as :data:`_XYZ` and
-    :data:`_FRAME` say.
-    """
-    vectors = (mesh.nodes, mesh.normals, mesh.tangent1, mesh.tangent2, sources.locations)
-    signs = (1.0, *_FRAME[which], 1.0)
-    return all(
-        _repeats(v[::p][order] * _XYZ[which] * sign, v[::p]) for v, sign in zip(vectors, signs)
-    )
-
-
-def _ring_symmetry(mesh: SurfaceMesh, sources) -> tuple[int, bool]:
-    """Rings P of the block-circulant collocation operator, and its z mirror.
-
-    The mesh must be symmetric under rotation (:func:`_mesh_ring_count`),
-    the sources must follow its rings (one source per node), and both must
-    be symmetric under the phi reflection y -> -y, which fixes ring 0.
-    The mirror z -> -z maps ring-0 entry j onto entry T - 1 - j (the
-    Gauss-Legendre rings ascend in z) and needs equal weights there.  All
-    of this holds for sphere and spheroid meshes.  Returns (1, False), one
-    ring (the dense operator), otherwise.
-    """
-    p = _mesh_ring_count(mesh)
-    if (
-        p == 1
-        or sources.count % p
-        or not _rings_rotate(sources.locations, _z_rotations(p))
-        or not _reflects(mesh, sources, p, 0, slice(None))
-    ):
-        return 1, False
-    w = mesh.weights[::p]
-    return p, _repeats(w[::-1], w) and _reflects(mesh, sources, p, 1, slice(None, None, -1))
-
-
 def _to_rings(v, rot) -> np.ndarray:
     """(n, 3) vectors in node or source order to (P, 3n/P) ring-0 frame components.
 
@@ -338,32 +300,31 @@ class _RingSide:
 
     A ring-0 vector holds ``t`` entries of three components, signed under
     the two reflections by ``kind`` = (phi signs, z signs).  On one ring
-    (``rings`` False, the dense route) every map here is the identity.
-    Otherwise the blocks B_m become real and split in two:
+    (``rings`` False, the dense route) every map here is the identity and
+    there is one half.  Otherwise the blocks B_m become real and split in
+    two, by the reflections that every mesh with rings has:
 
     * The phi reflection maps ring q onto ring P - q and flips the
       components with phi sign -1, so B_m equals its conjugate up to those
       signs.  The phase D = i on the flipped components of both sides makes
       D_r B_m D_c real.
-    * With ``mirror``, z -> -z maps entry j onto entry t - 1 - j and
-      multiplies component c by its z sign s_c.  The orthogonal butterfly
+    * The mirror z -> -z maps entry j onto entry t - 1 - j and multiplies
+      component c by its z sign s_c.  The orthogonal butterfly
       Q^T: (v_j + s_c v_(t-1-j)) / sqrt 2 to the even half and
       (v_j - s_c v_(t-1-j)) / sqrt 2 to the odd half decouples the blocks;
       with odd t the equator entry goes whole to the half of its sign.
-      Without the mirror there is one half, and Q is the identity.
 
     Both Q^T and Q are gathers of two terms per entry, never dense
     matrices.  The halves are stored zero-padded to one length h.
     """
 
-    def __init__(self, t, kind, rings, mirror):
+    def __init__(self, t, kind, rings):
         phi_signs, z_signs = kind
         n = 3 * t
-        self.phase = np.tile(np.where(phi_signs < 0, 1j, 1.0), t) if rings else None
-        if not mirror:
+        if not rings:
             self.sizes, self._split, self._join = (n,), None, None
-            self.half_phase = None if self.phase is None else self.phase[None]
             return
+        self.phase = np.tile(np.where(phi_signs < 0, 1j, 1.0), t)
         k, root = t // 2, math.sqrt(0.5)
         idx = np.arange(n).reshape(t, 3)
         lo, hi, pos = idx[:k].ravel(), idx[::-1][:k].ravel(), np.arange(3 * k)
@@ -390,27 +351,21 @@ class _RingSide:
 
     def split(self, x, axis, half=None):
         """Q^T along ``axis``: length n to (2, h), or to (h,) for one ``half``."""
-        if self._split is None:
-            return x if half is not None else np.expand_dims(x, axis)
         terms = self._split if half is None else tuple(a[half] for a in self._split)
         return _gather(x, terms, axis)
 
     def halves(self, v, conj=False):
         """Q^T D v, or Q^T conj(D) v, for ring-0 vectors (..., n): (..., H, h)."""
-        w = self.split(v, v.ndim - 1)
-        if self.half_phase is not None:
-            w = w * (self.half_phase.conj() if conj else self.half_phase)
-        return w
+        if self._split is None:
+            return v[..., None, :]
+        return self.split(v, v.ndim - 1) * (self.half_phase.conj() if conj else self.half_phase)
 
     def join(self, w, conj=False):
         """D Q w, or conj(D) Q w, for halves (..., H, h): (..., n)."""
         if self._join is None:
-            v = w[..., 0, :]
-        else:
-            v = _gather(w.reshape(w.shape[:-2] + (-1,)), self._join, w.ndim - 2)
-        if self.phase is not None:
-            v = v * (self.phase.conj() if conj else self.phase)
-        return v
+            return w[..., 0, :]
+        v = _gather(w.reshape(w.shape[:-2] + (-1,)), self._join, w.ndim - 2)
+        return v * (self.phase.conj() if conj else self.phase)
 
 
 def _mode_blocks(mat, rot, rows, cols) -> np.ndarray:
@@ -473,28 +428,31 @@ class SlipSolver:
     it, and both give the same rank, condition estimate and solution up to
     rounding:
 
-    * **Ring route.**  Sphere and spheroid meshes with one source per node
-      are symmetric under rotation by 2 pi / P about z, with P the number
-      of phi samples, and under the reflection phi -> -phi.  With each
-      source's strength written in its ring's rotated frame the operator
-      is block-circulant over the P phi rings, so only the 3T rows of ring
-      0 (T = N / P) are assembled and an FFT over the ring index splits it
+    * **Ring route.**  A sphere or spheroid mesh from
+      ``make_parametric_surface`` records its P phi samples as ``rings``,
+      and ``place_sources`` with one source per node records the same.
+      Such a body is symmetric under rotation by 2 pi / P about z and
+      under the reflections phi -> -phi and z -> -z.  With each source's
+      strength written in its ring's rotated frame the operator is
+      block-circulant over the P phi rings, so only the 3T rows of ring 0
+      (T = N / P) are assembled and an FFT over the ring index splits it
       into P // 2 + 1 independent blocks of size 3T x 3K/P (modes m and
-      P - m are conjugate).  The reflection makes each block real after
-      phases i on the t2 rows and the y-strength columns.  The mirror
-      z -> -z, where the body and its sources have it, splits each block
-      into an even and an odd half by a butterfly over the mirrored rings
-      (:class:`_RingSide`).  Each half gets its own real SVD, and all are
-      truncated against the global largest singular value.
+      P - m are conjugate).  The phi reflection makes each block real
+      after phases i on the t2 rows and the y-strength columns.  The
+      mirror z -> -z splits each block into an even and an odd half by a
+      butterfly over the mirrored rings (:class:`_RingSide`).  Each half
+      gets its own real SVD, and all are truncated against the global
+      largest singular value.
     * **Dense route.**  Everything else (triangle meshes, strided or
-      hand-built sources, any mesh or source set that fails the symmetry
-      checks to 1e-12) assembles the full 3N x 3K matrix and takes one
-      SVD.  It is the ring route with a single ring and no transform.
+      hand-built sources, mesh copies made by ``dataclasses.replace``, a
+      mesh and sources whose rings differ) assembles the full 3N x 3K
+      matrix and takes one SVD.  It is the ring route with a single ring
+      and no transform.
 
-    The route is chosen by :func:`_ring_symmetry` from the inputs alone.
-    The real half blocks of the row-weighted and of the node traction
-    matrices are kept for the a-posteriori residuals and for traction
-    extraction.
+    The route follows from the ``rings`` the two builders recorded; a
+    mismatch costs time, never accuracy.  The real half blocks of the
+    row-weighted and of the node traction matrices are kept for the
+    a-posteriori residuals and for traction extraction.
     """
 
     def __init__(self, mesh, sources, alpha, svd_tol=DEFAULT_SVD_TOL):
@@ -505,12 +463,12 @@ class SlipSolver:
         self.mesh = mesh
         self.sources = sources
         self.alpha = float(alpha)
-        p, mirror = _ring_symmetry(mesh, sources)
+        p = mesh.rings if sources.rings == mesh.rings else 1
         self._rot = _z_rotations(p)
         t = mesh.n_nodes // p
-        self._rows = _RingSide(t, _FRAME, p > 1, mirror)
-        self._trows = _RingSide(t, _XYZ, p > 1, mirror)
-        self._cols = _RingSide(sources.count // p, _XYZ, p > 1, mirror)
+        self._rows = _RingSide(t, _FRAME, p > 1)
+        self._trows = _RingSide(t, _XYZ, p > 1)
+        self._cols = _RingSide(sources.count // p, _XYZ, p > 1)
         ring0 = slice(None, None, p)
         nodes, normals = mesh.nodes[ring0], mesh.normals[ring0]
         tmat = traction_matrix(nodes, normals, sources)

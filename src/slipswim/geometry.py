@@ -17,10 +17,9 @@ documented: theta-major, phi-minor (see :func:`make_parametric_surface`).
 
 from __future__ import annotations
 
-import math
 import os
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -40,8 +39,6 @@ _FRAME_TOL = 1e-12
 # Smallest and largest semi-axis whose square is a normal, finite float.
 _MIN_SEMI_AXIS = float(np.sqrt(np.finfo(float).tiny))
 _MAX_SEMI_AXIS = float(np.sqrt(np.finfo(float).max))
-# Relative defect up to which a mesh and its sources count as symmetric.
-_RING_TOL = 1e-12
 # mesh -> {name: (point key, value)}; entries die with their mesh.
 _MEMO = weakref.WeakKeyDictionary()
 
@@ -65,6 +62,15 @@ class SurfaceMesh:
         None for loaded triangle meshes.  Volume quadrature in the
         validation layer needs it to find the surface along a ray.
 
+    Attributes
+    ----------
+    rings : int
+        Number P of phi rings: ring q (every P-th node from q) is ring 0
+        rotated about z by 2 pi q / P, weights included, and ring 0 is
+        symmetric under y -> -y and z -> -z.  Only
+        :func:`make_parametric_surface` sets it (to the resolution); it is
+        1 on every other mesh and on ``dataclasses.replace`` copies.
+
     Meshes compare and hash by identity, so per-mesh constants can be
     memoized (:func:`_per_mesh`).
     """
@@ -75,6 +81,7 @@ class SurfaceMesh:
     tangent1: np.ndarray
     tangent2: np.ndarray
     shape_info: tuple | None = None
+    rings: int = field(default=1, init=False)
 
     def __post_init__(self):
         for name in ("nodes", "normals", "weights", "tangent1", "tangent2"):
@@ -118,7 +125,9 @@ class SurfaceMesh:
     @property
     def centroid(self) -> np.ndarray:
         """Area-weighted barycenter of the surface nodes."""
-        return self.weights @ self.nodes / self.area
+        # scaled exactly by a power of two, so the sum of size r**3 cannot overflow
+        e = np.frexp(np.max(np.abs(self.nodes)))[1]
+        return np.ldexp(self.weights @ np.ldexp(self.nodes, -e) / self.area, e)
 
 
 def elementary_rigid_motion(i: int, x) -> np.ndarray:
@@ -199,42 +208,6 @@ def _z_rotations(p: int) -> np.ndarray:
     rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1] = c, -s, s, c
     rot[:, 2, 2] = 1.0
     return rot
-
-
-def _repeats(values, ring0) -> bool:
-    defect = np.max(np.abs(values - ring0))
-    return bool(defect <= _RING_TOL * np.max(np.abs(values)))
-
-
-def _rings_rotate(v, rot) -> bool:
-    """Whether every ring of the (n, 3) vectors ``v`` is ring 0 rotated by R_q."""
-    rings = v.reshape(-1, len(rot), 3)
-    return _repeats(rings, np.einsum("qab,tb->tqa", rot, rings[:, 0]))
-
-
-def _mesh_ring_count(mesh: SurfaceMesh) -> int:
-    """Number P of phi rings over which ``mesh`` is symmetric under rotation about z.
-
-    Ring q holds every P-th node starting at q: one phi sample of a
-    parametric mesh.  The mesh is symmetric when every ring is ring 0
-    rotated about z by 2 pi q / P, for the nodes and their frames, and the
-    weights repeat from ring to ring; this holds for sphere and spheroid
-    meshes.  Returns 1 (one ring) otherwise.  Detected once per mesh.
-    """
-    return _per_mesh(mesh, "rings", lambda: _detect_rings(mesh))
-
-
-def _detect_rings(mesh: SurfaceMesh) -> int:
-    n = mesh.n_nodes
-    p = math.isqrt(n)
-    if mesh.shape_info is None or p < 2 or p * p != n:
-        return 1
-    rot = _z_rotations(p)
-    for v in (mesh.nodes, mesh.normals, mesh.tangent1, mesh.tangent2):
-        if not _rings_rotate(v, rot):
-            return 1
-    w = mesh.weights.reshape(-1, p)
-    return p if _repeats(w, w[:, :1]) else 1
 
 
 def _tangent_frame(normals: np.ndarray, axial_switch: bool = True):
@@ -325,7 +298,10 @@ def make_parametric_surface(
     normals = -grad / np.linalg.norm(grad, axis=1)[:, None]
 
     t1, t2 = _tangent_frame(normals, axial_switch=False)
-    return SurfaceMesh(nodes, normals, weights, t1, t2, shape_info=shape_info)
+    mesh = SurfaceMesh(nodes, normals, weights, t1, t2, shape_info=shape_info)
+    # node i_theta * P + i_phi: each phi sample is one ring
+    object.__setattr__(mesh, "rings", resolution)
+    return mesh
 
 
 def load_triangle_mesh(path) -> SurfaceMesh:
@@ -390,8 +366,10 @@ def load_triangle_mesh(path) -> SurfaceMesh:
     centroids = (v0 + v1 + v2) / 3.0
 
     # Signed volume with the file's winding; positive means outward-wound faces.
+    # It counts as zero below 1e-12 of the cube of the largest coordinate,
+    # compared through cube roots, which cannot overflow.
     signed_vol = float(np.sum(np.einsum("ij,ij->i", centroids, area_vec))) / 3.0
-    if abs(signed_vol) < 1e-12:
+    if abs(signed_vol) ** (1.0 / 3.0) < 1e-4 * float(np.max(np.abs(verts))):
         raise GeometryError("mesh encloses no volume; cannot orient normals")
     normals = -np.sign(signed_vol) * area_vec / areas[:, None]
 

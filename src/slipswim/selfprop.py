@@ -9,20 +9,21 @@ automatic and are re-verified here from the composite tractions.
 
 :class:`SwimProblem` caches the expensive pieces (source placement, the
 SVD factorization, the six auxiliary solves, the grand matrix) for one
-(mesh, alpha) pair.  What depends on the mesh alone (its phi rings, the six
-rigid modes at the nodes, the flux carrier and the unit sink's traction at
-the centroid, the ring kernel of the H^{1/2} norm) is computed once per
-mesh and held while the mesh lives.  Each set of boundary data on a ready
-body then costs only matrix-vector work and 6x6 algebra.
+(mesh, alpha) pair.  What depends on the mesh alone (the six rigid modes
+at the nodes, the flux carrier and the unit sink's traction at the
+centroid, the ring kernel of the H^{1/2} norm) is computed once per mesh
+and held while the mesh lives; its phi rings are recorded when it is
+built.  Each set of boundary data on a ready body then costs only
+matrix-vector work and 6x6 algebra.
 
 The certificate layer evaluates the quantities controlling the weakly
 nonlinear (small Reynolds) regime: the boundary flux phi, the flux-free
 data remainder beta_star = (v.n) n - phi sigma with its discrete H^{1/2}
 norm, and velocity brackets [1/2, 3/2] times the Stokes prediction.  On
-sphere and spheroid meshes the H^{1/2} norm is evaluated over the same
-phi rings as :class:`SlipSolver`'s factorization, in O(N^1.5) work.  The
-underlying smallness constants are not computable from the theory, so
-pass/fail is always relative to user-supplied thresholds.
+sphere and spheroid meshes the H^{1/2} norm is evaluated over the mesh's
+phi rings (``SurfaceMesh.rings``), in O(N^1.5) work.  The underlying
+smallness constants are not computable from the theory, so pass/fail is
+always relative to user-supplied thresholds.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AccuracyWarning
-from .geometry import SurfaceMesh, _mesh_ring_count, _per_mesh, _rigid_modes, surface_integral
+from .geometry import SurfaceMesh, _per_mesh, _rigid_modes, surface_integral
 from .stokeslets import FlowField, SourceSet, place_sources
 from .collocation import (
     DEFAULT_SVD_TOL,
@@ -264,22 +265,22 @@ def h_half_norm(values, mesh: SurfaceMesh) -> float:
     With G the kernel w_j w_k / |x_j - x_k|^3 (zero on the diagonal) and D
     its row sums, the double sum equals 2 sum_c f_c^T (D - G) f_c over the
     Cartesian components c.  The kernel depends only on the distance, so
-    on a sphere or spheroid mesh with P phi rings of T = N / P nodes it
-    depends only on the ring shift: the T x N rows of ring 0, put through
-    an FFT over the shift, give P // 2 + 1 Hermitian T x T blocks, and
-    f^T G f is one batched product of them with the ring DFT of f.  The
-    blocks and D are built once per mesh, in O(N^1.5) work and memory;
-    each call then costs O(N^1.5).  Every other mesh is one ring (P = 1,
-    no FFT), whose N x N kernel is built ``_H_HALF_CHUNK`` rows at a time
-    on every call, in O(N^2) work, and never held.  The rings are those
-    that :class:`SlipSolver` detects.
+    on a mesh with P = ``mesh.rings`` > 1 phi rings of T = N / P nodes (a
+    sphere or spheroid) it depends only on the ring shift: the T x N rows
+    of ring 0, put through an FFT over the shift, give P // 2 + 1
+    Hermitian T x T blocks, and f^T G f is one batched product of them
+    with the ring DFT of f.  The blocks and D are built once per mesh, in
+    O(N^1.5) work and memory; each call then costs O(N^1.5).  Every other
+    mesh is one ring (P = 1, no FFT), whose N x N kernel is built
+    ``_H_HALF_CHUNK`` rows at a time on every call, in O(N^2) work, and
+    never held.
     """
     f = np.asarray(values, dtype=float)
     if f.ndim == 1:
         f = f[:, None]
     if f.shape[0] != mesh.n_nodes:
         raise ValueError("field does not match the mesh")
-    p = _mesh_ring_count(mesh)
+    p = mesh.rings
     t = mesh.n_nodes // p
     # node t * P + q is row t of ring q
     f_rings = f.reshape(t, p, -1)

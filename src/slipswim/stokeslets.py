@@ -36,12 +36,12 @@ results reproducible for a fixed thread count.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConditioningWarning, PlacementError, SingularEvaluationError
-from .geometry import SurfaceMesh, _mesh_ring_count
+from .geometry import SurfaceMesh
 
 __all__ = [
     "SourceSet",
@@ -116,10 +116,15 @@ class SourceSet:
 
     ``min_surface_distance`` is the smallest source-to-node distance; small
     values flag an ill-conditioned collocation matrix.
+
+    ``rings`` is the number of phi rings the sources follow, as
+    ``SurfaceMesh.rings`` is for nodes.  Only :func:`place_sources` sets
+    it; hand-built sets have 1 and take the dense route.
     """
 
     locations: np.ndarray
     min_surface_distance: float
+    rings: int = field(default=1, init=False)
 
     def __post_init__(self):
         locs = np.asarray(self.locations, dtype=float)
@@ -155,10 +160,11 @@ def place_sources(mesh: SurfaceMesh, shrink: float, stride: int = 1) -> SourceSe
     Sources sit at centroid + shrink*(node - centroid) for every stride-th
     node, which stays inside any body star-shaped about its centroid; a
     local half-space test against the nearest surface node rejects sources
-    that escape non-star-shaped geometries.  On a sphere or spheroid mesh
-    with stride 1 every phi ring of sources is ring 0 rotated about z, so
-    only the ring-0 sources are searched: their nearest nodes, rotated,
-    are those of the other rings, and the minimum distance is theirs.
+    that escape non-star-shaped geometries.  With stride 1 the sources
+    follow the mesh's phi rings and record them; every ring is ring 0
+    rotated about z, so only the ring-0 sources are searched: their
+    nearest nodes, rotated, are those of the other rings, and the minimum
+    distance is theirs.  Strided sets have one ring.
 
     Parameters
     ----------
@@ -175,7 +181,7 @@ def place_sources(mesh: SurfaceMesh, shrink: float, stride: int = 1) -> SourceSe
         raise ValueError(f"stride must be a positive integer, got {stride}")
     c = mesh.centroid
     locs = c + shrink * (mesh.nodes[::stride] - c)
-    rings = _mesh_ring_count(mesh) if stride == 1 else 1
+    rings = mesh.rings if stride == 1 else 1
     inside, offset = _inside_body(mesh, locs[::rings])
     if not np.all(inside):
         raise PlacementError(
@@ -191,7 +197,9 @@ def place_sources(mesh: SurfaceMesh, shrink: float, stride: int = 1) -> SourceSe
             ConditioningWarning,
             stacklevel=2,
         )
-    return SourceSet(locs, min_dist)
+    sources = SourceSet(locs, min_dist)
+    object.__setattr__(sources, "rings", rings)
+    return sources
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,16 +15,16 @@ Stokeslet strength of each field; it is added to the volume term and its
 magnitude reported, never silently dropped.
 
 Both identity checks pair the same volume term with a boundary reading of
-their own.  The rule's 32 uniform phi samples and the ring sources of a
-sphere or spheroid (P phi samples) share the rotations about z by 2 pi / g,
-g = gcd(32, P), and the pairing is invariant under them.  So the strain
-rows are built only for the 1/g of the points with phi index below 32/g
-and applied, in one matrix product, to the six auxiliary fields with their
-strengths rotated for each of the g shifts; inputs without the symmetry
-(strided sources, odd P, P = 1) take the same pass with g = 1.  The result
-for all six fields of a basis is computed once per (shape, R_t) rule and
-shared across checks; it is held in a weak-keyed memo and freed together
-with the fields.
+their own.  The rule's 32 uniform phi samples and sources on P phi rings
+(``SourceSet.rings``, one source per node of a sphere or spheroid) share
+the rotations about z by 2 pi / g, g = gcd(32, P), and the pairing is
+invariant under them.  So the strain rows are built only for the 1/g of
+the points with phi index below 32/g and applied, in one matrix product,
+to the six auxiliary fields with their strengths rotated for each of the
+g shifts; other inputs (strided or hand-built sources, odd P, P = 1) take
+the same pass with g = 1.  The result for all six fields of a basis is
+computed once per (shape, R_t) rule and shared across checks; it is held
+in a weak-keyed memo and freed together with the fields.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .stokeslets import (
 )
 from .collocation import (
     BoundaryData,
-    _ring_symmetry,
     boundary_data_from_field,
     uniform_flux_data,
 )
@@ -188,19 +187,20 @@ def _volume_rule(mesh: SurfaceMesh, r_t: float):
 def _orbit_strains(fields, mesh: SurfaceMesh, r_t: float):
     """Weighted unique strain components of ``fields`` over the volume rule.
 
-    The volume rule and the sources are both invariant under the rotations
-    R_s about z by 2 pi s / g, g = gcd(32, P), so D_f(R_s x) = R_s D_f_s(x)
-    R_s^T, where f_s has the strengths R_s^T q of the sources that R_s
-    maps each source onto.  The strain is evaluated at the 1/g of the
-    points with phi index below 32/g, for every field and shift in one
-    product.  Returns one (M/g, 6, g) array per field, scaled by the square
-    root of the volume weight and of each component's Frobenius
-    multiplicity, so 2 int D_i : D_j is twice the dot product of two of them.
+    The volume rule and the sources (on P = ``sources.rings`` phi rings)
+    are both invariant under the rotations R_s about z by 2 pi s / g,
+    g = gcd(32, P), so D_f(R_s x) = R_s D_f_s(x) R_s^T, where f_s has the
+    strengths R_s^T q of the sources that R_s maps each source onto.  The
+    strain is evaluated at the 1/g of the points with phi index below 32/g,
+    for every field and shift in one product.  Returns one (M/g, 6, g)
+    array per field, scaled by the square root of the volume weight and of
+    each component's Frobenius multiplicity, so 2 int D_i : D_j is twice
+    the dot product of two of them.
     """
     sources = fields[0].sources
     if any(f.sources is not sources for f in fields):
         raise ValueError("the auxiliary fields must share one source set")
-    p, _ = _ring_symmetry(mesh, sources)
+    p = sources.rings
     g = math.gcd(_N_ANGULAR, p)
     pts, wvol = _volume_rule(mesh, r_t)
     ring0 = (slice(None), slice(_N_ANGULAR // g))

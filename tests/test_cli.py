@@ -389,6 +389,18 @@ def test_non_finite_output_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_huge_squirmer_exits_cleanly(tmp_path, capsys):
+    # the mesh centroid no longer overflows; the solve may still fail, but cleanly
+    cfg = _write_config(
+        tmp_path / "c.json",
+        shape={"kind": "sphere", "radius": 1e103, "resolution": 12},
+        alpha=2e-103,
+    )
+    code = main(["swim", "--config", str(cfg), "--output", str(tmp_path / "out.json")])
+    assert code in (2, 3)
+    assert capsys.readouterr().err.count("\n") == 1
+
+
 class TestLargeBody:
     """The grand-matrix guard reads K, S and R at unit diagonal, so it holds at any scale."""
 

@@ -20,7 +20,6 @@ from slipswim import (
 )
 from slipswim.collocation import (
     _mode_multiplicity,
-    _ring_symmetry,
     boundary_data_from_field,
     data_vector,
     normalized_carrier,
@@ -254,10 +253,11 @@ class TestRingRoute:
     def test_agrees_with_dense_route(self, request, body):
         ring, dense = _ring_and_dense(request, body)
         res = int(np.sqrt(ring.mesh.n_nodes))
-        assert _ring_symmetry(ring.mesh, ring.sources) == (res, True)
+        assert ring.mesh.rings == ring.sources.rings == res
         # the equator ring of an odd resolution gives n and t2 to the even half
         assert ring.solver._rows.sizes == ((3 * res + 1) // 2, 3 * res // 2)
-        assert _ring_symmetry(dense.mesh, dense.sources) == (1, False)
+        assert dense.mesh.rings == dense.sources.rings == 1
+        assert dense.solver._rows.sizes == (3 * dense.mesh.n_nodes,)
         # c = 1.6 at res 12 is under-resolved: the fields differ at 1e-7
         _assert_routes_agree(ring, dense, fields=body != "spheroid12")
 
@@ -284,26 +284,32 @@ class TestRingRoute:
         s_dense = np.linalg.svd(dense._a[0, 0], compute_uv=False)
         assert np.max(np.abs(np.sort(s_ring)[::-1] - s_dense)) <= 1e-13 * s_dense[0]
 
-    @pytest.mark.parametrize("broken", ["z_mirror", "phi_reflection"])
-    def test_broken_symmetry_matches_dense(self, broken):
+    @pytest.mark.parametrize("moved", ["copy", "z_shift", "rotation"])
+    def test_hand_built_sources_take_dense_route(self, moved):
+        # A hand-built set has one ring, so it takes the dense route even
+        # where its locations are exactly those of place_sources.  The
+        # z shift breaks the z mirror and the rotation the phi reflection.
         mesh = make_parametric_surface("sphere", 9)
         locs = place_sources(mesh, 0.5).locations
-        if broken == "z_mirror":
-            locs = locs + np.array([0.0, 0.0, 0.05])  # still rotation-symmetric
-        else:
+        if moved == "z_shift":
+            locs = locs + np.array([0.0, 0.0, 0.05])
+        elif moved == "rotation":
             c, s = np.cos(0.01), np.sin(0.01)
             locs = locs @ np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
         dist = np.linalg.norm(mesh.nodes[:, None] - locs[None], axis=2).min()
         srcs = SourceSet(locs, dist)
-        ring = SwimProblem(mesh, 2.0, shrink=0.5)
-        dense = SwimProblem(dataclasses.replace(mesh, shape_info=None), 2.0, shrink=0.5)
-        ring.sources = dense.sources = srcs
-        if broken == "z_mirror":
-            assert _ring_symmetry(mesh, srcs) == (9, False)
-            assert ring.solver._rows.sizes == (27,)
+        assert srcs.rings == 1
+        hand = SwimProblem(mesh, 2.0, shrink=0.5)
+        hand.sources = srcs
+        assert hand.solver._rows.sizes == (3 * mesh.n_nodes,)
+        if moved == "copy":
+            # the ring route on place_sources' own set
+            ref = SwimProblem(mesh, 2.0, shrink=0.5)
+            assert ref.solver._rows.sizes == (14, 13)
         else:
-            assert _ring_symmetry(mesh, srcs) == (1, False)
-        _assert_routes_agree(ring, dense)
+            ref = SwimProblem(dataclasses.replace(mesh, shape_info=None), 2.0, shrink=0.5)
+            ref.sources = srcs
+        _assert_routes_agree(ref, hand)
 
     @pytest.mark.parametrize("body", ["sphere12", "spheroid12"])
     def test_tangent1_is_ez_projection(self, request, body):
@@ -317,7 +323,9 @@ class TestRingRoute:
 
     def test_strided_sources_take_dense_route(self, problem20_strided):
         prob = problem20_strided
-        assert _ring_symmetry(prob.mesh, prob.sources)[0] == 1
+        assert prob.mesh.rings == 20
+        assert prob.sources.rings == 1
+        assert prob.solver._rows.sizes == (3 * prob.mesh.n_nodes,)
 
     def test_triangle_mesh_takes_dense_route(self, tmp_path):
         from slipswim import load_triangle_mesh
@@ -333,7 +341,9 @@ class TestRingRoute:
         lines += ["3 " + " ".join(map(str, f)) for f in faces]
         path.write_text("\n".join(lines) + "\n")
         mesh = load_triangle_mesh(path)
-        assert _ring_symmetry(mesh, place_sources(mesh, 0.5))[0] == 1
+        srcs = place_sources(mesh, 0.5)
+        assert mesh.rings == srcs.rings == 1
+        assert SlipSolver(mesh, srcs, 2.0)._rows.sizes == (3 * mesh.n_nodes,)
 
     def test_moved_source_takes_dense_route(self, sphere8):
         from slipswim import SourceSet
@@ -341,5 +351,8 @@ class TestRingRoute:
         srcs = place_sources(sphere8, 0.5)
         locs = srcs.locations.copy()
         locs[5] *= 1.01
-        assert _ring_symmetry(sphere8, srcs) == (8, True)
-        assert _ring_symmetry(sphere8, SourceSet(locs, srcs.min_surface_distance))[0] == 1
+        assert srcs.rings == 8
+        assert SlipSolver(sphere8, srcs, 2.0)._rows.sizes == (12, 12)
+        moved = SourceSet(locs, srcs.min_surface_distance)
+        assert moved.rings == 1
+        assert SlipSolver(sphere8, moved, 2.0)._rows.sizes == (3 * sphere8.n_nodes,)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -6,6 +8,7 @@ from slipswim import (
     GeometryError,
     MeshFormatError,
     PlacementError,
+    SourceSet,
     SurfaceMesh,
     elementary_rigid_motion,
     load_triangle_mesh,
@@ -14,6 +17,8 @@ from slipswim import (
     surface_integral,
     tangential_part,
 )
+from slipswim.collocation import _FRAME, _XYZ
+from slipswim.geometry import _z_rotations
 
 
 def _icosphere(subdivisions=3):
@@ -115,6 +120,9 @@ class TestParametricSphere:
 
     def test_centroid_at_origin(self, sphere12):
         npt.assert_allclose(sphere12.centroid, 0.0, atol=1e-13)
+        # weights times nodes is of size r**3, which overflows above r ~ 1e102
+        huge = make_parametric_surface("sphere", 12, radius=1e150)
+        assert np.max(np.abs(huge.centroid)) <= 1e-13 * 1e150
 
     def test_radius_scaling(self):
         mesh = make_parametric_surface("sphere", 8, radius=2.5)
@@ -250,6 +258,54 @@ class TestMeshDataclass:
             SurfaceMesh(**fields, shape_info=sphere8.shape_info)
 
 
+def _same(values, ref) -> bool:
+    """Whether ``values`` equal ``ref`` to 1e-12 of the largest entry of ``ref``."""
+    return bool(np.max(np.abs(values - ref)) <= 1e-12 * np.max(np.abs(ref)))
+
+
+class TestRingContract:
+    """The rings the builders record hold as the ring route assumes them."""
+
+    @pytest.mark.parametrize(
+        "shape, res, radius, shrink",
+        [
+            ("sphere", 8, 1e-100, 0.3),
+            ("sphere", 9, 1.0, 0.9),
+            ("sphere", 21, 1e100, 0.5),
+            ("spheroid", 12, 1e100, 0.9),
+            ("spheroid", 15, 1e-100, 0.7),
+            ("spheroid", 24, 1.0, 0.3),
+        ],
+    )
+    def test_rings_rotate_and_reflect(self, shape, res, radius, shrink):
+        mesh = make_parametric_surface(shape, res, radius, a_axis=radius, c_axis=1.6 * radius)
+        srcs = place_sources(mesh, shrink)
+        assert mesh.rings == srcs.rings == res
+        p, rot = res, _z_rotations(res)
+        vectors = (mesh.nodes, mesh.normals, mesh.tangent1, mesh.tangent2, srcs.locations)
+        # ring q (every P-th entry from q) is ring 0 rotated about z by 2 pi q / P
+        for v in vectors:
+            rings = v.reshape(-1, p, 3)
+            assert _same(rings, np.einsum("qab,tb->tqa", rot, rings[:, 0]))
+        w = mesh.weights.reshape(-1, p)
+        assert _same(w, w[:, :1])
+        # y -> -y maps ring-0 entry j onto itself, z -> -z onto entry T - 1 - j
+        for which, order in ((0, slice(None)), (1, slice(None, None, -1))):
+            signs = (1.0, *_FRAME[which], 1.0)
+            for v, sign in zip(vectors, signs):
+                assert _same(v[::p][order] * _XYZ[which] * sign, v[::p])
+        assert _same(w[::-1, 0], w[:, 0])
+
+    def test_rings_are_not_a_knob(self, sphere8):
+        names = ("nodes", "normals", "weights", "tangent1", "tangent2")
+        arrays = {k: getattr(sphere8, k) for k in names}
+        with pytest.raises(TypeError):
+            SurfaceMesh(**arrays, shape_info=sphere8.shape_info, rings=4)
+        assert sphere8.rings == 8
+        assert dataclasses.replace(sphere8).rings == 1
+        assert SourceSet(place_sources(sphere8, 0.5).locations, 0.5).rings == 1
+
+
 class TestTriangleMeshes:
     def test_icosphere_off(self, tmp_path):
         verts, faces = _icosphere(3)
@@ -281,6 +337,24 @@ class TestTriangleMeshes:
         npt.assert_allclose(a.nodes, b.nodes)
         npt.assert_allclose(a.normals, b.normals)
         npt.assert_allclose(a.weights, b.weights)
+
+    def test_small_body_orients(self, tmp_path):
+        # the zero-volume guard is relative to the body's size
+        verts, faces = _icosphere(1)
+        _write_off(tmp_path / "unit.off", verts, faces)
+        _write_off(tmp_path / "small.off", 1e-5 * verts, faces)
+        unit = load_triangle_mesh(tmp_path / "unit.off")
+        small = load_triangle_mesh(tmp_path / "small.off")
+        npt.assert_allclose(small.weights, 1e-10 * unit.weights, rtol=1e-12)
+        npt.assert_allclose(small.normals, unit.normals, atol=1e-12)
+
+    def test_zero_volume_rejected(self, tmp_path):
+        # closed and consistently wound, but flat: one triangle, both ways round
+        path = tmp_path / "flat.off"
+        verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        _write_off(path, verts, [(0, 1, 2), (0, 2, 1)])
+        with pytest.raises(GeometryError, match="encloses no volume"):
+            load_triangle_mesh(path)
 
     def test_orientation_flip_is_corrected(self, tmp_path):
         flipped = [(f[0], f[2], f[1]) for f in _CUBE_FACES]

@@ -27,7 +27,7 @@ from slipswim import (
 )
 from slipswim import collocation, geometry, selfprop
 from slipswim.collocation import BoundaryData, data_vector
-from slipswim.geometry import _mesh_ring_count, tangential_part
+from slipswim.geometry import tangential_part
 from test_geometry import _icosphere, _write_off
 
 
@@ -164,7 +164,7 @@ class TestSobolevSeminorm:
         np.fill_diagonal(dist, np.inf)
         w = mesh.weights
         want = np.sum(w * np.sum(values**2, axis=1)) + np.sum(np.outer(w, w) * diff / dist**3)
-        assert _mesh_ring_count(mesh) == 1
+        assert mesh.rings == 1
         npt.assert_allclose(h_half_norm(values, mesh), np.sqrt(want), rtol=1e-12)
 
     @pytest.mark.parametrize("kind", ["random", "squirmer", "random+flux", "uniform-flux"])
@@ -174,7 +174,7 @@ class TestSobolevSeminorm:
     )
     def test_matches_double_sum(self, tmp_path, rng, body, rings, kind):
         mesh = _sobolev_mesh(body, tmp_path)
-        assert _mesh_ring_count(mesh) == rings
+        assert mesh.rings == rings
         data = {
             "random": lambda: random_boundary_data(mesh, rng),
             "squirmer": lambda: squirmer_data(mesh),

@@ -20,8 +20,6 @@ from slipswim import (
     traction_matrix,
     velocity_matrix,
 )
-from slipswim.collocation import _ring_symmetry
-from slipswim.geometry import _mesh_ring_count
 from slipswim.stokeslets import point_source_traction
 
 
@@ -155,8 +153,9 @@ class TestSourcePlacement:
         # ring-symmetric meshes search the nearest nodes of ring 0 only
         spheroid = make_parametric_surface("spheroid", 15, a_axis=1.0, c_axis=1.6)
         for mesh, shrink in ((sphere12, 0.5), (spheroid, 0.9)):
-            assert _mesh_ring_count(mesh) == np.sqrt(mesh.n_nodes)
+            assert mesh.rings == np.sqrt(mesh.n_nodes)
             srcs = place_sources(mesh, shrink)
+            assert srcs.rings == mesh.rings
             c = mesh.centroid
             assert np.array_equal(srcs.locations, c + shrink * (mesh.nodes - c))
             brute = np.min(
@@ -166,12 +165,14 @@ class TestSourcePlacement:
 
     def test_asymmetric_mesh_searches_every_source(self, sphere12):
         # one node off ring 0 moved inward along its normal breaks the ring
-        # symmetry; its source is then the closest to the surface
+        # symmetry; its source is then the closest to the surface.  The
+        # replaced mesh has one ring, so every source is searched.
         nodes = sphere12.nodes.copy()
         nodes[5 * 12 + 7] += 0.3 * sphere12.normals[5 * 12 + 7]
         mesh = dataclasses.replace(sphere12, nodes=nodes)
-        assert _mesh_ring_count(mesh) == 1
+        assert mesh.rings == 1
         srcs = place_sources(mesh, 0.5)
+        assert srcs.rings == 1
         brute = np.min(np.linalg.norm(nodes[:, None, :] - srcs.locations[None, :, :], axis=2))
         npt.assert_allclose(srcs.min_surface_distance, brute, rtol=1e-12)
         assert srcs.min_surface_distance < 0.4
@@ -267,7 +268,7 @@ class TestMatricesAndFields:
         # momentum flux through the surface recovers the summed strengths
         mesh = request.getfixturevalue(mesh)
         srcs = place_sources(mesh, shrink, stride=stride)
-        assert _ring_symmetry(mesh, srcs)[0] == rings
+        assert srcs.rings == rings
         q = rng.normal(size=(srcs.count, 3))
         traction = SlipSolver(mesh, srcs, 1.0).node_traction(FlowField(srcs, q))
         force = surface_integral(mesh, traction)

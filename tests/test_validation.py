@@ -23,7 +23,6 @@ from slipswim import (
 )
 from slipswim import validation
 from slipswim.cli import main
-from slipswim.collocation import _ring_symmetry
 from slipswim.mobility import ThrustBasis
 from slipswim.stokeslets import FlowField, evaluate_strain, place_sources
 from slipswim.validation import write_convergence_csv
@@ -191,7 +190,7 @@ class TestOrbitStrain:
     def test_matches_full_pairing(self, kind, resolution, axes, stride, g, rng, kernel_passes):
         mesh = make_parametric_surface(kind, resolution, **axes)
         sources = place_sources(mesh, 0.5, stride)
-        assert math.gcd(32, _ring_symmetry(mesh, sources)[0]) == g
+        assert math.gcd(32, sources.rings) == g
         fields = [FlowField(sources, rng.normal(size=(sources.count, 3))) for _ in range(5)]
         # a flux source off the axis: its strain is not rotation-invariant
         fields.append(
