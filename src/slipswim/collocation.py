@@ -12,33 +12,37 @@ so this equals the viscous slip term 2 (D(v) n) . t_a exactly.  Large alpha
 drives the solution to the no-slip limit.
 
 The least-squares solve weights every row by sqrt(node weight) so the
-minimized quantity is a surface L2 residual, and divides tangential rows by
-max(1, alpha) so neither row family dominates as alpha grows.  Truncated
-SVD regularizes the exponentially ill-conditioned collocation matrix; the
-a-posteriori residuals in :class:`SolveReport` are the honest accuracy
-measure and are recomputed from the boundary conditions, not taken from
-the least-squares objective.
+minimized quantity is a surface L2 residual, and divides the tangential
+rows by max(1/L, alpha), with L = sqrt(area / 4 pi) the body's length.  A
+tangential row is a traction, of order velocity / L, plus alpha times a
+velocity, so after the division both row families are on the velocity
+scale at every body size and slip length.  Truncated SVD regularizes the
+exponentially ill-conditioned collocation matrix; the a-posteriori
+residuals in :class:`SolveReport` are the honest accuracy measure and are
+recomputed from the boundary conditions, not taken from the least-squares
+objective.
 
-The factorization takes one of two routes, set by how the inputs were
-built.  ``make_parametric_surface`` records the P phi samples of a sphere
-or spheroid mesh as its ``rings``, and ``place_sources`` passes them on
-to a set of one source per node.  Such a body is symmetric under rotation
-by 2 pi / P about z; with each source's strength in its ring's rotated
-frame the matrix is block-circulant over the P phi rings, and an FFT over
-the ring index (the matrix-decomposition MFS of Karageorghis & Smyrlis,
-J. Comput. Appl. Math. 206, 2007) leaves P // 2 + 1 blocks of size
-3N/P x 3K/P.  Two reflections split them further (Bossavit, Comput.
+There is one factorization, and how the inputs were built sets its ring
+count P.  ``make_parametric_surface`` records the P phi samples of a
+sphere or spheroid mesh as its ``rings``, and ``place_sources`` passes
+them on to a set of one source per node.  Such a body is symmetric under
+rotation by 2 pi / P about z; with each source's strength in its ring's
+rotated frame the matrix is block-circulant over the P phi rings, and an
+FFT over the ring index (the matrix-decomposition MFS of Karageorghis &
+Smyrlis, J. Comput. Appl. Math. 206, 2007) leaves P // 2 + 1 blocks of
+size 3N/P x 3K/P.  Two reflections split them further (Bossavit, Comput.
 Methods Appl. Mech. Engrg. 56, 1986; Allgower, Georg & Miranda, SIAM J.
 Numer. Anal. 29, 1992): phi -> -phi makes every block real after a phase
 i on the t2 rows and the y-strength columns, and z -> -z splits every
-block into an even and an odd half of about half the size, by a butterfly
-over the mirrored Gauss-Legendre rings.  Each half takes one real SVD.
-Every other input (triangle meshes, strided or hand-built sources, mesh
-copies made by ``dataclasses.replace``, a mesh and sources whose rings
-differ) has one ring and takes the dense route: one SVD of the full
-3N x 3K matrix.  Both truncate against the global largest singular
-value, so the rank, the condition estimate and the solution agree up to
-rounding.
+block into an even and an odd half of about half the size, by an
+orthogonal butterfly over the mirrored Gauss-Legendre rings, held as one
+small real matrix per side.  Each half takes one real SVD.  Every other
+input (triangle meshes, strided or hand-built sources, mesh copies made
+by ``dataclasses.replace``, a mesh and sources whose rings differ) has
+P = 1: no FFT, no phase and no butterfly, so the same code takes one SVD
+of the full 3N x 3K matrix.  Every block truncates against the global
+largest singular value, so the rank, the condition estimate and the
+solution do not depend on P beyond rounding.
 
 Boundary data with nonzero net flux cannot be matched by Stokeslets alone
 (their velocities are divergence-free with zero flux).  ``solve_lifting``
@@ -57,6 +61,7 @@ import numpy as np
 from .errors import PlacementError, SolverError
 from .geometry import (
     SurfaceMesh,
+    _length_scale,
     _per_mesh,
     _z_rotations,
     elementary_rigid_motion,
@@ -225,12 +230,17 @@ def _build_matrix(normals, tangent1, tangent2, vmat, tmat, alpha):
     return a
 
 
-def _row_scale(weights: np.ndarray, alpha: float) -> np.ndarray:
+def _slip_weight(mesh: SurfaceMesh, alpha: float) -> float:
+    """The divisor of the tangential rows, max(1/L, alpha) (see the module docstring)."""
+    return max(1.0 / _length_scale(mesh), alpha)
+
+
+def _row_scale(weights: np.ndarray, slip_weight: float) -> np.ndarray:
     sw = np.sqrt(weights)
     scale = np.empty(3 * len(weights))
     scale[0::3] = sw
-    scale[1::3] = sw / max(1.0, alpha)
-    scale[2::3] = sw / max(1.0, alpha)
+    scale[1::3] = sw / slip_weight
+    scale[2::3] = sw / slip_weight
     return scale
 
 
@@ -283,26 +293,14 @@ def _irfft(y, p):
     return y if p == 1 else np.fft.irfft(y, n=p, axis=0)
 
 
-def _gather(x, terms, axis):
-    """c1 x[i1] + c2 x[i2] along ``axis``; the shape of the indices replaces that axis."""
-    i1, c1, i2, c2 = terms
-    tail = (1,) * (x.ndim - axis - 1)
-    out = np.take(x, i1, axis)
-    out *= c1.reshape(c1.shape + tail)
-    second = np.take(x, i2, axis)
-    second *= c2.reshape(c2.shape + tail)
-    out += second
-    return out
-
-
 class _RingSide:
     """One side of the ring route's DFT blocks: the node rows or the source columns.
 
     A ring-0 vector holds ``t`` entries of three components, signed under
     the two reflections by ``kind`` = (phi signs, z signs).  On one ring
-    (``rings`` False, the dense route) every map here is the identity and
-    there is one half.  Otherwise the blocks B_m become real and split in
-    two, by the reflections that every mesh with rings has:
+    (``rings`` False, P = 1) ``q`` is None, every map here is the identity
+    and there is one half.  Otherwise the blocks B_m become real and split
+    in two, by the reflections that every mesh with rings has:
 
     * The phi reflection maps ring q onto ring P - q and flips the
       components with phi sign -1, so B_m equals its conjugate up to those
@@ -314,15 +312,16 @@ class _RingSide:
       (v_j - s_c v_(t-1-j)) / sqrt 2 to the odd half decouples the blocks;
       with odd t the equator entry goes whole to the half of its sign.
 
-    Both Q^T and Q are gathers of two terms per entry, never dense
-    matrices.  The halves are stored zero-padded to one length h.
+    ``q`` holds Q^T as one real (2, h, 3t) array, the halves zero-padded
+    to one length h; it is 3t wide, the size of one ring, so it stays
+    small.  Q is its transpose.
     """
 
     def __init__(self, t, kind, rings):
         phi_signs, z_signs = kind
         n = 3 * t
         if not rings:
-            self.sizes, self._split, self._join = (n,), None, None
+            self.sizes, self.q = (n,), None
             return
         self.phase = np.tile(np.where(phi_signs < 0, 1j, 1.0), t)
         k, root = t // 2, math.sqrt(0.5)
@@ -331,40 +330,28 @@ class _RingSide:
         signed = np.tile(z_signs, k) * root
         equator = [idx[k][z_signs > 0], idx[k][z_signs < 0]] if t % 2 else [idx[:0, 0]] * 2
         self.sizes = tuple(3 * k + len(m) for m in equator)
-        h = max(self.sizes)
-        i1, c1 = np.zeros((2, h), np.intp), np.zeros((2, h))
-        i2, c2 = np.zeros((2, h), np.intp), np.zeros((2, h))
-        j1, d1 = np.zeros(n, np.intp), np.zeros(n)
-        j2, d2 = np.zeros(n, np.intp), np.zeros(n)
+        self.q = np.zeros((2, max(self.sizes), n))
         for half, (m, sign) in enumerate(zip(equator, (1.0, -1.0))):
-            i1[half, : 3 * k], c1[half, : 3 * k] = lo, root
-            i2[half, : 3 * k], c2[half, : 3 * k] = hi, sign * signed
-            i1[half, 3 * k : self.sizes[half]] = i2[half, 3 * k : self.sizes[half]] = m
-            c1[half, 3 * k : self.sizes[half]] = 1.0
-            j1[m] = j2[m] = half * h + 3 * k + np.arange(len(m))
-            d1[m] = 1.0
-        # Q: v_j = (even + odd) / sqrt 2 and v_(t-1-j) = s_c (even - odd) / sqrt 2
-        j1[lo], d1[lo], j2[lo], d2[lo] = pos, root, h + pos, root
-        j1[hi], d1[hi], j2[hi], d2[hi] = pos, signed, h + pos, -signed
-        self._split, self._join = (i1, c1, i2, c2), (j1, d1, j2, d2)
-        self.half_phase = self.phase[i1]
-
-    def split(self, x, axis, half=None):
-        """Q^T along ``axis``: length n to (2, h), or to (h,) for one ``half``."""
-        terms = self._split if half is None else tuple(a[half] for a in self._split)
-        return _gather(x, terms, axis)
+            self.q[half, pos, lo] = root
+            self.q[half, pos, hi] = sign * signed
+            self.q[half, 3 * k + np.arange(len(m)), m] = 1.0
+        # a half entry mixes one component of two mirrored entries, so it has their phase
+        self.half_phase = self.phase[np.abs(self.q).argmax(axis=2)]
 
     def halves(self, v, conj=False):
         """Q^T D v, or Q^T conj(D) v, for ring-0 vectors (..., n): (..., H, h)."""
-        if self._split is None:
+        if self.q is None:
             return v[..., None, :]
-        return self.split(v, v.ndim - 1) * (self.half_phase.conj() if conj else self.half_phase)
+        q = self.q.reshape(-1, self.q.shape[2])
+        v = v * (self.phase.conj() if conj else self.phase)
+        return _real_matmul(q, v).reshape(v.shape[:-1] + self.q.shape[:2])
 
     def join(self, w, conj=False):
         """D Q w, or conj(D) Q w, for halves (..., H, h): (..., n)."""
-        if self._join is None:
+        if self.q is None:
             return w[..., 0, :]
-        v = _gather(w.reshape(w.shape[:-2] + (-1,)), self._join, w.ndim - 2)
+        q = self.q.reshape(-1, self.q.shape[2])
+        v = _real_matmul(q.T, w.reshape(w.shape[:-2] + (-1,)))
         return v * (self.phase.conj() if conj else self.phase)
 
 
@@ -376,18 +363,19 @@ def _mode_blocks(mat, rot, rows, cols) -> np.ndarray:
     on q - p only.  Block m is then B_m = sum_d C_d exp(2 pi i m d / P);
     blocks P - m are the conjugates and are not stored.  Returns the real
     (P//2+1, H, h_r, h_c) halves of D_r Q_r^T B_m Q_c D_c (see
-    :class:`_RingSide`); the imaginary part left over is rounding.  One
-    ring returns the matrix itself as a (1, 1, 3N, 3K) view.
+    :class:`_RingSide`); the imaginary part left over is rounding.  The
+    butterflies are two products with the small ``q`` matrices: Q_r^T on
+    the ring-0 rows, then, after the rotation, Q_c on the columns of both
+    halves at once.  One ring returns the matrix itself as a (1, 1, 3N, 3K)
+    view.
     """
     p = len(rot)
     if p == 1:
         return mat[None, None]
-    # the rows split first, on contiguous rows, then each source ring turns into its frame
-    c = rows.split(mat, 0)
+    c = rows.q @ mat
     halves = c.shape[:2]
     c = c.reshape(halves[0] * halves[1], -1, p, 3).transpose(2, 0, 1, 3) @ rot[:, None]
-    c = c.reshape((p,) + halves + (-1,))
-    c = np.stack([cols.split(c[:, k], 2, half=k) for k in range(len(rows.sizes))], axis=1)
+    c = c.reshape((p,) + halves + (-1,)) @ cols.q.swapaxes(1, 2)
     f = np.fft.rfft(c, axis=0)
     phase = rows.half_phase[:, :, None] * cols.half_phase[:, None, :]
     # Re(conj(f) phase), without complex temporaries
@@ -424,35 +412,30 @@ class SlipSolver:
 
     The truncated SVD of the row-weighted matrix is computed once and
     reused for any number of right-hand sides, which is what makes the six
-    auxiliary solves plus the lifting solve cheap.  There are two routes to
-    it, and both give the same rank, condition estimate and solution up to
-    rounding:
+    auxiliary solves plus the lifting solve cheap.
 
-    * **Ring route.**  A sphere or spheroid mesh from
-      ``make_parametric_surface`` records its P phi samples as ``rings``,
-      and ``place_sources`` with one source per node records the same.
-      Such a body is symmetric under rotation by 2 pi / P about z and
-      under the reflections phi -> -phi and z -> -z.  With each source's
-      strength written in its ring's rotated frame the operator is
-      block-circulant over the P phi rings, so only the 3T rows of ring 0
-      (T = N / P) are assembled and an FFT over the ring index splits it
-      into P // 2 + 1 independent blocks of size 3T x 3K/P (modes m and
-      P - m are conjugate).  The phi reflection makes each block real
-      after phases i on the t2 rows and the y-strength columns.  The
-      mirror z -> -z splits each block into an even and an odd half by a
-      butterfly over the mirrored rings (:class:`_RingSide`).  Each half
-      gets its own real SVD, and all are truncated against the global
-      largest singular value.
-    * **Dense route.**  Everything else (triangle meshes, strided or
-      hand-built sources, mesh copies made by ``dataclasses.replace``, a
-      mesh and sources whose rings differ) assembles the full 3N x 3K
-      matrix and takes one SVD.  It is the ring route with a single ring
-      and no transform.
+    A sphere or spheroid mesh from ``make_parametric_surface`` records its
+    P phi samples as ``rings``, and ``place_sources`` with one source per
+    node records the same.  Such a body is symmetric under rotation by
+    2 pi / P about z and under the reflections phi -> -phi and z -> -z.
+    With each source's strength written in its ring's rotated frame the
+    operator is block-circulant over the P phi rings, so only the 3T rows
+    of ring 0 (T = N / P) are assembled and an FFT over the ring index
+    splits it into P // 2 + 1 independent blocks of size 3T x 3K/P (modes
+    m and P - m are conjugate).  The phi reflection makes each block real
+    after phases i on the t2 rows and the y-strength columns, and the z
+    mirror splits it into an even and an odd half (:class:`_RingSide`).
+    Each half gets its own real SVD, and all are truncated against the
+    global largest singular value.
 
-    The route follows from the ``rings`` the two builders recorded; a
-    mismatch costs time, never accuracy.  The real half blocks of the
-    row-weighted and of the node traction matrices are kept for the
-    a-posteriori residuals and for traction extraction.
+    Every other input (triangle meshes, strided or hand-built sources,
+    mesh copies made by ``dataclasses.replace``, a mesh and sources whose
+    rings differ) runs the same code with P = 1: one block, the full
+    3N x 3K matrix, and one SVD.  The ring count follows from the
+    ``rings`` the two builders recorded; a mismatch costs time, never
+    accuracy.  The real half blocks of the row-weighted and of the node
+    traction matrices are kept for the a-posteriori residuals and for
+    traction extraction.
     """
 
     def __init__(self, mesh, sources, alpha, svd_tol=DEFAULT_SVD_TOL):
@@ -478,7 +461,7 @@ class SlipSolver:
             velocity_matrix(nodes, sources), tmat, alpha,
         )
         del tmat
-        self._scale = _row_scale(mesh.weights[ring0], alpha)
+        self._scale = _row_scale(mesh.weights[ring0], _slip_weight(mesh, alpha))
         a *= self._scale[:, None]
         self._a = _mode_blocks(a, self._rot, self._rows, self._cols)
         sizes = list(zip(self._rows.sizes, self._cols.sizes))

@@ -167,6 +167,11 @@ def surface_integral(mesh: SurfaceMesh, values):
     return mesh.weights @ values
 
 
+def _length_scale(mesh: SurfaceMesh) -> float:
+    """The body's length L: the radius of the sphere with the mesh's area."""
+    return float(np.sqrt(mesh.area / (4.0 * np.pi)))
+
+
 def _freeze(value):
     if isinstance(value, np.ndarray):
         value.setflags(write=False)

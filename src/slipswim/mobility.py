@@ -117,17 +117,23 @@ class GrandMatrix:
         ``min_eigenvalue`` is the smallest eigenvalue of the symmetric part
         scaled to unit diagonal, so it is dimensionless: the K, S and R
         blocks scale as length, length^2 and length^3, and rounding in R
-        would otherwise swamp K on large bodies.  Raises
-        :class:`SolverError` if that matrix is not positive definite,
-        including when a diagonal entry is not positive.
+        would otherwise swamp K on large bodies.  ``symmetry_defect`` is
+        read on M scaled by a power of two, which is exact, so its norms do
+        not overflow.  Raises :class:`SolverError` if M is not finite, or
+        if it is not positive definite, including when a diagonal entry is
+        not positive.
         """
         m = np.asarray(m, dtype=float)
         if m.shape != (6, 6):
             raise ValueError("grand matrix must be 6x6")
+        bad = np.count_nonzero(~np.isfinite(m))
+        if bad:
+            raise SolverError(f"grand matrix is not finite ({bad} of 36 entries)")
         k = m[:3, :3]
         r = m[3:, 3:]
         s = m[3:, :3]
-        defect = float(np.linalg.norm(m - m.T) / np.linalg.norm(m))
+        unit = np.ldexp(m, -np.frexp(np.max(np.abs(m)))[1])
+        defect = float(np.linalg.norm(unit - unit.T) / np.linalg.norm(unit))
         sym = 0.5 * (m + m.T)
         diag = np.diag(sym)
         if not np.all(diag > 0.0):

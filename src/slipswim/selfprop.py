@@ -45,6 +45,7 @@ from .collocation import (
     _check_match,
     _mode_multiplicity,
     _rfft,
+    _slip_weight,
     normalized_carrier,
     rigid_trace_data,
     solve_lifting,
@@ -175,7 +176,7 @@ class SwimProblem:
     def worst_residual(self) -> float:
         """Largest auxiliary residual, with tangential rows on velocity scale."""
         return max(
-            max(r.residual_normal, r.residual_tangential / max(1.0, self.alpha))
+            max(r.residual_normal, r.residual_tangential / _slip_weight(self.mesh, self.alpha))
             for r in self.aux_reports
         )
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningWarning, PlacementError, SingularEvaluationError
-from .geometry import SurfaceMesh
+from .geometry import SurfaceMesh, _length_scale
 
 __all__ = [
     "SourceSet",
@@ -189,7 +189,7 @@ def place_sources(mesh: SurfaceMesh, shrink: float, stride: int = 1) -> SourceSe
             "about its centroid (try a smaller shrink)"
         )
     min_dist = float(np.linalg.norm(offset, axis=1).min())
-    scale = np.sqrt(mesh.area / (4.0 * np.pi))
+    scale = _length_scale(mesh)
     if min_dist < 0.01 * scale:
         warnings.warn(
             f"minimum source-to-surface distance {min_dist:.3g} is below "

@@ -320,13 +320,17 @@ def test_integer_path_is_not_a_file_descriptor(tmp_path, capsys, where):
         assert fh.read() == "mine\n"
 
 
-@pytest.mark.parametrize("radius, alpha", [(1e-6, 2e6), (1e6, 2e-6), (1e-13, 2e13)])
+@pytest.mark.parametrize(
+    "radius, alpha", [(1e-6, 2e6), (1e6, 2e-6), (1e-13, 2e13), (1e15, 2e-15), (1e-15, 2.0)]
+)
 def test_mobility_in_any_units(tmp_path, radius, alpha):
-    # the slip length is half the radius here as on the unit sphere at alpha
-    # 2, so K, S and R are those of the unit sphere times radius, radius^2
-    # and radius^3
+    # K, S and R are those of the unit sphere at alpha * radius times radius,
+    # radius^2 and radius^3.  The last two bodies need the tangential rows
+    # divided by max(1/radius, alpha): a fixed max(1, alpha) leaves them
+    # ~1/radius out of balance with the normal rows, and the truncation
+    # drops one family.
     blocks = []
-    for a, al in ((1.0, 2.0), (radius, alpha)):
+    for a, al in ((1.0, alpha * radius), (radius, alpha)):
         cfg = _write_config(
             tmp_path / "c.json", shape={"kind": "sphere", "radius": a, "resolution": 12}, alpha=al
         )
@@ -337,6 +341,19 @@ def test_mobility_in_any_units(tmp_path, radius, alpha):
         blocks.append(m / (a * np.outer(s, s)))
     unit, scaled = blocks
     npt.assert_allclose(scaled, unit, rtol=1e-9, atol=1e-9 * np.max(np.abs(unit)))
+
+
+def test_unresolvable_body_exits_3(tmp_path, capsys):
+    # at radius 1e103 the grand matrix overflows; it is named as not finite
+    cfg = _write_config(
+        tmp_path / "c.json", shape={"kind": "sphere", "radius": 1e103, "resolution": 12}, alpha=2e-103
+    )
+    out = tmp_path / "out.json"
+    assert main(["mobility", "--config", str(cfg), "--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error") and err.count("\n") == 1
+    assert "not finite" in err
+    assert not out.exists()
 
 
 def test_tiny_squirmer_swims_like_the_unit_sphere(tmp_path):
@@ -423,13 +440,16 @@ class TestLargeBody:
             assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
         npt.assert_allclose(large["min_eigenvalue"], unit["min_eigenvalue"], rtol=1e-5)
 
-    def test_radius_1e15_exits_3(self, tmp_path, capsys):
-        code, out = self._certify(tmp_path, 1e15)
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("solver error") and err.count("\n") == 1
-        assert "not positive definite" in err
-        assert not out.exists()
+    def test_radius_1e15_matches_unit_sphere(self, tmp_path):
+        # the tangential rows are weighted by the body's length, so a body
+        # 1e15 long resolves both row families as the unit sphere does
+        (code1, out1), (code15, out15) = (self._certify(tmp_path, a) for a in (1.0, 1e15))
+        assert code1 == 0 and code15 == 0
+        unit, large = (json.loads(o.read_text())["grand_matrix"] for o in (out1, out15))
+        for block, power in (("K", 1), ("R", 3)):
+            want, got = np.array(unit[block]), np.array(large[block]) / 1e15**power
+            assert np.linalg.norm(got - want) <= 1e-9 * np.linalg.norm(want)
+        npt.assert_allclose(large["min_eigenvalue"], unit["min_eigenvalue"], rtol=1e-9)
 
 
 class TestDeterminism:

@@ -19,6 +19,9 @@ from slipswim import (
     uniform_flux_data,
 )
 from slipswim.collocation import (
+    _FRAME,
+    _XYZ,
+    _RingSide,
     _mode_multiplicity,
     boundary_data_from_field,
     data_vector,
@@ -356,3 +359,41 @@ class TestRingRoute:
         moved = SourceSet(locs, srcs.min_surface_distance)
         assert moved.rings == 1
         assert SlipSolver(sphere8, moved, 2.0)._rows.sizes == (3 * sphere8.n_nodes,)
+
+
+class TestButterfly:
+    """The z-mirror butterfly Q^T of one side, held as one real (2, h, 3t) matrix."""
+
+    @pytest.mark.parametrize("t", [8, 9, 20, 21])
+    @pytest.mark.parametrize("kind", [_FRAME, _XYZ], ids=["frame", "xyz"])
+    def test_orthogonal_padded_and_inverted_by_join(self, t, kind, rng):
+        side = _RingSide(t, kind, True)
+        h = max(side.sizes)
+        assert side.q.shape == (2, h, 3 * t)
+        assert sum(side.sizes) == 3 * t
+        q = side.q.reshape(2 * h, 3 * t)
+        npt.assert_allclose(q.T @ q, np.eye(3 * t), rtol=0, atol=1e-15)
+        for half, size in enumerate(side.sizes):
+            assert not np.any(side.q[half, size:])
+        v = rng.normal(size=(4, 3 * t)) + 1j * rng.normal(size=(4, 3 * t))
+        for conj in (False, True):
+            # D Q Q^T conj(D) = I, so each conjugation undoes the other
+            npt.assert_allclose(side.join(side.halves(v, conj), not conj), v, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("t", [8, 9])
+    @pytest.mark.parametrize("kind", [_FRAME, _XYZ], ids=["frame", "xyz"])
+    def test_mirror_parts_go_to_their_halves(self, t, kind, rng):
+        # v_(t-1-j) = +-s_c v_j: the mirror-even part has no odd half and
+        # the mirror-odd part no even half
+        side = _RingSide(t, kind, True)
+        v = rng.normal(size=(t, 3))
+        for half, sign in ((0, 1.0), (1, -1.0)):
+            w = (v + sign * kind[1] * v[::-1]).ravel()
+            out = side.halves(w)
+            assert np.max(np.abs(out[1 - half])) <= 1e-15 * np.max(np.abs(out[half]))
+
+    def test_one_ring_is_the_identity(self, rng):
+        side = _RingSide(8, _XYZ, False)
+        assert side.q is None and side.sizes == (24,)
+        v = rng.normal(size=(3, 24))
+        npt.assert_array_equal(side.join(side.halves(v)), v)

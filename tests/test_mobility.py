@@ -60,12 +60,32 @@ class TestGrandMatrix:
         d = np.sqrt(np.diag(m))
         npt.assert_allclose(a.min_eigenvalue, np.linalg.eigvalsh(m / np.outer(d, d))[0], rtol=1e-12)
 
-    @pytest.mark.parametrize("entry", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("entry", [0.0, -1.0])
     def test_non_positive_diagonal_rejected(self, rng, entry):
         m = _random_spd_grand(rng)
         m[2, 2] = entry
         with pytest.raises(SolverError, match="diagonal entry"):
             GrandMatrix.from_matrix(m)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_non_finite_rejected(self, rng, entry):
+        # named as not finite before any definiteness check reads it
+        for i, j in ((2, 2), (0, 4)):
+            m = _random_spd_grand(rng)
+            m[i, j] = entry
+            with pytest.raises(SolverError, match="not finite"):
+                GrandMatrix.from_matrix(m)
+
+    def test_huge_entries_keep_finite_diagnostics(self, rng):
+        # the defect's norms would overflow on M itself; it is read on M / 2^e,
+        # which is exact, so scaling M by a power of two leaves it bit-identical
+        gm = GrandMatrix.from_matrix(np.diag([1e200, 2e200, 3e200, 4e200, 5e200, 6e200]))
+        assert gm.symmetry_defect == 0.0
+        npt.assert_allclose(gm.min_eigenvalue, 1.0, rtol=1e-15)
+        m = _random_spd_grand(rng)
+        m[0, 3] += 1e-3
+        defects = [GrandMatrix.from_matrix(m * 2.0**e).symmetry_defect for e in (0, 600)]
+        assert defects[0] > 0.0 and defects[1] == defects[0]
 
     def test_block_inverse_agrees_with_direct(self, problem12):
         block, direct = invert_grand_matrix(problem12.grand_matrix)
