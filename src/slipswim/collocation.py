@@ -36,13 +36,21 @@ Numer. Anal. 29, 1992): phi -> -phi makes every block real after a phase
 i on the t2 rows and the y-strength columns, and z -> -z splits every
 block into an even and an odd half of about half the size, by an
 orthogonal butterfly over the mirrored Gauss-Legendre rings, held as one
-small real matrix per side.  Each half takes one real SVD.  Every other
+small real matrix per side.  Each half takes one real SVD.  Only one block
+column is assembled, and of it only the rows on one side of the z mirror:
+every node ring's first ceil(T/2) nodes against the ring-0 sources, a
+ceil(T/2) / N share of the full matrix.  The rest, and the rotation of
+each source ring into its frame, follow from the symmetries.  Every other
 input (triangle meshes, strided or hand-built sources, mesh copies made
 by ``dataclasses.replace``, a mesh and sources whose rings differ) has
-P = 1: no FFT, no phase and no butterfly, so the same code takes one SVD
-of the full 3N x 3K matrix.  Every block truncates against the global
-largest singular value, so the rank, the condition estimate and the
-solution do not depend on P beyond rounding.
+P = 1: no FFT, no phase and no butterfly, so the same code assembles and
+takes one SVD of the full 3N x 3K matrix.  Every block truncates against
+the global largest singular value, so the rank, the condition estimate
+and the solution do not depend on P beyond rounding.
+
+The rows come from one Stokeslet row kernel run along each node's frame
+(n, t1, t2): it gives the velocity and the traction rows in one pass, and
+the slip rows above are combined from them in place.
 
 Boundary data with nonzero net flux cannot be matched by Stokeslets alone
 (their velocities are divergence-free with zero flux).  ``solve_lifting``
@@ -68,8 +76,10 @@ from .geometry import (
     surface_integral,
     tangential_part,
 )
-from .stokeslets import (
+# velocity_matrix and traction_matrix stay bound here for perfbench's assembly span
+from .stokeslets import (  # noqa: F401
     FlowField,
+    _frame_rows,
     _inside_body,
     point_source_traction,
     point_source_velocity,
@@ -217,19 +227,6 @@ def _build_rhs(mesh: SurfaceMesh, alpha: float, data: BoundaryData) -> np.ndarra
     return rhs
 
 
-def _build_matrix(normals, tangent1, tangent2, vmat, tmat, alpha):
-    n, k3 = len(normals), vmat.shape[1]
-    vr = vmat.reshape(n, 3, k3)
-    tr = tmat.reshape(n, 3, k3)
-    a = np.empty((3 * n, k3))
-    a[0::3] = np.einsum("ja,jaC->jC", normals, vr)
-    a[1::3] = np.einsum("ja,jaC->jC", tangent1, tr)
-    a[1::3] += alpha * np.einsum("ja,jaC->jC", tangent1, vr)
-    a[2::3] = np.einsum("ja,jaC->jC", tangent2, tr)
-    a[2::3] += alpha * np.einsum("ja,jaC->jC", tangent2, vr)
-    return a
-
-
 def _slip_weight(mesh: SurfaceMesh, alpha: float) -> float:
     """The divisor of the tangential rows, max(1/L, alpha) (see the module docstring)."""
     return max(1.0 / _length_scale(mesh), alpha)
@@ -245,12 +242,27 @@ def _row_scale(weights: np.ndarray, slip_weight: float) -> np.ndarray:
 
 
 def _residual_norms(residual, weights):
+    """Weighted L2 norms of the normal and of the tangential rows of a residual.
+
+    Where a plain sum of squares overflows, the residual and the weights
+    are first scaled by powers of two, as ``SurfaceMesh.centroid`` is; that
+    is exact, so the scaled norms are those of the plain formula wherever
+    its squares are finite.
+    """
+    with np.errstate(over="ignore"):
+        norms = _sums_of_squares(residual, weights)
+    if all(map(math.isfinite, norms)):
+        return tuple(map(math.sqrt, norms))
+    e = math.frexp(float(np.max(np.abs(residual))))[1]
+    ew = math.frexp(float(np.max(weights)))[1] // 2
+    norms = _sums_of_squares(np.ldexp(residual, -e), np.ldexp(weights, -2 * ew))
+    return tuple(math.ldexp(math.sqrt(x), e + ew) for x in norms)
+
+
+def _sums_of_squares(residual, weights):
     rn = residual[0::3]
     rt = residual[1::3] ** 2 + residual[2::3] ** 2
-    return (
-        float(np.sqrt(np.sum(weights * rn**2))),
-        float(np.sqrt(np.sum(weights * rt))),
-    )
+    return float(np.sum(weights * rn**2)), float(np.sum(weights * rt))
 
 
 # Component signs under the reflections y -> -y (phi -> -phi) and z -> -z:
@@ -260,24 +272,36 @@ _FRAME = (np.array([1.0, 1.0, -1.0]), np.array([1.0, -1.0, 1.0]))
 
 
 def _to_rings(v, rot) -> np.ndarray:
-    """(n, 3) vectors in node or source order to (P, 3n/P) ring-0 frame components.
+    """(C, n, 3) vectors in node or source order to (C, P, 3n/P) ring-0 frame components.
 
     Ring q is rotated back by R_q^T, so its components are those of the
     matching ring-0 entries.  With one ring this is a plain reshape.
     """
-    p = len(rot)
-    return (np.reshape(v, (-1, p, 3)).swapaxes(0, 1) @ rot).reshape(p, -1)
+    c, p = len(v), len(rot)
+    return (v.reshape(c, -1, p, 3).swapaxes(1, 2) @ rot).reshape(c, p, -1)
 
 
 def _from_rings(y, rot) -> np.ndarray:
-    """Inverse of :func:`_to_rings`: (P, 3n/P) components to (n, 3) vectors."""
-    p = len(rot)
-    return (y.reshape(p, -1, 3) @ rot.swapaxes(1, 2)).swapaxes(0, 1).reshape(-1, 3)
+    """Inverse of :func:`_to_rings`: (C, P, 3n/P) components to (C, n, 3) vectors."""
+    c, p = y.shape[:2]
+    return (y.reshape(c, p, -1, 3) @ rot.swapaxes(1, 2)).swapaxes(1, 2).reshape(c, -1, 3)
 
 
-def _rfft(y, p):
-    """DFT over the leading ring axis; the identity for one ring."""
-    return y if p == 1 else np.fft.rfft(y, axis=0)
+def _rows_to_rings(rows, p) -> np.ndarray:
+    """(C, 3N) rows in node order to ring-major (C, P, 3N/P); rows are scalars, so no rotation."""
+    c = len(rows)
+    return rows.reshape(c, -1, p, 3).swapaxes(1, 2).reshape(c, p, -1)
+
+
+def _rows_from_rings(y) -> np.ndarray:
+    """Inverse of :func:`_rows_to_rings`."""
+    c, p = y.shape[:2]
+    return y.reshape(c, p, -1, 3).swapaxes(1, 2).reshape(c, -1)
+
+
+def _rfft(y, p, axis=0):
+    """DFT over the ring axis; the identity for one ring."""
+    return y if p == 1 else np.fft.rfft(y, axis=axis)
 
 
 def _mode_multiplicity(p) -> np.ndarray:
@@ -289,8 +313,8 @@ def _mode_multiplicity(p) -> np.ndarray:
     return np.where((m == 0) | (2 * m == p), 1, 2)
 
 
-def _irfft(y, p):
-    return y if p == 1 else np.fft.irfft(y, n=p, axis=0)
+def _irfft(y, p, axis=0):
+    return y if p == 1 else np.fft.irfft(y, n=p, axis=axis)
 
 
 class _RingSide:
@@ -314,7 +338,10 @@ class _RingSide:
 
     ``q`` holds Q^T as one real (2, h, 3t) array, the halves zero-padded
     to one length h; it is 3t wide, the size of one ring, so it stays
-    small.  Q is its transpose.
+    small.  Q is its transpose.  ``fold`` and ``fold_weight`` (2, h) say
+    which of the first 3 ceil(t/2) entries each half entry comes from, and
+    with what weight, when the mirrored entries are not stored (see
+    :func:`_mode_blocks`); padding has weight 0.
     """
 
     def __init__(self, t, kind, rings):
@@ -330,11 +357,17 @@ class _RingSide:
         signed = np.tile(z_signs, k) * root
         equator = [idx[k][z_signs > 0], idx[k][z_signs < 0]] if t % 2 else [idx[:0, 0]] * 2
         self.sizes = tuple(3 * k + len(m) for m in equator)
-        self.q = np.zeros((2, max(self.sizes), n))
+        h = max(self.sizes)
+        self.q = np.zeros((2, h, n))
+        self.fold = np.zeros((2, h), dtype=np.intp)
+        self.fold_weight = np.zeros((2, h))
         for half, (m, sign) in enumerate(zip(equator, (1.0, -1.0))):
             self.q[half, pos, lo] = root
             self.q[half, pos, hi] = sign * signed
             self.q[half, 3 * k + np.arange(len(m)), m] = 1.0
+            self.fold[half, : 3 * k + len(m)] = np.concatenate((lo, m))
+            self.fold_weight[half, : 3 * k] = math.sqrt(2.0)
+            self.fold_weight[half, 3 * k : 3 * k + len(m)] = 1.0
         # a half entry mixes one component of two mirrored entries, so it has their phase
         self.half_phase = self.phase[np.abs(self.q).argmax(axis=2)]
 
@@ -355,31 +388,48 @@ class _RingSide:
         return v * (self.phase.conj() if conj else self.phase)
 
 
-def _mode_blocks(mat, rot, rows, cols) -> np.ndarray:
-    """Ring-0 rows (3T, 3K) of a block-circulant operator to its real DFT half blocks.
+def _mode_blocks(mat, rows, cols) -> np.ndarray:
+    """A block column (P, 3m, 3, K/P) of a block-circulant operator to its real DFT half blocks.
 
-    The three columns of each source in ring q are rotated into that ring's
-    frame (times R_q), which makes block (p, q) of the full operator depend
-    on q - p only.  Block m is then B_m = sum_d C_d exp(2 pi i m d / P);
-    blocks P - m are the conjugates and are not stored.  Returns the real
-    (P//2+1, H, h_r, h_c) halves of D_r Q_r^T B_m Q_c D_c (see
-    :class:`_RingSide`); the imaginary part left over is rounding.  The
-    butterflies are two products with the small ``q`` matrices: Q_r^T on
-    the ring-0 rows, then, after the rotation, Q_c on the columns of both
-    halves at once.  One ring returns the matrix itself as a (1, 1, 3N, 3K)
-    view.
+    ``mat[q]`` holds the rows of the first m entries of node ring q against
+    the ring-0 sources, strengths in x, y, z, its columns component-major
+    (component c of source k at [c, k]).  Rotating both by R_q^T
+    makes it block (0, -q) of the operator with each source's strength in
+    its ring's frame (the columns that :func:`_to_rings` produces), so
+    block m, B_m = sum_d C_d exp(2 pi i m d / P), is the DFT of ``mat``
+    over q, with no per-ring rotation; blocks P - m are the conjugates and
+    are not stored.  Returns the real (P//2+1, H, h_r, h_c) halves of
+    D_r Q_r^T B_m Q_c D_c (see :class:`_RingSide`).
+
+    * The DFT is one product with the Hartley rows cos + sin.  The phi
+      reflection makes an entry even in q where its phase is real, so
+      there B_m = C mat and Re(phase B_m) = Re(phase) (cos + sin) mat, and
+      odd where it is imaginary, so there B_m = -i S mat and
+      Re(phase B_m) = Im(phase) (cos + sin) mat; the other part is
+      rounding.
+    * The rows are those of the entries j < ceil(T/2) only.  Under the z
+      mirror, row T-1-j is row j against the mirrored sources with the z
+      signs of both sides, so a half row of Q_r^T B Q_c is sqrt 2 times
+      row j times that half of Q_c, and an equator row is itself times its
+      half.  Hence one product with both column halves of Q_c, after
+      which ``rows.fold`` picks and weights each half's rows.
+
+    One ring returns the matrix itself as (1, 1, 3N, 3K), with the columns
+    of each source together as in every other vector of sources.
     """
-    p = len(rot)
-    if p == 1:
-        return mat[None, None]
-    c = rows.q @ mat
-    halves = c.shape[:2]
-    c = c.reshape(halves[0] * halves[1], -1, p, 3).transpose(2, 0, 1, 3) @ rot[:, None]
-    c = c.reshape((p,) + halves + (-1,)) @ cols.q.swapaxes(1, 2)
-    f = np.fft.rfft(c, axis=0)
+    p, n, k = len(mat), mat.shape[1], mat.shape[3]
+    if rows.q is None:
+        return mat.swapaxes(2, 3).reshape(1, 1, n, 3 * k)
+    h = cols.q.shape[1]
+    angle = np.outer(np.arange(p // 2 + 1), np.arange(p)) % p * (2.0 * np.pi / p)
+    c = (np.cos(angle) + np.sin(angle)) @ mat.reshape(p, -1)
+    # both column halves of Q_c, its rows in the component-major order of mat
+    q = cols.q.transpose(2, 0, 1).reshape(k, 3, 2 * h).swapaxes(0, 1).reshape(3 * k, 2 * h)
+    c = c.reshape(-1, 3 * k) @ q
+    c = c.reshape(len(angle), n, 2, h)[:, rows.fold, [[0], [1]]]
     phase = rows.half_phase[:, :, None] * cols.half_phase[:, None, :]
-    # Re(conj(f) phase), without complex temporaries
-    return f.real * phase.real + f.imag * phase.imag
+    c *= (phase.real + phase.imag) * rows.fold_weight[:, :, None]
+    return c
 
 
 def _stack(mats, lead, shape):
@@ -414,28 +464,22 @@ class SlipSolver:
     reused for any number of right-hand sides, which is what makes the six
     auxiliary solves plus the lifting solve cheap.
 
-    A sphere or spheroid mesh from ``make_parametric_surface`` records its
-    P phi samples as ``rings``, and ``place_sources`` with one source per
-    node records the same.  Such a body is symmetric under rotation by
-    2 pi / P about z and under the reflections phi -> -phi and z -> -z.
-    With each source's strength written in its ring's rotated frame the
-    operator is block-circulant over the P phi rings, so only the 3T rows
-    of ring 0 (T = N / P) are assembled and an FFT over the ring index
-    splits it into P // 2 + 1 independent blocks of size 3T x 3K/P (modes
-    m and P - m are conjugate).  The phi reflection makes each block real
-    after phases i on the t2 rows and the y-strength columns, and the z
-    mirror splits it into an even and an odd half (:class:`_RingSide`).
-    Each half gets its own real SVD, and all are truncated against the
-    global largest singular value.
+    The ring count P is ``mesh.rings`` when the sources record the same
+    rings, else 1 (see the module docstring).  With P > 1 the kernel runs
+    on one block column only, and on its rows on one side of the z mirror:
+    ceil(T/2) K evaluations (T = N / P), where the whole matrix takes N K.
+    The blocks it yields (:func:`_mode_blocks`) split into real even and
+    odd halves (:class:`_RingSide`), each with its own SVD, all truncated
+    against the global largest singular value.  With P = 1 the same code
+    assembles the full 3N x 3K matrix and takes one SVD; a ring mismatch
+    costs time, never accuracy.
 
-    Every other input (triangle meshes, strided or hand-built sources,
-    mesh copies made by ``dataclasses.replace``, a mesh and sources whose
-    rings differ) runs the same code with P = 1: one block, the full
-    3N x 3K matrix, and one SVD.  The ring count follows from the
-    ``rings`` the two builders recorded; a mismatch costs time, never
-    accuracy.  The real half blocks of the row-weighted and of the node
-    traction matrices are kept for the a-posteriori residuals and for
-    traction extraction.
+    The one Stokeslet row kernel (``stokeslets._frame_rows``) runs along
+    each node's frame (n, t1, t2) and gives the velocity and the traction
+    rows in one pass; they are combined into the slip rows in place, and
+    the traction rows are rotated back to x, y, z for the node tractions.
+    The real half blocks of both matrices are kept for the a-posteriori
+    residuals and for traction extraction.
     """
 
     def __init__(self, mesh, sources, alpha, svd_tol=DEFAULT_SVD_TOL):
@@ -452,18 +496,29 @@ class SlipSolver:
         self._rows = _RingSide(t, _FRAME, p > 1)
         self._trows = _RingSide(t, _XYZ, p > 1)
         self._cols = _RingSide(sources.count // p, _XYZ, p > 1)
-        ring0 = slice(None, None, p)
-        nodes, normals = mesh.nodes[ring0], mesh.normals[ring0]
-        tmat = traction_matrix(nodes, normals, sources)
-        self._tmat = _mode_blocks(tmat, self._rot, self._trows, self._cols)
-        a = _build_matrix(
-            normals, mesh.tangent1[ring0], mesh.tangent2[ring0],
-            velocity_matrix(nodes, sources), tmat, alpha,
-        )
+        self._scale = _row_scale(mesh.weights[::p], _slip_weight(mesh, alpha))
+        # entries j < ceil(T/2) of every node ring, ring-major (all N nodes when P = 1)
+        m = -(-t // 2) if p > 1 else t
+        nodes = (np.arange(m) * p + np.arange(p)[:, None]).ravel()
+        frames = np.stack((mesh.normals[nodes], mesh.tangent1[nodes], mesh.tangent2[nodes]), axis=1)
+        a = np.empty((p * m, 3, 3, sources.count // p))
+        trac = np.empty_like(a)
+        _frame_rows(mesh.nodes[nodes], frames, sources.locations[::p], frames[:, 0], a, trac)
+        # the slip rows: v . n, then (T n + alpha v) . t_a
+        a[:, 1:] *= alpha
+        a[:, 1:] += trac[:, 1:]
+        # the node-traction rows in x, y, z of the ring's frame (as _from_rings
+        # reads them): node (q, j) takes the ring-0 frame of entry j
+        ring0_frames = frames[:m].swapaxes(1, 2)
+        tmat = ring0_frames @ trac.reshape(p, m, 3, -1)
+        del trac
+        block_column = (p, 3 * m) + a.shape[2:]
+        a = a.reshape(block_column)
+        a *= self._scale[: 3 * m, None, None]
+        self._a = _mode_blocks(a, self._rows, self._cols)
+        del a
+        self._tmat = _mode_blocks(tmat.reshape(block_column), self._trows, self._cols)
         del tmat
-        self._scale = _row_scale(mesh.weights[ring0], _slip_weight(mesh, alpha))
-        a *= self._scale[:, None]
-        self._a = _mode_blocks(a, self._rot, self._rows, self._cols)
         sizes = list(zip(self._rows.sizes, self._cols.sizes))
         try:
             # one 2-D call per half: the perfbench SVD counter reads (m, n) from its shape
@@ -493,15 +548,19 @@ class SlipSolver:
         self.condition_estimate = float(s_max / s_min)
 
     def _apply(self, blocks, rows, xi):
-        """Block-circulant product of the half ``blocks`` with ring-major ``xi`` (P, 3K/P)."""
+        """Block-circulant product of half ``blocks`` with C ring-major columns ``xi`` (C, P, 3K/P)."""
         p = len(self._rot)
-        x = self._cols.halves(_rfft(xi, p), conj=True)
-        return _irfft(rows.join(_real_matmul(blocks, x), conj=True), p)
+        x = self._cols.halves(_rfft(xi, p, -2), conj=True)
+        return _irfft(rows.join(_real_matmul(blocks, x), conj=True), p, -2)
+
+    def _node_tractions(self, strengths) -> np.ndarray:
+        """Tractions T n (C, N, 3) at the nodes of C Stokeslet fields with strengths (C, K, 3)."""
+        xi = _to_rings(strengths, self._rot)
+        return _from_rings(self._apply(self._tmat, self._trows, xi), self._rot)
 
     def node_traction(self, field: FlowField) -> np.ndarray:
         """Traction T n of ``field`` at the mesh nodes via the cached matrix."""
-        xi = _to_rings(field.strengths, self._rot)
-        t = _from_rings(self._apply(self._tmat, self._trows, xi), self._rot)
+        t = self._node_tractions(field.strengths[None])[0]
         if field.source_flux != 0.0:
             t = t + field.source_flux * _sink_traction(self.mesh, field.source_point)
         return t
@@ -513,20 +572,27 @@ class SlipSolver:
         """
         _check_match(data, self.mesh)
         _check_tangential(data, self.mesh)
-        return self._solve(data)
+        return self._solve([data])[0]
 
-    def _solve(self, data: BoundaryData):
+    def _solve(self, datas):
+        """Solve for C sets of boundary data as one C-column right-hand side.
+
+        Each stage is one FFT, one butterfly and one product for all
+        columns.  Returns one (FlowField, SolveReport) per set.
+        """
         p = len(self._rot)
-        rhs = _build_rhs(self.mesh, self.alpha, data)
-        # the rows are scalars, so their ring-major order needs no rotation
-        b = rhs.reshape(-1, p, 3).swapaxes(0, 1).reshape(p, -1) * self._scale
-        coef = _real_matmul(self._uh, self._rows.halves(_rfft(b, p))) * self._inv_s
-        xi = _irfft(self._cols.join(_real_matmul(self._v, coef)), p)
-        y = self._apply(self._a, self._rows, xi) / self._scale
-        residual = y.reshape(p, -1, 3).swapaxes(0, 1).reshape(-1) - rhs
-        res_n, res_t = _residual_norms(residual, self.mesh.weights)
-        field = FlowField(self.sources, _from_rings(xi, self._rot))
-        return field, SolveReport(res_n, res_t, self.svd_rank, self.condition_estimate)
+        rhs = np.array([_build_rhs(self.mesh, self.alpha, d) for d in datas])
+        b = _rows_to_rings(rhs, p) * self._scale
+        coef = _real_matmul(self._uh, self._rows.halves(_rfft(b, p, -2))) * self._inv_s
+        xi = _irfft(self._cols.join(_real_matmul(self._v, coef)), p, -2)
+        residual = _rows_from_rings(self._apply(self._a, self._rows, xi) / self._scale) - rhs
+        return [
+            (
+                FlowField(self.sources, strengths),
+                SolveReport(*_residual_norms(res, self.mesh.weights), self.svd_rank, self.condition_estimate),
+            )
+            for strengths, res in zip(_from_rings(xi, self._rot), residual)
+        ]
 
 
 def _sink_traction(mesh: SurfaceMesh, x0) -> np.ndarray:
@@ -581,7 +647,7 @@ def solve_lifting(v_star: BoundaryData, solver: SlipSolver):
     phi = surface_integral(mesh, v_star.normal_data)
     flux_floor = 1e-12 * mesh.area * max(1.0, float(np.max(np.abs(v_star.normal_data), initial=0.0)))
     if abs(phi) <= flux_floor:
-        return solver._solve(v_star)
+        return solver._solve([v_star])[0]
 
     x0 = mesh.centroid
     sigma_hat, unit_strength = normalized_carrier(mesh, x0)
@@ -598,7 +664,7 @@ def solve_lifting(v_star: BoundaryData, solver: SlipSolver):
     # dt keeps a normal part of order eps * phi from the carrier, which a
     # check scaled by dt's own (possibly rounding-sized) values would reject;
     # v_star was checked above.
-    stokeslet_field, report = solver._solve(BoundaryData(dn, dt))
+    stokeslet_field, report = solver._solve([BoundaryData(dn, dt)])[0]
     field = FlowField(
         solver.sources, stokeslet_field.strengths, source_flux=c_src, source_point=x0
     )

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AccuracyWarning
-from .geometry import SurfaceMesh, _per_mesh, _rigid_modes, surface_integral
+from .geometry import SurfaceMesh, _length_scale, _per_mesh, _rigid_modes, surface_integral
 from .stokeslets import FlowField, SourceSet, place_sources
 from .collocation import (
     DEFAULT_SVD_TOL,
@@ -46,8 +46,8 @@ from .collocation import (
     _mode_multiplicity,
     _rfft,
     _slip_weight,
+    boundary_data_from_field,
     normalized_carrier,
-    rigid_trace_data,
     solve_lifting,
 )
 from .mobility import (
@@ -149,12 +149,10 @@ class SwimProblem:
 
     @cached_property
     def _aux(self):
-        fields, reports = [], []
-        for i in range(1, 7):
-            f, r = self.solver.solve_data(rigid_trace_data(self.mesh, i))
-            fields.append(f)
-            reports.append(r)
-        return tuple(fields), tuple(reports)
+        # the six rigid traces, tangential by construction, as one six-column right-hand side
+        traces = [boundary_data_from_field(self.mesh, mode) for mode in _rigid_modes(self.mesh)]
+        fields, reports = zip(*self.solver._solve(traces))
+        return fields, reports
 
     @property
     def aux_fields(self):
@@ -166,7 +164,7 @@ class SwimProblem:
 
     @cached_property
     def basis(self):
-        tractions = np.array([self.solver.node_traction(f) for f in self.aux_fields])
+        tractions = self.solver._node_tractions(np.array([f.strengths for f in self.aux_fields]))
         return traction_basis(self.aux_fields, self.mesh, tractions=tractions)
 
     @cached_property
@@ -213,13 +211,16 @@ class SwimProblem:
         torque = surface_integral(self.mesh, np.cross(self.mesh.nodes, t_comp))
         force_res = float(np.linalg.norm(force))
         torque_res = float(np.linalg.norm(torque))
-        # the residuals are sums of tractions as large as the lifting's
+        # the residuals are sums of tractions as large as the lifting's; a
+        # torque is a force times a length, so its tolerance is one body length more
         lift_scale = float(self.mesh.weights @ np.linalg.norm(t_lift, axis=1))
         tol = 1e-6 * max(1.0, float(np.max(np.abs(beta))), lift_scale)
-        if force_res > tol or torque_res > tol:
+        torque_tol = tol * _length_scale(self.mesh)
+        if force_res > tol or torque_res > torque_tol:
             warnings.warn(
                 f"self-propulsion residuals (force {force_res:.3e}, torque "
-                f"{torque_res:.3e}) exceed {tol:.3e}; treat the result as inaccurate",
+                f"{torque_res:.3e}) exceed {tol:.3e} (torque {torque_tol:.3e}); "
+                "treat the result as inaccurate",
                 AccuracyWarning,
                 stacklevel=2,
             )

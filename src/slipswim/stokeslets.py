@@ -21,16 +21,20 @@ and its stress is pure strain, -(1/2 pi)(I - 3 rhat rhat)/d^3.
 
 Each singularity has one batch kernel:
 
-* the Stokeslet velocity rows, behind ``velocity_matrix`` and
-  ``evaluate_flow``;
-* the Stokeslet traction rows, behind ``traction_matrix``;
+* the Stokeslet row kernel: from one pass over the displacements (rhat
+  and 1/d, no d^3, so the rows stay finite on tiny bodies) it writes the
+  velocity and the traction rows seen along a frame e_a per point,
+  e_a . G and e_a . (T n).  ``velocity_matrix``, ``traction_matrix`` and
+  ``evaluate_flow`` use the x, y, z frame; ``SlipSolver`` uses each
+  node's frame (n, t1, t2), which gives its slip rows directly;
 * the Stokeslet strain rows (the six unique components of D), behind
   ``evaluate_strain`` and the volume pass of the identity checks in
   ``validation``, which applies them to many strength columns at once;
 * the sink stress, which also gives the sink's traction and strain.
 
-The batch evaluators are chunked matrix products over them, which keeps
-results reproducible for a fixed thread count.
+Rows are built a block of points at a time, each block's rows about
+``_ROW_BYTES``; the batch evaluators are matrix products over them, which
+keeps results reproducible for a fixed thread count.
 """
 
 from __future__ import annotations
@@ -57,8 +61,9 @@ __all__ = [
 
 # A distance below this share of the largest coordinate is rounding: the point sits on a source.
 _SINGULAR_REL = 1e-12
+# Points per block, at most: nearest-node search and Stokeslet rows.
 _CHUNK = 512
-# Size of one block of strain rows in _strain_product; small enough to stay in cache.
+# Size of one block of strain or Stokeslet rows; small enough to stay in cache.
 _ROW_BYTES = 2 * 2**20
 # Index pairs (a, b) of the six unique components of a symmetric 3x3 tensor.
 _SYM_A = (0, 1, 2, 0, 0, 1)
@@ -69,14 +74,6 @@ def _coincide(d, *coords) -> bool:
     """Whether a distance in ``d`` is rounding against the coordinates it came from."""
     scale = max(float(np.max(np.abs(c))) for c in coords)
     return bool(d.min() <= _SINGULAR_REL * scale)
-
-
-def _displacements(points, sources):
-    r = points[:, None, :] - sources[None, :, :]
-    d = np.linalg.norm(r, axis=2)
-    if _coincide(d, points, sources):
-        raise SingularEvaluationError("evaluation point coincides with a source")
-    return r, d
 
 
 def point_source_velocity(x0, points):
@@ -246,11 +243,12 @@ def evaluate_flow(field: FlowField, points):
     vel = np.empty_like(pts)
     prs = np.empty(len(pts))
     q = field.strengths
-    for lo in range(0, len(pts), _CHUNK):
-        sl = slice(lo, lo + _CHUNK)
-        r, d = _displacements(pts[sl], field.sources.locations)
-        vel[sl] = (_velocity_rows(r, d) @ q.ravel()).reshape(-1, 3)
-        prs[sl] = np.sum(np.einsum("mkj,kj->mk", r, q) / d**3, axis=1) / (4.0 * np.pi)
+    chunk = _row_chunk(3, field.sources.count)
+    for lo in range(0, len(pts), chunk):
+        sl = slice(lo, lo + chunk)
+        rhat, inv = _unit_displacements(pts[sl], field.sources.locations)
+        vel[sl] = (_velocity_rows(rhat, inv) @ q.T.ravel()).reshape(-1, 3)
+        prs[sl] = np.einsum("mjk,kj,mk->m", rhat, q, inv * inv) / (4.0 * np.pi)
     if field.source_flux != 0.0:
         vel += field.source_flux * point_source_velocity(field.source_point, pts)
     if single:
@@ -280,12 +278,7 @@ def _strain_rows(points, locations, out) -> np.ndarray:
     (delta_ab - 3 rhat_a rhat_b) rhat_c / (8 pi d^2), written as
     (rhat_a rhat_b - delta_ab / 3) times -3 rhat_c / (8 pi d^2).
     """
-    u = points[:, :, None] - locations.T  # (M, 3, K)
-    d = np.sqrt(np.einsum("mck,mck->mk", u, u))
-    if _coincide(d, points, locations):
-        raise SingularEvaluationError("evaluation point coincides with a source")
-    inv = np.divide(1.0, d, out=d)
-    u *= inv[:, None]
+    u, inv = _unit_displacements(points, locations)
     dyad = np.empty((len(u), 6, u.shape[2]))
     np.multiply(u, u, out=dyad[:, :3])
     dyad[:, :3] -= 1.0 / 3.0
@@ -316,14 +309,84 @@ def _strain_product(points, locations, columns) -> np.ndarray:
     return out
 
 
-def _velocity_rows(r, d) -> np.ndarray:
-    """(3M, 3K) velocity rows from (M, K, 3) displacements and (M, K) distances."""
-    blk = (
-        np.eye(3)[None, None] / d[..., None, None]
-        + r[..., :, None] * r[..., None, :] / d[..., None, None] ** 3
-    ) / (8.0 * np.pi)
-    m, k = d.shape
-    return blk.transpose(0, 2, 1, 3).reshape(3 * m, 3 * k)
+def _unit_displacements(points, locations):
+    """rhat (M, 3, K) and 1/d (M, K) of (M, 3) points against (K, 3) locations.
+
+    This is the one displacement pass of the Stokeslet and strain rows.
+    Nothing smaller than 1/d^2 is formed from it, so the rows stay finite
+    down to d ~ 1e-150.
+    """
+    r = points[:, :, None] - locations.T
+    d = np.sqrt(np.einsum("mck,mck->mk", r, r))
+    if _coincide(d, points, locations):
+        raise SingularEvaluationError("evaluation point coincides with a source")
+    inv = np.divide(1.0, d, out=d)
+    r *= inv[:, None]
+    return r, inv
+
+
+def _rows_along(rhat, inv, frames, normals=None, vel=None, trac=None):
+    """Stokeslet velocity and traction rows along per-point frames, written into ``vel``/``trac``.
+
+    ``frames`` (M, A, 3) holds A vectors e_a per point, ``normals`` (M, 3)
+    the traction normals.  Both outputs are (M, A, 3, K): row (m, a),
+    column c K + k for strength component c of source k, as in
+    :func:`_strain_rows`.  The entries are
+
+        vel    e_a . G e_c    = ((e_a)_c + (rhat . e_a) rhat_c) / (8 pi d)
+        trac   e_a . T_c n    = -(3/4 pi) (rhat . n)(rhat . e_a) rhat_c / d^2
+
+    Either output may be None.
+    """
+    re = frames @ rhat
+    if vel is not None:
+        np.multiply(re[:, :, None], rhat[:, None], out=vel)
+        vel += frames[..., None]
+        vel *= (inv * (1.0 / (8.0 * np.pi)))[:, None, None]
+    if trac is not None:
+        rn = (normals[:, None] @ rhat)[:, 0]
+        re *= (rn * inv * inv * (-3.0 / (4.0 * np.pi)))[:, None]
+        np.multiply(re[:, :, None], rhat[:, None], out=trac)
+
+
+def _row_chunk(a, k) -> int:
+    """Points per block of A rows against K sources: about ``_ROW_BYTES``, at most ``_CHUNK``."""
+    return max(1, min(_CHUNK, _ROW_BYTES // (a * 3 * k * 8)))
+
+
+def _frame_rows(points, frames, locations, normals=None, vel=None, trac=None):
+    """:func:`_rows_along` over (M, 3) points, a block of points at a time.
+
+    The outputs (M, A, 3, K) are written in place, and a block's
+    temporaries stay near ``_ROW_BYTES``.
+    """
+    chunk = _row_chunk(frames.shape[1], len(locations))
+    for lo in range(0, len(points), chunk):
+        sl = slice(lo, lo + chunk)
+        rhat, inv = _unit_displacements(points[sl], locations)
+        _rows_along(
+            rhat, inv, frames[sl], None if normals is None else normals[sl],
+            None if vel is None else vel[sl], None if trac is None else trac[sl],
+        )
+
+
+def _xyz_frames(m):
+    """The x, y, z frame at each of m points, (m, 3, 3), as a read-only view."""
+    return np.broadcast_to(np.eye(3), (m, 3, 3))
+
+
+def _velocity_rows(rhat, inv) -> np.ndarray:
+    """(3M, 3K) component-major velocity rows in x, y, z from :func:`_unit_displacements`."""
+    m, k = inv.shape
+    out = np.empty((m, 3, 3, k))
+    _rows_along(rhat, inv, _xyz_frames(m), vel=out)
+    return out.reshape(3 * m, 3 * k)
+
+
+def _source_major(rows) -> np.ndarray:
+    """(M, 3, 3, K) component-major rows to the (3M, 3K) matrix with column 3k + c."""
+    m, k = len(rows), rows.shape[3]
+    return rows.swapaxes(2, 3).reshape(3 * m, 3 * k)
 
 
 def velocity_matrix(points, sources: SourceSet) -> np.ndarray:
@@ -333,30 +396,15 @@ def velocity_matrix(points, sources: SourceSet) -> np.ndarray:
     block k the three strength components of source k.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    out = np.empty((3 * len(pts), 3 * sources.count))
-    for lo in range(0, len(pts), _CHUNK):
-        r, d = _displacements(pts[lo : lo + _CHUNK], sources.locations)
-        out[3 * lo : 3 * lo + 3 * len(d)] = _velocity_rows(r, d)
-    return out
+    out = np.empty((len(pts), 3, 3, sources.count))
+    _frame_rows(pts, _xyz_frames(len(pts)), sources.locations, vel=out)
+    return _source_major(out)
 
 
 def traction_matrix(points, normals, sources: SourceSet) -> np.ndarray:
     """Dense (3M, 3K) map from stacked strengths to stacked tractions T n."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     nrm = np.asarray(normals, dtype=float).reshape(-1, 3)
-    m3, k3 = 3 * len(pts), 3 * sources.count
-    out = np.empty((m3, k3))
-    for lo in range(0, len(pts), _CHUNK):
-        sl = slice(lo, lo + _CHUNK)
-        r, d = _displacements(pts[sl], sources.locations)
-        rhat = r / d[..., None]
-        rn = np.einsum("mkj,mj->mk", rhat, nrm[sl])
-        blk = (
-            -(3.0 / (4.0 * np.pi))
-            * (rn / d**2)[..., None, None]
-            * rhat[..., :, None]
-            * rhat[..., None, :]
-        )
-        nm = blk.shape[0]
-        out[3 * lo : 3 * lo + 3 * nm] = blk.transpose(0, 2, 1, 3).reshape(3 * nm, k3)
-    return out
+    out = np.empty((len(pts), 3, 3, sources.count))
+    _frame_rows(pts, _xyz_frames(len(pts)), sources.locations, normals=nrm, trac=out)
+    return _source_major(out)

@@ -452,6 +452,43 @@ class TestLargeBody:
         npt.assert_allclose(large["min_eigenvalue"], unit["min_eigenvalue"], rtol=1e-9)
 
 
+    def test_radius_1e100_mobility_matches_unit_sphere(self, tmp_path):
+        # the residual norms are taken on power-of-two scaled rows, so the
+        # rotation fields' squared residuals no longer overflow at 1e100
+        outs = []
+        for radius in (1.0, 1e100):
+            cfg = _write_config(
+                tmp_path / f"m{radius:g}.json",
+                shape={"kind": "sphere", "radius": radius, "resolution": 12},
+                alpha=2.0 / radius,
+            )
+            out = tmp_path / f"mo{radius:g}.json"
+            assert main(["mobility", "--config", str(cfg), "--output", str(out)]) == 0
+            outs.append(json.loads(out.read_text())["grand_matrix"])
+        unit, large = outs
+        for block, power in (("K", 1), ("R", 3)):
+            want, got = np.array(unit[block]), np.array(large[block]) / 1e100**power
+            assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_radius_1e60_squirmer_has_no_torque_warning(self, tmp_path, capsys):
+        # a torque is a force times a length: its tolerance scales with the body
+        xi = []
+        for radius in (1.0, 1e60):
+            cfg = _write_config(
+                tmp_path / f"s{radius:g}.json",
+                shape={"kind": "sphere", "radius": radius, "resolution": 12},
+                alpha=2.0 / radius,
+            )
+            out = tmp_path / f"so{radius:g}.json"
+            assert main(["swim", "--config", str(cfg), "--output", str(out)]) == 0
+            record = json.loads(out.read_text())
+            assert record["warnings"] == []
+            xi.append(np.array(record["xi"]))
+        assert capsys.readouterr().err == ""
+        unit, large = xi
+        assert np.max(np.abs(large - unit)) <= 1e-9 * np.max(np.abs(unit))
+
+
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, tmp_path):
         cfg = _write_config(tmp_path / "c.json")

@@ -397,3 +397,154 @@ class TestButterfly:
         assert side.q is None and side.sizes == (24,)
         v = rng.normal(size=(3, 24))
         npt.assert_array_equal(side.join(side.halves(v)), v)
+
+
+# The assembly of the parent design, kept as the oracle of the fused row
+# kernel: dense velocity and traction matrices of all ring-0 rows in x, y, z
+# (I/d + r r^T/d^3 and -(3/4 pi)(rhat . n) rhat rhat^T/d^2), the slip rows
+# projected onto the node frame, then the z-mirror butterfly Q_r^T on the
+# rows, the rotation of each source ring's columns into its frame, Q_c on
+# the columns and the rfft over the source rings.
+def _ref_rows(points, normals, locations):
+    r = points[:, None, :] - locations[None, :, :]
+    d = np.linalg.norm(r, axis=2)[..., None, None]
+    rr = r[..., :, None] * r[..., None, :]
+    vel = (np.eye(3) / d + rr / d**3) / (8.0 * np.pi)
+    rn = np.einsum("mkj,mj->mk", r, normals)[..., None, None] / d
+    trac = -(3.0 / (4.0 * np.pi)) * rn * rr / d**4
+    m, k = r.shape[:2]
+    return (b.transpose(0, 2, 1, 3).reshape(3 * m, 3 * k) for b in (vel, trac))
+
+
+def _ref_frame(mat, frames):
+    """(3M, 3K) rows in x, y, z to rows along each point's frame (n, t1, t2)."""
+    return np.einsum("mae,mek->mak", frames, mat.reshape(len(frames), 3, -1)).reshape(mat.shape)
+
+
+def _ref_mode_blocks(mat, rot, rows, cols):
+    p = len(rot)
+    if p == 1:
+        return mat[None, None]
+    c = rows.q @ mat
+    halves = c.shape[:2]
+    c = c.reshape(halves[0] * halves[1], -1, p, 3).transpose(2, 0, 1, 3) @ rot[:, None]
+    c = c.reshape((p,) + halves + (-1,)) @ cols.q.swapaxes(1, 2)
+    f = np.fft.rfft(c, axis=0)
+    phase = rows.half_phase[:, :, None] * cols.half_phase[:, None, :]
+    return f.real * phase.real + f.imag * phase.imag
+
+
+def _ref_blocks(solver):
+    """The oracle's half blocks of the row-weighted slip matrix and of the node tractions."""
+    mesh, p = solver.mesh, len(solver._rot)
+    ring0 = slice(None, None, p)
+    frames = np.stack((mesh.normals, mesh.tangent1, mesh.tangent2), axis=1)[ring0]
+    vel, trac = _ref_rows(mesh.nodes[ring0], mesh.normals[ring0], solver.sources.locations)
+    vel_f, trac_f = _ref_frame(vel, frames), _ref_frame(trac, frames)
+    a = vel_f.copy()
+    a[1::3] = trac_f[1::3] + solver.alpha * vel_f[1::3]
+    a[2::3] = trac_f[2::3] + solver.alpha * vel_f[2::3]
+    a *= solver._scale[:, None]
+    return (
+        _ref_mode_blocks(a, solver._rot, solver._rows, solver._cols),
+        _ref_mode_blocks(trac, solver._rot, solver._trows, solver._cols),
+    )
+
+
+def _parametric(kind, res, c_axis):
+    return make_parametric_surface(kind, res, a_axis=1.0, c_axis=c_axis)
+
+
+class TestFusedAssembly:
+    """One Stokeslet row kernel, on the mirror-half rows of one block column."""
+
+    @pytest.mark.parametrize(
+        "kind, res, c_axis",
+        [
+            ("sphere", 8, 1.0), ("sphere", 9, 1.0), ("sphere", 10, 1.0),
+            ("spheroid", 21, 1.2), ("spheroid", 12, 1.6),
+        ],
+    )
+    def test_half_blocks_match_the_oracle(self, kind, res, c_axis):
+        mesh = _parametric(kind, res, c_axis)
+        solver = SlipSolver(mesh, place_sources(mesh, 0.5), 2.0)
+        assert len(solver._rot) == res
+        for got, want in zip((solver._a, solver._tmat), _ref_blocks(solver)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("res", [8, 9])
+    def test_dense_route_matches_the_oracle(self, res):
+        mesh = dataclasses.replace(make_parametric_surface("sphere", res), shape_info=None)
+        solver = SlipSolver(mesh, place_sources(mesh, 0.5), 2.0)
+        assert len(solver._rot) == 1
+        for got, want in zip((solver._a, solver._tmat), _ref_blocks(solver)):
+            assert got.shape == want.shape == (1, 1, 3 * mesh.n_nodes, 3 * mesh.n_nodes)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize(
+        "kind, res, c_axis, dense",
+        [
+            ("sphere", 8, 1.0, False), ("sphere", 9, 1.0, False),
+            ("spheroid", 21, 1.2, False), ("sphere", 9, 1.0, True),
+        ],
+    )
+    def test_kernel_point_count(self, monkeypatch, kind, res, c_axis, dense):
+        from slipswim import stokeslets
+
+        mesh = _parametric(kind, res, c_axis)
+        if dense:
+            mesh = dataclasses.replace(mesh, shape_info=None)
+        sources = place_sources(mesh, 0.5)
+        pairs = []
+        displacements = stokeslets._unit_displacements
+
+        def counted(points, locations):
+            pairs.append(len(points) * len(locations))
+            return displacements(points, locations)
+
+        monkeypatch.setattr(stokeslets, "_unit_displacements", counted)
+        SlipSolver(mesh, sources, 2.0)
+        n, k = mesh.n_nodes, sources.count
+        # ceil(T/2) K on ring bodies (T = N / P), N K on the dense route
+        assert sum(pairs) == (n * k if dense else -(-res // 2) * k)
+
+
+class TestBatchedSolves:
+    @pytest.mark.parametrize("body", ["problem12", "problem20_strided"])
+    def test_aux_reports_equal_single_solves(self, request, body):
+        prob = request.getfixturevalue(body)
+        for i, (field, report) in enumerate(zip(prob.aux_fields, prob.aux_reports), start=1):
+            single_field, single = prob.solver.solve_data(rigid_trace_data(prob.mesh, i))
+            for got, want in zip(dataclasses.astuple(report), dataclasses.astuple(single)):
+                npt.assert_allclose(got, want, rtol=1e-12, atol=0)
+            npt.assert_allclose(field.strengths, single_field.strengths, rtol=0,
+                                atol=1e-12 * np.max(np.abs(single_field.strengths)))
+
+    def test_basis_tractions_equal_single_tractions(self, problem12):
+        prob = problem12
+        for got, field in zip(prob.basis.tractions, prob.aux_fields):
+            want = prob.solver.node_traction(field)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+class TestResidualNorms:
+    def test_plain_formula_where_it_is_finite(self, sphere12, rng):
+        from slipswim.collocation import _residual_norms
+
+        w = sphere12.weights
+        for scale in (1e-30, 1.0, 1e30):
+            res = scale * rng.normal(size=3 * sphere12.n_nodes)
+            want = (
+                np.sqrt(np.sum(w * res[0::3] ** 2)),
+                np.sqrt(np.sum(w * (res[1::3] ** 2 + res[2::3] ** 2))),
+            )
+            assert _residual_norms(res, w) == want
+
+    def test_no_overflow_on_large_bodies(self, sphere12, rng):
+        from slipswim.collocation import _residual_norms
+
+        res = rng.normal(size=3 * sphere12.n_nodes)
+        unit = _residual_norms(res, sphere12.weights)
+        large = _residual_norms(1e100 * res, 1e200 * sphere12.weights)
+        npt.assert_allclose(large, 1e200 * np.array(unit), rtol=1e-14)

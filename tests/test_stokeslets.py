@@ -230,6 +230,41 @@ class TestMatricesAndFields:
         for m in range(4):
             npt.assert_allclose(got[m], _fd_stress(field, pts[m]) @ n[m], atol=1e-9)
 
+    def test_frame_rows_are_scale_free(self):
+        # rhat / d and rhat / d^2 hold no d^3, so a body 1e-120 across has the
+        # unit body's rows times 1e120 (velocity) and 1e240 (traction)
+        from slipswim.stokeslets import _frame_rows
+
+        rows = []
+        for radius in (1.0, 1e-120):
+            mesh = make_parametric_surface("sphere", 8, radius=radius)
+            locs = place_sources(mesh, 0.5).locations
+            frames = np.stack((mesh.normals, mesh.tangent1, mesh.tangent2), axis=1)
+            vel = np.empty((mesh.n_nodes, 3, 3, len(locs)))
+            trac = np.empty_like(vel)
+            _frame_rows(mesh.nodes, frames, locs, mesh.normals, vel, trac)
+            rows.append((vel, trac))
+        for (unit, tiny), power in zip(zip(*rows), (120, 240)):
+            assert np.all(np.isfinite(tiny))
+            got = tiny * 10.0**-power
+            assert np.max(np.abs(got - unit)) <= 1e-13 * np.max(np.abs(unit))
+
+    def test_frame_rows_project_the_xyz_rows(self, rng):
+        # rows along a frame are the frame's components of the x, y, z rows
+        from slipswim.stokeslets import _frame_rows
+
+        pts = rng.normal(size=(7, 3)) + np.array([0.0, 0.0, 3.0])
+        srcs = SourceSet(rng.normal(size=(4, 3)) * 0.3, 1.0)
+        nrm = rng.normal(size=(7, 3))
+        nrm /= np.linalg.norm(nrm, axis=1, keepdims=True)
+        frames = np.linalg.qr(rng.normal(size=(7, 3, 3)))[0].swapaxes(1, 2)
+        vel, trac = np.empty((7, 3, 3, 4)), np.empty((7, 3, 3, 4))
+        _frame_rows(pts, frames, srcs.locations, nrm, vel, trac)
+        for got, mat in ((vel, velocity_matrix(pts, srcs)), (trac, traction_matrix(pts, nrm, srcs))):
+            # the rows are component-major, the matrices source-major
+            want = np.einsum("mae,mekc->makc", frames, mat.reshape(7, 3, 4, 3))
+            npt.assert_allclose(got.swapaxes(2, 3), want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
+
     def test_evaluate_flow_chunking(self, rng):
         srcs = SourceSet(rng.normal(size=(6, 3)) * 0.2, 1.0)
         field = FlowField(srcs, rng.normal(size=(6, 3)))
