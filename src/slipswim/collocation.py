@@ -48,6 +48,24 @@ takes one SVD of the full 3N x 3K matrix.  Every block truncates against
 the global largest singular value, so the rank, the condition estimate
 and the solution do not depend on P beyond rounding.
 
+The modes are factored when they are needed.  Rigid-motion data
+a + b x x has azimuthal wavenumber 0 or +-1, so the six auxiliary solves
+behind the grand matrix use the stored modes 0 and 1 only, and they say
+so (``max_mode``); nothing reads it off the data.  Construction factors
+those two modes, and any other mode whose bound on the spectral norm,
+min(||B||_F, sqrt(||B||_1 ||B||_inf)), does not fall below the largest
+singular value found so far; no mode left over can then hold a larger
+one, so the global truncation threshold is exact from the start.  The
+other modes are factored, with the same routine and threshold, by the
+first solve of general data; reading the rank or the condition estimate
+also finishes the factorization.  Either way a solve on modes 0 and 1
+takes the same products, so the grand matrix does not depend on what ran
+before.  With P = 1 the one block is factored at construction.  A solve
+drops a mode whose share of the data is rounding (below 1e-13 of its
+largest mode): the truncated SVD would return it amplified by up to
+1 / svd_tol, so rigid or axisymmetric data gets strengths in its own
+modes only, on every route.
+
 The rows come from one Stokeslet row kernel run along each node's frame
 (n, t1, t2): it gives the velocity and the traction rows in one pass, and
 the slip rows above are combined from them in place.
@@ -102,6 +120,15 @@ __all__ = [
 
 DEFAULT_SVD_TOL = 1e-12
 _ORTHO_TOL = 1e-10
+# Rigid-motion data a + b x x has azimuthal wavenumbers 0 and +-1 only, so on
+# a ring body it lives in the stored DFT modes 0 and 1.
+RIGID_MAX_MODE = 1
+# A mode's norm bound counts as below the largest singular value only with
+# this relative margin, for the rounding in both.
+_BOUND_SLACK = 1e-12
+# A solve drops a DFT mode whose share of a data set is at most this: it is
+# the ring DFT's rounding (about 1e-16 on rigid traces and axisymmetric data).
+_MODE_FLOOR = 1e-13
 
 
 @dataclass(frozen=True)
@@ -192,13 +219,13 @@ class SolveReport:
     ``residual_tangential`` that of the full slip rows
     (T n)_tau + alpha (v - d)_tau.  Dividing the latter by alpha gives the
     tangential velocity mismatch scale, which is the natural comparison
-    against ``residual_normal`` in the no-slip regime.
+    against ``residual_normal`` in the no-slip regime.  The SVD rank and
+    condition estimate describe the solver, not a solve: they are
+    :class:`SlipSolver` properties.
     """
 
     residual_normal: float
     residual_tangential: float
-    svd_rank: int
-    condition_estimate: float
 
 
 def _check_match(data, mesh):
@@ -432,17 +459,29 @@ def _mode_blocks(mat, rows, cols) -> np.ndarray:
     return c
 
 
-def _stack(mats, lead, shape):
-    """2-D matrices into a zero-padded (*lead, *shape) stack.
+def _stack(mats, shape):
+    """Arrays into a zero-padded (len(mats), *shape) stack.
 
-    One matrix stays a view, so the dense path holds no second copy.
+    One array stays a view, so the dense path holds no second copy.
     """
     if len(mats) == 1:
-        return mats[0][None, None]
+        return mats[0][None]
     out = np.zeros((len(mats),) + shape)
     for o, m in zip(out, mats):
-        o[: m.shape[0], : m.shape[1]] = m
-    return out.reshape(lead + shape)
+        o[tuple(map(slice, m.shape))] = m
+    return out
+
+
+def _norm_bound(blocks) -> np.ndarray:
+    """An upper bound on the spectral norm of each mode's halves (M, H, h_r, h_c): (M,).
+
+    min(||B||_F, sqrt(||B||_1 ||B||_inf)), the larger over the halves; the
+    zero padding changes none of these norms.
+    """
+    fro = np.sqrt(np.einsum("mkij,mkij->mk", blocks, blocks))
+    mag = np.abs(blocks)
+    one_inf = np.sqrt(mag.sum(axis=2).max(axis=2) * mag.sum(axis=3).max(axis=2))
+    return np.minimum(fro, one_inf).max(axis=1, initial=0.0)
 
 
 def _real_matmul(mat, x):
@@ -462,7 +501,11 @@ class SlipSolver:
 
     The truncated SVD of the row-weighted matrix is computed once and
     reused for any number of right-hand sides, which is what makes the six
-    auxiliary solves plus the lifting solve cheap.
+    auxiliary solves plus the lifting solve cheap.  On a ring body it is
+    computed per DFT mode, when first needed (see the module docstring):
+    modes 0 and 1, and those the norm bound cannot rule out, at
+    construction; the rest at the first solve of general data, or when
+    ``svd_rank`` or ``condition_estimate`` is read.
 
     The ring count P is ``mesh.rings`` when the sources record the same
     rings, else 1 (see the module docstring).  With P > 1 the kernel runs
@@ -519,44 +562,126 @@ class SlipSolver:
         del a
         self._tmat = _mode_blocks(tmat.reshape(block_column), self._trows, self._cols)
         del tmat
-        sizes = list(zip(self._rows.sizes, self._cols.sizes))
+        self._halves = list(zip(self._rows.sizes, self._cols.sizes))
+        n_modes = len(self._a)
+        self._factors = [None] * n_modes
+        self._kept = np.zeros(self._a.shape[:2], dtype=np.intp)
+        self._s_min = np.full(n_modes, np.inf)
+        self._full = None
+        svds = {m: self._svd(m) for m in range(min(RIGID_MAX_MODE + 1, n_modes))}
+        s_max = max(s[0] for svd in svds.values() for _, s, _ in svd)
+        # ||B||_2 <= the bound, so no mode whose bound is below s_max holds a larger value
+        rest = len(svds)
+        bound = _norm_bound(self._a[rest:])
+        for k in np.argsort(-bound, kind="stable"):
+            if bound[k] < (1.0 - _BOUND_SLACK) * s_max:
+                break
+            svd = svds[rest + int(k)] = self._svd(rest + int(k))
+            s_max = max(s_max, *(s[0] for _, s, _ in svd))
+        if s_max == 0.0:
+            raise SolverError("collocation matrix is identically zero")
+        self._s_max = s_max
+        self._cut = svd_tol * s_max
+        for m, svd in svds.items():
+            self._truncate(m, svd)
+        if not self._kept.any():
+            raise SolverError("truncated SVD kept no singular values")
+
+    @property
+    def svd_rank(self) -> int:
+        """Singular values kept over all P DFT blocks; reading it finishes the factorization."""
+        self._factor(len(self._factors))
+        return int(_mode_multiplicity(len(self._rot)) @ self._kept.sum(axis=1))
+
+    @property
+    def condition_estimate(self) -> float:
+        """Largest over smallest kept singular value; reading it finishes the factorization."""
+        self._factor(len(self._factors))
+        return float(self._s_max / self._s_min.min())
+
+    def _svd(self, m):
+        """The SVDs of the halves of DFT mode m."""
         try:
             # one 2-D call per half: the perfbench SVD counter reads (m, n) from its shape
-            factors = [
-                np.linalg.svd(mode[k, :m, :n], full_matrices=False)
-                for mode in self._a for k, (m, n) in enumerate(sizes)
+            return [
+                np.linalg.svd(self._a[m, k, :rows, :cols], full_matrices=False)
+                for k, (rows, cols) in enumerate(self._halves)
             ]
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"SVD of the collocation matrix failed: {exc}") from exc
-        s_max = max(s[0] for _, s, _ in factors)
-        if s_max == 0.0:
-            raise SolverError("collocation matrix is identically zero")
-        kept = np.array([np.count_nonzero(s >= svd_tol * s_max) for _, s, _ in factors])
-        rank = int(np.repeat(_mode_multiplicity(p), len(sizes)) @ kept)
-        if rank == 0:
-            raise SolverError("truncated SVD kept no singular values")
-        r = int(kept.max())
-        lead = self._a.shape[:2]
-        self._uh = _stack([u[:, :r].T for u, _, _ in factors], lead, (r, self._a.shape[2]))
-        self._v = _stack([vh[:r].T for _, _, vh in factors], lead, (self._a.shape[3], r))
-        inv_s = np.zeros((len(factors), r))
-        for row, (_, s, _), k in zip(inv_s, factors, kept):
+
+    def _truncate(self, m, svd):
+        """Keep mode m's singular triplets at or above the global cut.
+
+        Its factors are U^T (H, r, h_r), 1 / s (H, r) and V (H, h_c, r),
+        with r the most values a half of the mode keeps; 1 / s is zero
+        beyond a half's own kept values.
+        """
+        kept = [np.count_nonzero(s >= self._cut) for _, s, _ in svd]
+        self._kept[m] = kept
+        self._s_min[m] = min((s[k - 1] for (_, s, _), k in zip(svd, kept) if k), default=np.inf)
+        r = max(kept)
+        h_r, h_c = self._a.shape[2:]
+        inv_s = np.zeros((len(svd), r))
+        for row, (_, s, _), k in zip(inv_s, svd, kept):
             row[:k] = 1.0 / s[:k]
-        self._inv_s = inv_s.reshape(lead + (r,))
-        self.svd_rank = rank
-        s_min = min(s[k - 1] for (_, s, _), k in zip(factors, kept) if k)
-        self.condition_estimate = float(s_max / s_min)
+        self._factors[m] = (
+            _stack([u[:, :r].T for u, _, _ in svd], (r, h_r)),
+            inv_s,
+            _stack([vh[:r].T for _, _, vh in svd], (h_c, r)),
+        )
 
-    def _apply(self, blocks, rows, xi):
-        """Block-circulant product of half ``blocks`` with C ring-major columns ``xi`` (C, P, 3K/P)."""
+    def _factor(self, n):
+        """Factor every mode below n that is not factored yet."""
+        for m in range(n):
+            if self._factors[m] is None:
+                self._truncate(m, self._svd(m))
+
+    def _mode_factors(self, n):
+        """The factors of the modes below n, stacked to (n, H, ...) at one rank.
+
+        The stacks of all modes finish the factorization and are built once.
+        Each mode's own factors then become views of them, with the same
+        values and shapes, so a solve on fewer modes stacks the same arrays
+        before and after.
+        """
+        if n == len(self._factors) and self._full is not None:
+            return self._full
+        self._factor(n)
+        uh, inv_s, v = zip(*self._factors[:n])
+        h, (h_r, h_c) = self._a.shape[1], self._a.shape[2:]
+        r = max(x.shape[1] for x in inv_s)
+        stacks = (_stack(uh, (h, r, h_r)), _stack(inv_s, (h, r)), _stack(v, (h, h_c, r)))
+        if n == len(self._factors):
+            self._full = stacks
+            self._factors = [
+                (stacks[0][m, :, :w], stacks[1][m, :, :w], stacks[2][m, :, :, :w])
+                for m, w in enumerate(x.shape[1] for x in inv_s)
+            ]
+        return stacks
+
+    def _mode_count(self, max_mode):
+        """How many stored DFT modes have m <= ``max_mode`` (None: all of them)."""
+        n = len(self._factors)
+        return n if max_mode is None else min(max_mode + 1, n)
+
+    def _apply(self, blocks, rows, xi, n=None):
+        """Block-circulant product of half ``blocks`` with C ring-major columns ``xi`` (C, P, 3K/P).
+
+        With ``n`` only the DFT modes below n are applied.
+        """
         p = len(self._rot)
-        x = self._cols.halves(_rfft(xi, p, -2), conj=True)
-        return _irfft(rows.join(_real_matmul(blocks, x), conj=True), p, -2)
+        x = self._cols.halves(_rfft(xi, p, -2)[:, :n], conj=True)
+        return _irfft(rows.join(_real_matmul(blocks[:n], x), conj=True), p, -2)
 
-    def _node_tractions(self, strengths) -> np.ndarray:
-        """Tractions T n (C, N, 3) at the nodes of C Stokeslet fields with strengths (C, K, 3)."""
+    def _node_tractions(self, strengths, max_mode=None) -> np.ndarray:
+        """Tractions T n (C, N, 3) at the nodes of C Stokeslet fields with strengths (C, K, 3).
+
+        ``max_mode`` as in :meth:`_solve`.
+        """
         xi = _to_rings(strengths, self._rot)
-        return _from_rings(self._apply(self._tmat, self._trows, xi), self._rot)
+        n = self._mode_count(max_mode)
+        return _from_rings(self._apply(self._tmat, self._trows, xi, n), self._rot)
 
     def node_traction(self, field: FlowField) -> np.ndarray:
         """Traction T n of ``field`` at the mesh nodes via the cached matrix."""
@@ -572,27 +697,40 @@ class SlipSolver:
         """
         _check_match(data, self.mesh)
         _check_tangential(data, self.mesh)
-        return self._solve([data])[0]
+        return self._solve_one(data)
 
-    def _solve(self, datas):
+    def _solve_one(self, data):
+        strengths, reports = self._solve([data])
+        return FlowField(self.sources, strengths[0]), reports[0]
+
+    def _solve(self, datas, max_mode=None):
         """Solve for C sets of boundary data as one C-column right-hand side.
 
         Each stage is one FFT, one butterfly and one product for all
-        columns.  Returns one (FlowField, SolveReport) per set.
+        columns.  ``max_mode`` says that the data lives in the DFT modes
+        |m| <= max_mode, as rigid-motion data does in |m| <= 1
+        (``RIGID_MAX_MODE``): only those modes are factored, solved and
+        applied, and the rest of the data, rounding on such data, is left
+        to the residual.  Returns the strengths (C, K, 3) and one
+        SolveReport per set.
         """
         p = len(self._rot)
+        n = self._mode_count(max_mode)
+        uh, inv_s, v = self._mode_factors(n)
         rhs = np.array([_build_rhs(self.mesh, self.alpha, d) for d in datas])
         b = _rows_to_rings(rhs, p) * self._scale
-        coef = _real_matmul(self._uh, self._rows.halves(_rfft(b, p, -2))) * self._inv_s
-        xi = _irfft(self._cols.join(_real_matmul(self._v, coef)), p, -2)
-        residual = _rows_from_rings(self._apply(self._a, self._rows, xi) / self._scale) - rhs
-        return [
-            (
-                FlowField(self.sources, strengths),
-                SolveReport(*_residual_norms(res, self.mesh.weights), self.svd_rank, self.condition_estimate),
-            )
-            for strengths, res in zip(_from_rings(xi, self._rot), residual)
-        ]
+        b = self._rows.halves(_rfft(b, p, -2)[:, :n])
+        # a mode holding only rounding would come back amplified by up to 1 / svd_tol
+        size = np.abs(b).reshape(b.shape[:2] + (-1,)).max(axis=2)
+        drop = size <= _MODE_FLOOR * size.max(axis=1, keepdims=True)
+        if drop.any():
+            b[drop] = 0.0
+        coef = _real_matmul(uh, b) * inv_s
+        # irfft pads the modes above n with zeros
+        xi = _irfft(self._cols.join(_real_matmul(v, coef)), p, -2)
+        residual = _rows_from_rings(self._apply(self._a, self._rows, xi, n) / self._scale) - rhs
+        reports = [SolveReport(*_residual_norms(res, self.mesh.weights)) for res in residual]
+        return _from_rings(xi, self._rot), reports
 
 
 def _sink_traction(mesh: SurfaceMesh, x0) -> np.ndarray:
@@ -647,7 +785,7 @@ def solve_lifting(v_star: BoundaryData, solver: SlipSolver):
     phi = surface_integral(mesh, v_star.normal_data)
     flux_floor = 1e-12 * mesh.area * max(1.0, float(np.max(np.abs(v_star.normal_data), initial=0.0)))
     if abs(phi) <= flux_floor:
-        return solver._solve([v_star])[0]
+        return solver._solve_one(v_star)
 
     x0 = mesh.centroid
     sigma_hat, unit_strength = normalized_carrier(mesh, x0)
@@ -664,7 +802,7 @@ def solve_lifting(v_star: BoundaryData, solver: SlipSolver):
     # dt keeps a normal part of order eps * phi from the carrier, which a
     # check scaled by dt's own (possibly rounding-sized) values would reject;
     # v_star was checked above.
-    stokeslet_field, report = solver._solve([BoundaryData(dn, dt)])[0]
+    stokeslet_field, report = solver._solve_one(BoundaryData(dn, dt))
     field = FlowField(
         solver.sources, stokeslet_field.strengths, source_flux=c_src, source_point=x0
     )

@@ -17,6 +17,7 @@ documented: theta-major, phi-minor (see :func:`make_parametric_surface`).
 
 from __future__ import annotations
 
+import functools
 import os
 import weakref
 from dataclasses import dataclass, field
@@ -197,6 +198,12 @@ def _per_mesh(mesh: SurfaceMesh, name: str, build, point=None):
     return entry[1]
 
 
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order, read-only."""
+    return _freeze(leggauss(order))
+
+
 def _rigid_modes(mesh: SurfaceMesh) -> np.ndarray:
     """The six elementary rigid motions at the nodes, shape (6, N, 3), read-only."""
     return _per_mesh(
@@ -285,7 +292,7 @@ def make_parametric_surface(
             f"{shape} dimension {min(a, c):.4g} is below {_MIN_SEMI_AXIS:.4g}"
         )
 
-    t, wt = leggauss(resolution)
+    t, wt = _gauss_legendre(resolution)
     phi = 2.0 * np.pi * np.arange(resolution) / resolution
     w_phi = 2.0 * np.pi / resolution
 

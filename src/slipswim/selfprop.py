@@ -39,6 +39,7 @@ from .geometry import SurfaceMesh, _length_scale, _per_mesh, _rigid_modes, surfa
 from .stokeslets import FlowField, SourceSet, place_sources
 from .collocation import (
     DEFAULT_SVD_TOL,
+    RIGID_MAX_MODE,
     BoundaryData,
     SlipSolver,
     SolveReport,
@@ -149,10 +150,14 @@ class SwimProblem:
 
     @cached_property
     def _aux(self):
-        # the six rigid traces, tangential by construction, as one six-column right-hand side
+        # The six rigid traces, tangential by construction, as one six-column
+        # right-hand side in the DFT modes |m| <= 1 only, whatever ran before.
+        # The strengths are held as one read-only (6, K, 3) array.
         traces = [boundary_data_from_field(self.mesh, mode) for mode in _rigid_modes(self.mesh)]
-        fields, reports = zip(*self.solver._solve(traces))
-        return fields, reports
+        strengths, reports = self.solver._solve(traces, max_mode=RIGID_MAX_MODE)
+        strengths.setflags(write=False)
+        fields = tuple(FlowField(self.sources, q) for q in strengths)
+        return fields, tuple(reports), strengths
 
     @property
     def aux_fields(self):
@@ -164,7 +169,7 @@ class SwimProblem:
 
     @cached_property
     def basis(self):
-        tractions = self.solver._node_tractions(np.array([f.strengths for f in self.aux_fields]))
+        tractions = self.solver._node_tractions(self._aux[2], max_mode=RIGID_MAX_MODE)
         return traction_basis(self.aux_fields, self.mesh, tractions=tractions)
 
     @cached_property
@@ -197,9 +202,7 @@ class SwimProblem:
         xi, omega = swim_velocity(self.grand_matrix, beta)
         c = np.concatenate((xi, omega))
 
-        strengths = lifting.strengths + np.einsum(
-            "i,ikj->kj", c, np.array([f.strengths for f in self.aux_fields])
-        )
+        strengths = lifting.strengths + np.einsum("i,ikj->kj", c, self._aux[2])
         composite = FlowField(
             self.sources,
             strengths,

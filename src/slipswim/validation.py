@@ -36,11 +36,11 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import GeometryError
 from .geometry import (
     SurfaceMesh,
+    _gauss_legendre,
     _z_rotations,
     elementary_rigid_motion,
     make_parametric_surface,
@@ -151,7 +151,7 @@ def _ray_radius(mesh: SurfaceMesh, t: np.ndarray) -> np.ndarray:
 
 def _volume_rule(mesh: SurfaceMesh, r_t: float):
     """Quadrature points/weights for the exterior region out to radius r_t."""
-    t, wt = leggauss(_N_ANGULAR)
+    t, wt = _gauss_legendre(_N_ANGULAR)
     phi = 2.0 * np.pi * np.arange(_N_ANGULAR) / _N_ANGULAR
     w_phi = 2.0 * np.pi / _N_ANGULAR
     rho0 = _ray_radius(mesh, t)
@@ -168,7 +168,7 @@ def _volume_rule(mesh: SurfaceMesh, r_t: float):
         axis=-1,
     )  # (n_t, n_phi, 3)
 
-    u, wu = leggauss(_N_RADIAL)
+    u, wu = _gauss_legendre(_N_RADIAL)
     u = 0.5 * (u + 1.0)
     wu = 0.5 * wu
     # Log map r = rho0 (r_t/rho0)^u concentrates points near the body, where

@@ -6,11 +6,13 @@ import pytest
 
 from slipswim import (
     BoundaryData,
+    FlowField,
     SourceSet,
     SwimProblem,
     SlipSolver,
     evaluate_flow,
     place_sources,
+    random_boundary_data,
     rigid_trace_data,
     solve_lifting,
     squirmer_data,
@@ -19,6 +21,7 @@ from slipswim import (
     uniform_flux_data,
 )
 from slipswim.collocation import (
+    RIGID_MAX_MODE,
     _FRAME,
     _XYZ,
     _RingSide,
@@ -27,7 +30,8 @@ from slipswim.collocation import (
     data_vector,
     normalized_carrier,
 )
-from slipswim.geometry import elementary_rigid_motion, make_parametric_surface
+from slipswim import collocation
+from slipswim.geometry import _rigid_modes, elementary_rigid_motion, make_parametric_surface
 
 
 class TestBoundaryData:
@@ -124,9 +128,11 @@ class TestSlipSolver:
         assert report.residual_tangential < 1e-9
 
     def test_report_fields(self, problem12):
+        # rank and condition describe the solver, not a solve
         _, report = problem12.solver.solve_data(rigid_trace_data(problem12.mesh, 2))
-        assert report.svd_rank <= 3 * problem12.sources.count
-        assert report.condition_estimate >= 1.0
+        assert report.residual_normal >= 0.0 and report.residual_tangential >= 0.0
+        assert problem12.solver.svd_rank <= 3 * problem12.sources.count
+        assert problem12.solver.condition_estimate >= 1.0
 
     def test_report_matches_recomputed_residuals(self, problem20_strided):
         # over-determined system: the residuals are far from rounding, so
@@ -510,12 +516,87 @@ class TestFusedAssembly:
         assert sum(pairs) == (n * k if dense else -(-res // 2) * k)
 
 
+def _factored(solver):
+    return [m for m, f in enumerate(solver._factors) if f is not None]
+
+
+def _grand_body(kind):
+    """The benchmark's two bodies: a res-30 sphere and a res-24 spheroid with c = 1.2 a."""
+    res, c_axis = {"sphere": (30, 1.0), "spheroid": (24, 1.2)}[kind]
+    return make_parametric_surface(kind, res, a_axis=1.0, c_axis=c_axis)
+
+
+class TestModesOnDemand:
+    """Ring bodies factor the DFT modes 0 and 1 first and the rest when a solve needs them."""
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid"])
+    def test_grand_matrix_factors_modes_0_and_1(self, kind):
+        prob = SwimProblem(_grand_body(kind), 2.0, shrink=0.5)
+        prob.grand_matrix
+        assert _factored(prob.solver) == [0, 1]
+        prob.solver.svd_rank
+        assert _factored(prob.solver) == list(range(len(prob.solver._factors)))
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid"])
+    def test_grand_matrix_does_not_depend_on_a_general_solve(self, kind, rng):
+        mesh = _grand_body(kind)
+        fresh = SwimProblem(mesh, 2.0, shrink=0.5)
+        after = SwimProblem(mesh, 2.0, shrink=0.5)
+        after.solver.solve_data(random_boundary_data(mesh, rng))
+        assert after.solver._full is not None
+        assert np.array_equal(fresh.grand_matrix.M, after.grand_matrix.M)
+        assert np.array_equal(fresh._aux[2], after._aux[2])
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid"])
+    def test_matches_a_solve_on_every_mode(self, kind, monkeypatch):
+        mesh = _grand_body(kind)
+        prob = SwimProblem(mesh, 2.0, shrink=0.5)
+        m = prob.grand_matrix.M
+        # the reference solves the six traces on every mode, keeping their rounding
+        monkeypatch.setattr(collocation, "_MODE_FLOOR", 0.0)
+        solver = SlipSolver(mesh, prob.sources, 2.0)
+        traces = [boundary_data_from_field(mesh, mode) for mode in _rigid_modes(mesh)]
+        strengths, reports = solver._solve(traces)
+        tractions = solver._node_tractions(strengths)
+        m_ref = np.einsum("n,inj,knj->ik", mesh.weights, _rigid_modes(mesh), tractions)
+        assert np.max(np.abs(m - m_ref)) <= 1e-13 * np.max(np.abs(m_ref))
+        if kind == "sphere":
+            # on the spheroid (condition 9e11, strengths up to 280) the residuals
+            # of 1e-13 are rounding, which differs by as much between any two
+            # orderings of the same products
+            for got, want in zip(prob.aux_reports, reports):
+                npt.assert_allclose(dataclasses.astuple(got), dataclasses.astuple(want), rtol=0, atol=1e-13)
+
+    def test_norm_bound_keeps_the_threshold_exact(self):
+        # on this flat, ill-conditioned body the bound cannot rule out the
+        # higher modes, so they are factored with modes 0 and 1
+        mesh = make_parametric_surface("spheroid", 16, a_axis=1.0, c_axis=0.5)
+        sources = place_sources(mesh, 0.9)
+        ring = SlipSolver(mesh, sources, 0.01)
+        assert len(_factored(ring)) > 2
+        dense = SlipSolver(dataclasses.replace(mesh, shape_info=None), sources, 0.01)
+        assert ring.svd_rank == dense.svd_rank
+        npt.assert_allclose(ring.condition_estimate, dense.condition_estimate, rtol=1e-3)
+
+    def test_dense_route_factors_at_construction_without_copies(self, problem20_strided):
+        solver = SlipSolver(problem20_strided.mesh, problem20_strided.sources, 1e6)
+        assert _factored(solver) == [0]
+        uh, _, v = solver._mode_factors(1)
+        assert not uh.flags.owndata and not v.flags.owndata
+        assert np.shares_memory(uh, solver._factors[0][0])
+        assert np.shares_memory(v, solver._factors[0][2])
+
+
 class TestBatchedSolves:
     @pytest.mark.parametrize("body", ["problem12", "problem20_strided"])
     def test_aux_reports_equal_single_solves(self, request, body):
+        # the six-column solve against one column at a time, both on the DFT
+        # modes |m| <= 1 of rigid data (all modes on the dense route)
         prob = request.getfixturevalue(body)
         for i, (field, report) in enumerate(zip(prob.aux_fields, prob.aux_reports), start=1):
-            single_field, single = prob.solver.solve_data(rigid_trace_data(prob.mesh, i))
+            trace = rigid_trace_data(prob.mesh, i)
+            (strengths,), (single,) = prob.solver._solve([trace], max_mode=RIGID_MAX_MODE)
+            single_field = FlowField(prob.sources, strengths)
             for got, want in zip(dataclasses.astuple(report), dataclasses.astuple(single)):
                 npt.assert_allclose(got, want, rtol=1e-12, atol=0)
             npt.assert_allclose(field.strengths, single_field.strengths, rtol=0,

@@ -18,7 +18,7 @@ from slipswim import (
     tangential_part,
 )
 from slipswim.collocation import _FRAME, _XYZ
-from slipswim.geometry import _z_rotations
+from slipswim.geometry import _gauss_legendre, _z_rotations
 
 
 def _icosphere(subdivisions=3):
@@ -123,6 +123,16 @@ class TestParametricSphere:
         # weights times nodes is of size r**3, which overflows above r ~ 1e102
         huge = make_parametric_surface("sphere", 12, radius=1e150)
         assert np.max(np.abs(huge.centroid)) <= 1e-13 * 1e150
+
+    def test_gauss_legendre_rule_is_held_read_only(self):
+        from numpy.polynomial.legendre import leggauss
+
+        t, w = _gauss_legendre(13)
+        assert _gauss_legendre(13)[0] is t
+        assert not t.flags.writeable and not w.flags.writeable
+        npt.assert_array_equal(np.stack((t, w)), np.stack(leggauss(13)))
+        mesh = make_parametric_surface("sphere", 13)
+        npt.assert_array_equal(mesh.nodes[::13, 2], t)
 
     def test_radius_scaling(self):
         mesh = make_parametric_surface("sphere", 8, radius=2.5)
