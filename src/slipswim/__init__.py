@@ -34,7 +34,8 @@ _EXPORTS = {
         "h_half_norm", "ns_certificate",
     ),
     "validation": (
-        "CheckResult", "analytic_sphere_resistance", "calibrate_slip_length",
+        "CheckResult", "analytic_sphere_resistance", "analytic_spheroid_resistance",
+        "calibrate_slip_length",
         "convergence_study", "energy_identity_check", "random_boundary_data",
         "reciprocal_check", "squirmer_oracle",
     ),

@@ -11,6 +11,11 @@ converge   resistance refinement study, written as CSV
 Usage: ``slipswim <subcommand> --config cfg.json [--output out] [--threads n]``.
 
 Exit codes: 0 success, 2 configuration/input error, 3 solver failure.
+``mobility``, ``swim`` and ``certify`` on a sphere or spheroid also exit 3
+where the estimated relative error of K
+(:attr:`slipswim.selfprop.SwimProblem.k_error_estimate`, in the output as
+``k_error_estimate``) exceeds 0.1: the mesh is too coarse, or the sources
+sit too shallow, for K to be trusted.
 Warnings are not fatal: the output JSON lists them under ``warnings``, and
 ``converge``, whose output is CSV, prints each one to stderr.
 
@@ -45,8 +50,13 @@ import sys
 import time
 import warnings
 
-from .errors import ConfigError, GeometryError, SlipswimError
+from .errors import ConfigError, GeometryError, SlipswimError, SolverError
 
+# The largest K error estimate a mobility, swim or certify run accepts.  The
+# CI's res-8 sphere at shrink 0.7 reads 0.079 (K 6.9% off) and its res-9
+# c = 1.2 spheroid 0.056 (4.2% off); the c = 1.6 res-20 spheroid reads 0.12
+# at shrink 0.85 (13% off) and 0.33 at 0.9 (42% off).
+_K_ERROR_LIMIT = 0.1
 _TOP_KEYS = {
     "shape", "alpha", "data", "re", "shrink", "stride", "svd_tol",
     "r_t", "thresholds", "resolutions", "output",
@@ -169,6 +179,11 @@ def load_config(path) -> dict:
         raise ConfigError("shrink must lie in (0, 1)")
     if cfg["stride"] < 1:
         raise ConfigError("stride must be a positive integer")
+    if cfg["stride"] != 1 and kind != "mesh":
+        raise ConfigError(
+            "stride applies to triangle meshes only; "
+            "a sphere or spheroid places its sources on a grid"
+        )
     if not 0.0 < cfg["svd_tol"] < 1.0:
         raise ConfigError("svd_tol must lie in (0, 1)")
     if cfg["r_t"] <= 0:
@@ -296,9 +311,22 @@ def _problem(cfg, mesh):
     )
 
 
+def _resolved(prob):
+    """The problem's K error estimate; SolverError where it exceeds ``_K_ERROR_LIMIT``."""
+    estimate = prob.k_error_estimate
+    if estimate is not None and not estimate <= _K_ERROR_LIMIT:
+        raise SolverError(
+            f"K changes by {estimate:.3g} of itself from the node rule to a finer surface "
+            f"rule (limit {_K_ERROR_LIMIT:g}): the mesh is too coarse or the sources too "
+            "shallow; use a finer mesh or a smaller shrink"
+        )
+    return estimate
+
+
 def _run_mobility(cfg, record):
     mesh = _build_mesh(cfg)
     prob = _problem(cfg, mesh)
+    record["k_error_estimate"] = _resolved(prob)
     record["mesh"] = {"n_nodes": mesh.n_nodes, "area": mesh.area}
     record["grand_matrix"] = prob.grand_matrix
     record["aux_residual_worst"] = prob.worst_residual()
@@ -310,6 +338,7 @@ def _run_swim(cfg, record, with_certificate=False):
     mesh = _build_mesh(cfg)
     prob = _problem(cfg, mesh)
     v_star = _build_data(cfg, mesh)
+    record["k_error_estimate"] = _resolved(prob)
     sol = prob.solve(v_star)
     coeff, resid, moving = thrust_projection(v_star, prob.basis, mesh)
     record["mesh"] = {"n_nodes": mesh.n_nodes, "area": mesh.area}

@@ -24,25 +24,29 @@ objective.
 
 There is one factorization, and how the inputs were built sets its ring
 count P.  ``make_parametric_surface`` records the P phi samples of a
-sphere or spheroid mesh as its ``rings``, and ``place_sources`` passes
-them on to a set of one source per node.  Such a body is symmetric under
+sphere or spheroid mesh as its ``rings``, T = N / P nodes each, and
+``place_sources`` puts the sources on a grid with the same P phi samples
+and n_t = round(2T/3) Gauss-Legendre rings, K / P = n_t sources per phi
+ring, and records the P rings.  The system has more rows than columns,
+so its residual is the fit's error.  Such a body is symmetric under
 rotation by 2 pi / P about z; with each source's strength in its ring's
 rotated frame the matrix is block-circulant over the P phi rings, and an
 FFT over the ring index (the matrix-decomposition MFS of Karageorghis &
 Smyrlis, J. Comput. Appl. Math. 206, 2007) leaves P // 2 + 1 blocks of
-size 3N/P x 3K/P.  Two reflections split them further (Bossavit, Comput.
+size 3T x 3n_t.  Two reflections split them further (Bossavit, Comput.
 Methods Appl. Mech. Engrg. 56, 1986; Allgower, Georg & Miranda, SIAM J.
 Numer. Anal. 29, 1992): phi -> -phi makes every block real after a phase
 i on the t2 rows and the y-strength columns, and z -> -z splits every
-block into an even and an odd half of about half the size, by an
-orthogonal butterfly over the mirrored Gauss-Legendre rings, held as one
-small real matrix per side.  Each half takes one real SVD.  Only one block
-column is assembled, and of it only the rows on one side of the z mirror:
-every node ring's first ceil(T/2) nodes against the ring-0 sources, a
-ceil(T/2) / N share of the full matrix.  The rest, and the rotation of
-each source ring into its frame, follow from the symmetries.  Every other
-input (triangle meshes, strided or hand-built sources, mesh copies made
-by ``dataclasses.replace``, a mesh and sources whose rings differ) has
+block into an even and an odd half of about 3 ceil(T/2) x 3 ceil(n_t/2),
+by an orthogonal butterfly over the mirrored Gauss-Legendre rings of each
+side, held as one small real matrix per side.  Each half takes one real
+SVD.  Only one block column is assembled, and of it only the rows on one
+side of the z mirror: every node ring's first ceil(T/2) nodes against
+the n_t ring-0 sources, ceil(T/2) n_t P kernel points where the full
+matrix has N K.  The rest, and the rotation of each source ring into its
+frame, follow from the symmetries.  Every other input (triangle meshes,
+strided or hand-built sources, mesh copies made by
+``dataclasses.replace``, a mesh and sources whose rings differ) has
 P = 1: no FFT, no phase and no butterfly, so the same code assembles and
 takes one SVD of the full 3N x 3K matrix.  Every block truncates against
 the global largest singular value, so the rank, the condition estimate

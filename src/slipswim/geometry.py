@@ -242,6 +242,39 @@ def _tangent_frame(normals: np.ndarray, axial_switch: bool = True):
     return t1, t2
 
 
+def _semi_axes(shape_info) -> tuple:
+    """The semi-axes (a, c) of a sphere's or spheroid's ``shape_info``, c along z."""
+    return (shape_info[1],) * 2 if shape_info[0] == "sphere" else shape_info[1:]
+
+
+def _spheroid_grid(a, c, t, phi):
+    """Points and inward unit normals of the spheroid (a, a, c) on a polar grid, theta-major.
+
+    ``t`` holds the cos(theta) samples and ``phi`` the phi samples; point
+    i len(phi) + j sits at (t[i], phi[j]).
+    """
+    tt = np.repeat(t, len(phi))
+    pp = np.tile(phi, len(t))
+    s = np.sqrt(1.0 - tt**2)
+    points = np.column_stack((a * s * np.cos(pp), a * s * np.sin(pp), c * tt))
+    # Inward normal of the ellipsoid x^2/a^2 + y^2/a^2 + z^2/c^2 = 1.
+    grad = np.column_stack((points[:, 0] / a**2, points[:, 1] / a**2, points[:, 2] / c**2))
+    return points, -grad / np.linalg.norm(grad, axis=1)[:, None]
+
+
+def _spheroid_weights(a, c, t, w):
+    """Surface weights of the spheroid (a, a, c) at cos(theta) = t, from weights ``w`` in (t, phi).
+
+    The Jacobian of the polar map is |x_t x x_phi| = a sqrt(c^2 (1 - t^2) + a^2 t^2).
+    """
+    return w * a * np.sqrt(c**2 * (1.0 - t**2) + a**2 * t**2)
+
+
+def _uniform_phi(p: int) -> np.ndarray:
+    """The p uniform phi samples 2 pi j / p of a sphere's or spheroid's rings."""
+    return 2.0 * np.pi * np.arange(p) / p
+
+
 def make_parametric_surface(
     shape: str,
     resolution: int,
@@ -276,15 +309,14 @@ def make_parametric_surface(
     if shape == "sphere":
         if radius <= 0:
             raise GeometryError("sphere radius must be positive")
-        a, c = radius, radius
         shape_info = ("sphere", float(radius))
     elif shape == "spheroid":
         if a_axis <= 0 or c_axis <= 0:
             raise GeometryError("spheroid semi-axes must be positive")
-        a, c = a_axis, c_axis
         shape_info = ("spheroid", float(a_axis), float(c_axis))
     else:
         raise GeometryError(f"unknown shape {shape!r}")
+    a, c = _semi_axes(shape_info)
     if max(a, c) >= _MAX_SEMI_AXIS:
         raise GeometryError(f"{shape} dimensions must be below {_MAX_SEMI_AXIS:.4g}")
     if min(a, c) < _MIN_SEMI_AXIS:
@@ -293,21 +325,9 @@ def make_parametric_surface(
         )
 
     t, wt = _gauss_legendre(resolution)
-    phi = 2.0 * np.pi * np.arange(resolution) / resolution
-    w_phi = 2.0 * np.pi / resolution
-
-    tt = np.repeat(t, resolution)
-    ww = np.repeat(wt, resolution) * w_phi
-    pp = np.tile(phi, resolution)
-    s = np.sqrt(1.0 - tt**2)
-
-    nodes = np.column_stack((a * s * np.cos(pp), a * s * np.sin(pp), c * tt))
-    # Jacobian |x_t x x_phi| = a * sqrt(c^2 (1 - t^2) + a^2 t^2) for the polar map.
-    weights = ww * a * np.sqrt(c**2 * (1.0 - tt**2) + a**2 * tt**2)
-
-    # Inward normal of the ellipsoid x^2/a^2 + y^2/a^2 + z^2/c^2 = 1.
-    grad = np.column_stack((nodes[:, 0] / a**2, nodes[:, 1] / a**2, nodes[:, 2] / c**2))
-    normals = -grad / np.linalg.norm(grad, axis=1)[:, None]
+    nodes, normals = _spheroid_grid(a, c, t, _uniform_phi(resolution))
+    ww = np.repeat(wt, resolution) * (2.0 * np.pi / resolution)
+    weights = _spheroid_weights(a, c, np.repeat(t, resolution), ww)
 
     t1, t2 = _tangent_frame(normals, axial_switch=False)
     mesh = SurfaceMesh(nodes, normals, weights, t1, t2, shape_info=shape_info)

@@ -45,7 +45,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningWarning, PlacementError, SingularEvaluationError
-from .geometry import SurfaceMesh, _length_scale
+from .geometry import (
+    SurfaceMesh,
+    _gauss_legendre,
+    _length_scale,
+    _semi_axes,
+    _spheroid_grid,
+    _uniform_phi,
+)
 
 __all__ = [
     "SourceSet",
@@ -59,6 +66,9 @@ __all__ = [
     "traction_matrix",
 ]
 
+# Source rings per node ring in theta on a sphere or spheroid: three nodes
+# to every two sources along a meridian, an oversampled least-squares fit.
+_SOURCE_RING_RATIO = 2.0 / 3.0
 # A distance below this share of the largest coordinate is rounding: the point sits on a source.
 _SINGULAR_REL = 1e-12
 # Points per block, at most: nearest-node search and Stokeslet rows.
@@ -111,12 +121,17 @@ def point_source_traction(x0, points, normals):
 class SourceSet:
     """Interior Stokeslet locations paired with a surface mesh.
 
-    ``min_surface_distance`` is the smallest source-to-node distance; small
-    values flag an ill-conditioned collocation matrix.
+    ``min_surface_distance`` is the smallest source-to-surface distance;
+    small values flag an ill-conditioned collocation matrix.  On a sphere
+    or spheroid grid it is the depth wherever that is exact, else, as on
+    every other mesh, the smallest source-to-node distance.
 
     ``rings`` is the number of phi rings the sources follow, as
-    ``SurfaceMesh.rings`` is for nodes.  Only :func:`place_sources` sets
-    it; hand-built sets have 1 and take the dense route.
+    ``SurfaceMesh.rings`` is for nodes: source ring q (every P-th source
+    from q) is ring 0 rotated about z by 2 pi q / P, and ring 0 is
+    symmetric under y -> -y and, with entry j onto entry n_t - 1 - j,
+    under z -> -z.  Only :func:`place_sources` sets it; hand-built sets
+    have 1 and take the dense route.
     """
 
     locations: np.ndarray
@@ -135,57 +150,83 @@ class SourceSet:
         return len(self.locations)
 
 
+def _nearest_nodes(mesh: SurfaceMesh, points) -> np.ndarray:
+    """Index of the nearest node of each of a (K, 3) batch of points, a block at a time."""
+    nearest = np.empty(len(points), dtype=np.intp)
+    for lo in range(0, len(points), _CHUNK):
+        dist = np.linalg.norm(points[lo : lo + _CHUNK, None, :] - mesh.nodes, axis=2)
+        nearest[lo : lo + _CHUNK] = np.argmin(dist, axis=1)
+    return nearest
+
+
 def _inside_body(mesh: SurfaceMesh, points):
     """Nearest-node half-space test for a (K, 3) batch of points.
 
     Returns (inside, offset): ``offset[k]`` is points[k] minus its nearest
     node, and the point counts as inside when that offset has a positive
-    component along the node's normal (normals point into the body).  The
-    nearest nodes are found a block of points at a time to bound the memory.
+    component along the node's normal (normals point into the body).
     """
-    nearest = np.empty(len(points), dtype=np.intp)
-    for lo in range(0, len(points), _CHUNK):
-        dist = np.linalg.norm(points[lo : lo + _CHUNK, None, :] - mesh.nodes, axis=2)
-        nearest[lo : lo + _CHUNK] = np.argmin(dist, axis=1)
+    nearest = _nearest_nodes(mesh, points)
     offset = points - mesh.nodes[nearest]
     return np.einsum("kj,kj->k", offset, mesh.normals[nearest]) > 0, offset
 
 
 def place_sources(mesh: SurfaceMesh, shrink: float, stride: int = 1) -> SourceSet:
-    """Place Stokeslet sources by shrinking the node cloud toward the centroid.
+    """Place the Stokeslet sources of a mesh.
 
-    Sources sit at centroid + shrink*(node - centroid) for every stride-th
-    node, which stays inside any body star-shaped about its centroid; a
-    local half-space test against the nearest surface node rejects sources
-    that escape non-star-shaped geometries.  With stride 1 the sources
-    follow the mesh's phi rings and record them; every ring is ring 0
-    rotated about z, so only the ring-0 sources are searched: their
-    nearest nodes, rotated, are those of the other rings, and the minimum
-    distance is theirs.  Strided sets have one ring.
+    A sphere or spheroid mesh (one with ``rings`` P > 1) gets a grid of its
+    own, oversampled against the nodes as in Barnett & Betcke (J. Comput.
+    Phys. 227, 2008): n_t = round(2T/3) Gauss-Legendre rings in cos(theta)
+    for the mesh's T, times its P phi samples, ordered theta-major like the
+    nodes, each source at depth (1 - shrink) times the smallest semi-axis
+    along the inward normal.  The set records the P rings, and source j of
+    ring 0 mirrors source n_t - 1 - j under z -> -z.  Placement is
+    analytic: every source must pass the ellipsoid's inside test, and the
+    minimum surface distance is the depth wherever the depth is below the
+    smallest radius of curvature, min(a^2/c, c^2/a), where each source's
+    nearest surface point is its foot; elsewhere it is the nearest-node
+    distance of the ring-0 sources (every ring is ring 0 rotated, and so
+    are the nodes).
+
+    Every other mesh shrinks its node cloud toward the centroid: sources
+    sit at centroid + shrink*(node - centroid) for every stride-th node,
+    which stays inside any body star-shaped about its centroid, and a
+    local half-space test against the nearest surface node rejects
+    sources that escape non-star-shaped geometries.  Such sets have one
+    ring.
 
     Parameters
     ----------
     mesh : SurfaceMesh
     shrink : float in (0, 1)
-        Contraction factor; on the unit sphere the sources land on the
-        radius-``shrink`` sphere.
+        Source depth; on a sphere the sources land on the sphere of
+        radius shrink times its radius.
     stride : int >= 1
-        Keep every stride-th node, so K = ceil(N/stride).
+        Keep every stride-th node, so K = ceil(N/stride); on meshes
+        without rings only (a sphere or spheroid raises ValueError for
+        stride > 1).
     """
     if not 0.0 < shrink < 1.0:
         raise PlacementError(f"shrink must lie in (0, 1), got {shrink}")
     if stride < 1:
         raise ValueError(f"stride must be a positive integer, got {stride}")
-    c = mesh.centroid
-    locs = c + shrink * (mesh.nodes[::stride] - c)
-    rings = mesh.rings if stride == 1 else 1
-    inside, offset = _inside_body(mesh, locs[::rings])
-    if not np.all(inside):
-        raise PlacementError(
-            "source placement escaped the body; the surface is not star-shaped "
-            "about its centroid (try a smaller shrink)"
-        )
-    min_dist = float(np.linalg.norm(offset, axis=1).min())
+    if mesh.rings > 1:
+        if stride != 1:
+            raise ValueError(
+                f"stride applies to triangle meshes only; a sphere or spheroid places its "
+                f"sources on a grid (got stride {stride})"
+            )
+        locs, min_dist = _grid_sources(mesh, shrink)
+    else:
+        c = mesh.centroid
+        locs = c + shrink * (mesh.nodes[::stride] - c)
+        inside, offset = _inside_body(mesh, locs)
+        if not np.all(inside):
+            raise PlacementError(
+                "source placement escaped the body; the surface is not star-shaped "
+                "about its centroid (try a smaller shrink)"
+            )
+        min_dist = float(np.linalg.norm(offset, axis=1).min())
     scale = _length_scale(mesh)
     if min_dist < 0.01 * scale:
         warnings.warn(
@@ -195,8 +236,29 @@ def place_sources(mesh: SurfaceMesh, shrink: float, stride: int = 1) -> SourceSe
             stacklevel=2,
         )
     sources = SourceSet(locs, min_dist)
-    object.__setattr__(sources, "rings", rings)
+    object.__setattr__(sources, "rings", mesh.rings)
     return sources
+
+
+def _grid_sources(mesh: SurfaceMesh, shrink: float):
+    """A sphere's or spheroid's source grid (see :func:`place_sources`) and its distance."""
+    a, c = _semi_axes(mesh.shape_info)
+    p = mesh.rings
+    n_t = round(_SOURCE_RING_RATIO * (mesh.n_nodes // p))
+    depth = (1.0 - shrink) * min(a, c)
+    points, normals = _spheroid_grid(a, c, _gauss_legendre(n_t)[0], _uniform_phi(p))
+    locs = points + depth * normals
+    level = (locs[:, 0] / a) ** 2 + (locs[:, 1] / a) ** 2 + (locs[:, 2] / c) ** 2
+    if not np.all(level < 1.0):
+        raise PlacementError(
+            f"{np.count_nonzero(level >= 1.0)} sources of the grid lie outside the body "
+            "(try a larger shrink)"
+        )
+    if depth < min(a * (a / c), c * (c / a)):
+        return locs, depth
+    ring0 = locs[::p]
+    offset = ring0 - mesh.nodes[_nearest_nodes(mesh, ring0)]
+    return locs, float(np.linalg.norm(offset, axis=1).min())
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,6 +368,26 @@ def _strain_product(points, locations, columns) -> np.ndarray:
         pts = points[lo : lo + chunk]
         rows = _strain_rows(pts, locations, buf[: len(pts)])
         out[lo : lo + len(pts)] = (rows @ columns).reshape(len(pts), 6, -1)
+    return out
+
+
+def _traction_product(points, normals, locations, columns) -> np.ndarray:
+    """Tractions T n (M, 3, C) of C strength columns (3K, C) at (M, 3) points.
+
+    The columns are component-major as in :func:`_strain_product`; the
+    traction rows are built a block of points at a time and applied to all
+    columns by one product.
+    """
+    m, k = len(points), len(locations)
+    out = np.empty((m, 3, columns.shape[1]))
+    chunk = _row_chunk(3, k)
+    buf = np.empty((min(chunk, m), 3, 3, k))
+    for lo in range(0, m, chunk):
+        sl = slice(lo, lo + chunk)
+        rhat, inv = _unit_displacements(points[sl], locations)
+        rows = buf[: len(inv)]
+        _rows_along(rhat, inv, _xyz_frames(len(inv)), normals[sl], trac=rows)
+        out[sl] = (rows.reshape(3 * len(inv), -1) @ columns).reshape(len(inv), 3, -1)
     return out
 
 

@@ -16,7 +16,7 @@ magnitude reported, never silently dropped.
 
 Both identity checks pair the same volume term with a boundary reading of
 their own.  The rule's 32 uniform phi samples and sources on P phi rings
-(``SourceSet.rings``, one source per node of a sphere or spheroid) share
+(``SourceSet.rings``, the source grid of a sphere or spheroid) share
 the rotations about z by 2 pi / g, g = gcd(32, P), and the pairing is
 invariant under them.  So the strain rows are built only for the 1/g of
 the points with phi index below 32/g and applied, in one matrix product,
@@ -41,6 +41,7 @@ from .errors import GeometryError
 from .geometry import (
     SurfaceMesh,
     _gauss_legendre,
+    _semi_axes,
     _z_rotations,
     elementary_rigid_motion,
     make_parametric_surface,
@@ -69,6 +70,7 @@ from .selfprop import SwimProblem
 __all__ = [
     "CheckResult",
     "analytic_sphere_resistance",
+    "analytic_spheroid_resistance",
     "squirmer_oracle",
     "reciprocal_check",
     "energy_identity_check",
@@ -130,6 +132,36 @@ def analytic_sphere_resistance(radius: float, slip_length_b: float):
     return k, r
 
 
+def analytic_spheroid_resistance(a_axis: float, c_axis: float):
+    """No-slip translation resistances (K_xx, K_zz) of a prolate spheroid.
+
+    Semi-axes (a, a, c), c >= a along z, eccentricity e = sqrt(1 - a^2/c^2)
+    and L = ln((1 + e)/(1 - e)) (Chwang & Wu, J. Fluid Mech. 67, 1975):
+
+        K_zz = 6 pi c (8/3) e^3 / (-2 e + (1 + e^2) L),
+        K_xx = 6 pi c (16/3) e^3 / (2 e + (3 e^2 - 1) L).
+
+    Both denominators are of order e^3, so below e = 1/2 they are summed as
+    their series in e^2, which does not cancel; c = a gives the sphere's
+    6 pi a.  The solver reaches these values as alpha -> infinity.
+    """
+    if a_axis <= 0 or c_axis < a_axis:
+        raise ValueError("need semi-axes 0 < a <= c (a prolate spheroid)")
+    e = math.sqrt(1.0 - (a_axis / c_axis) ** 2)
+    if e < 0.5:
+        # L = 2 atanh(e) = 2 sum e^(2k+1) / (2k+1): the denominators are
+        # 2 e^3 sum_k e^(2k-2) (4k, resp. 4k+4) / (4k^2 - 1), k >= 1
+        k = np.arange(1.0, 60.0)
+        powers = e ** (2.0 * k - 2.0)
+        s_zz = float(powers @ (4.0 * k / (4.0 * k * k - 1.0)))
+        s_xx = float(powers @ ((4.0 * k + 4.0) / (4.0 * k * k - 1.0)))
+        return 16.0 * np.pi * c_axis / s_xx, 8.0 * np.pi * c_axis / s_zz
+    log = math.log1p(2.0 * e / (1.0 - e))
+    k_zz = 6.0 * np.pi * c_axis * (8.0 / 3.0) * e**3 / (-2.0 * e + (1.0 + e * e) * log)
+    k_xx = 6.0 * np.pi * c_axis * (16.0 / 3.0) * e**3 / (2.0 * e + (3.0 * e * e - 1.0) * log)
+    return k_xx, k_zz
+
+
 def squirmer_oracle(b1: float) -> float:
     """Classical no-slip swimming speed of the B1 sin(theta) squirmer."""
     return 2.0 * b1 / 3.0
@@ -142,9 +174,9 @@ def _ray_radius(mesh: SurfaceMesh, t: np.ndarray) -> np.ndarray:
             "volume checks need a parametric mesh (sphere or spheroid); "
             "loaded triangle meshes carry no ray-radius information"
         )
-    if mesh.shape_info[0] == "sphere":
-        return np.full_like(t, mesh.shape_info[1])
-    _, a, c = mesh.shape_info
+    a, c = _semi_axes(mesh.shape_info)
+    if a == c:
+        return np.full_like(t, a)
     s2 = 1.0 - t**2
     return 1.0 / np.sqrt(s2 / a**2 + t**2 / c**2)
 
@@ -297,6 +329,7 @@ class ConvergenceRow:
     k_error: float
     symmetry_defect: float
     residual: float
+    k_error_estimate: float
 
 
 @dataclass(frozen=True)
@@ -319,12 +352,15 @@ def convergence_study(
     Spheres are compared against the analytic slip-sphere values with
     b = 1/alpha; other shapes against Aitken extrapolation of the computed
     sequence.  Non-monotone error decay is reported through
-    :func:`warnings.warn` (a ``UserWarning``), not raised.
+    :func:`warnings.warn` (a ``UserWarning``), not raised.  Each row also
+    holds ``SwimProblem.k_error_estimate`` (largest over the diagonal of
+    K, where ``k_error`` is that of its mean), and a row past the CLI's
+    limit is reported like any other.
     """
     resolutions = list(resolutions)
     if len(resolutions) < 3:
         raise ValueError("need at least three resolutions")
-    k_vals, defects, residuals, sizes = [], [], [], []
+    k_vals, defects, residuals, estimates, sizes = [], [], [], [], []
     for res in resolutions:
         mesh = make_parametric_surface(
             shape, res, radius=radius, a_axis=a_axis, c_axis=c_axis
@@ -334,6 +370,7 @@ def convergence_study(
         k_vals.append(float(np.mean(np.diag(gm.K))))
         defects.append(gm.symmetry_defect)
         residuals.append(prob.worst_residual())
+        estimates.append(prob.k_error_estimate)
         sizes.append(mesh.n_nodes)
 
     if shape == "sphere":
@@ -348,6 +385,7 @@ def convergence_study(
             k_error=abs(k_vals[m] - k_ref) / abs(k_ref),
             symmetry_defect=defects[m],
             residual=residuals[m],
+            k_error_estimate=estimates[m],
         )
         for m in range(len(resolutions))
     )
@@ -369,10 +407,10 @@ def _aitken(seq):
 
 
 def write_convergence_csv(study: ConvergenceStudy, path):
-    """Write the study as CSV with columns N, value, error, defect, residual."""
+    """Write the study as CSV with columns N, value, error, defect, residual, estimate."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["N", "value", "error", "defect", "residual"])
+        writer.writerow(["N", "value", "error", "defect", "residual", "estimate"])
         for row in study.rows:
             writer.writerow(
                 [
@@ -381,6 +419,7 @@ def write_convergence_csv(study: ConvergenceStudy, path):
                     repr(row.k_error),
                     repr(row.symmetry_defect),
                     repr(row.residual),
+                    repr(row.k_error_estimate),
                 ]
             )
 

@@ -210,7 +210,7 @@ class TestSubcommands:
         for phi in (1e7, 1e12):
             cfg = _write_config(
                 tmp_path / "c.json",
-                shape={"kind": "sphere", "resolution": 8},
+                shape={"kind": "sphere", "resolution": 10},
                 data={"preset": "source", "phi": phi},
             )
             out = tmp_path / "out.json"
@@ -220,7 +220,7 @@ class TestSubcommands:
             assert np.all(np.isfinite(record["xi"] + record["omega"]))
 
     def test_missing_data_section(self, tmp_path):
-        cfg_dict = {"shape": {"kind": "sphere", "resolution": 8}, "alpha": 1.0}
+        cfg_dict = {"shape": {"kind": "sphere", "resolution": 12}, "alpha": 1.0}
         p = tmp_path / "c.json"
         p.write_text(json.dumps(cfg_dict))
         assert main(["mobility", "--config", str(p)]) == 0
@@ -356,6 +356,85 @@ def test_unresolvable_body_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_stride_on_a_parametric_body_exits_2(tmp_path, capsys):
+    # a sphere or spheroid places its sources on a grid; stride is for triangle meshes
+    for shape in ({"kind": "sphere", "resolution": 8}, {"kind": "spheroid", "resolution": 8}):
+        cfg = _write_config(tmp_path / "c.json", shape=shape, stride=2)
+        assert main(["mobility", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert "triangle meshes only" in err
+    assert load_config(_write_config(tmp_path / "c.json", stride=1))["stride"] == 1
+
+
+# diag K of the c = 1.6 spheroid at alpha 2: res 40 and res 48 at shrink 0.5 agree to 1e-9
+_C16_K = (19.4135782, 19.4135782, 16.3388475)
+
+
+@pytest.mark.parametrize("shrink", [0.5, 0.7, 0.85, 0.9])
+def test_c16_spheroid_swims_or_fails_loudly(tmp_path, capsys, shrink):
+    # the benchmark's c = 1.6 swim job at res 20, at each shrink it draws: the
+    # grid resolves the body at shrink 0.5 and 0.7; at 0.85 and 0.9 it is too
+    # shallow (K_xx would be 13% and 42% off) and the K estimate rejects it
+    cfg = _write_config(
+        tmp_path / "c.json",
+        shape={"kind": "spheroid", "a_axis": 1.0, "c_axis": 1.6, "resolution": 20},
+        shrink=shrink,
+    )
+    out = tmp_path / "out.json"
+    code = main(["swim", "--config", str(cfg), "--output", str(out)])
+    err = capsys.readouterr().err
+    if shrink > 0.8:
+        assert code == 3 and not out.exists()
+        assert err.startswith("solver error") and err.count("\n") == 1
+        assert "finer surface rule" in err
+        return
+    assert code == 0 and err == ""
+    # off by 3.4e-5 at shrink 0.5 and 5.2e-4 at 0.7
+    record = json.loads(out.read_text())
+    npt.assert_allclose(np.diag(record["grand_matrix"]["K"]), _C16_K, rtol=1e-3)
+    assert record["k_error_estimate"] < 1e-3
+
+
+def test_unresolved_sphere_fails_loudly_but_converge_reports_it(tmp_path, capsys):
+    # the res-8 sphere at alpha 1e6 and shrink 0.7: K 51% off, estimate 1.1
+    cfg = _write_config(
+        tmp_path / "c.json",
+        shape={"kind": "sphere", "resolution": 8},
+        alpha=1e6,
+        shrink=0.7,
+        resolutions=[8, 10, 12],
+    )
+    for command in ("mobility", "swim", "certify"):
+        out = tmp_path / f"{command}.json"
+        assert main([command, "--config", str(cfg), "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error") and err.count("\n") == 1
+        assert "finer surface rule" in err and not out.exists()
+    # a study reports every row, the rejected ones too
+    out = tmp_path / "study.csv"
+    assert main(["converge", "--config", str(cfg), "--output", str(out)]) == 0
+    header, *rows = (line.split(",") for line in out.read_text().splitlines())
+    assert header[-1] == "estimate" and len(rows) == 3
+    estimates = [float(row[-1]) for row in rows]
+    assert estimates[0] > 1.0 and estimates[0] > estimates[1] > estimates[2]
+
+
+def test_triangle_mesh_has_no_k_estimate(tmp_path):
+    # a triangle mesh has no finer rule: the estimate is null and nothing is gated
+    mesh_path = tmp_path / "octa.off"
+    mesh_path.write_text(
+        "OFF\n6 8 0\n1 0 0\n-1 0 0\n0 1 0\n0 -1 0\n0 0 1\n0 0 -1\n3 0 2 4\n3 2 1 4\n"
+        "3 1 3 4\n3 3 0 4\n3 2 0 5\n3 1 2 5\n3 3 1 5\n3 0 3 5\n"
+    )
+    cfg = _write_config(
+        tmp_path / "c.json", shape={"kind": "mesh", "path": str(mesh_path)}, shrink=0.3
+    )
+    out = tmp_path / "out.json"
+    assert main(["mobility", "--config", str(cfg), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["k_error_estimate"] is None
+
+
 def test_tiny_squirmer_swims_like_the_unit_sphere(tmp_path):
     # the stroke is a velocity and alpha * radius is 2 on both bodies, so
     # the swim velocity is the same
@@ -378,7 +457,7 @@ def _dataclass_fields(cls):
 def test_output_objects_carry_the_dataclass_fields(tmp_path):
     from slipswim import CheckResult, GrandMatrix, NSCertificate
 
-    shape = {"kind": "sphere", "resolution": 8}
+    shape = {"kind": "sphere", "resolution": 10}
     records = {}
     for command in ("certify", "validate"):
         cfg = _write_config(tmp_path / f"{command}.json", shape=shape, r_t=10.0)
@@ -396,14 +475,14 @@ def test_non_finite_output_exits_3(tmp_path, capsys):
     # a huge finite stroke overflows the squared norms of the certificate
     cfg = _write_config(
         tmp_path / "c.json",
-        shape={"kind": "sphere", "resolution": 8},
+        shape={"kind": "sphere", "resolution": 10},
         data={"preset": "squirmer", "b1": 1e300},
     )
     out = tmp_path / "out.json"
     assert main(["certify", "--config", str(cfg), "--output", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver error") and err.count("\n") == 1
-    assert not out.exists()
+    assert "NaN or infinite" in err and not out.exists()
 
 
 def test_huge_squirmer_exits_cleanly(tmp_path, capsys):

@@ -111,14 +111,16 @@ class TestSlipSolver:
         force = surface_integral(mesh, solver.node_traction(field))
         npt.assert_allclose(force, [6.0 * np.pi, 0, 0], rtol=1e-2, atol=1e-2)
 
-    def test_navier_slip_condition_holds(self, problem12):
-        # normal rows pin v.n; tangential rows balance traction against slip
-        mesh = problem12.mesh
-        alpha = problem12.alpha
+    def test_navier_slip_condition_holds(self, problem24_deep):
+        # normal rows pin v.n; tangential rows balance traction against slip.
+        # The system is overdetermined, so it holds to rounding only where
+        # the source grid resolves the data.
+        mesh = problem24_deep.mesh
+        alpha = problem24_deep.alpha
         data = rigid_trace_data(mesh, 1)
-        field, report = problem12.solver.solve_data(data)
+        field, report = problem24_deep.solver.solve_data(data)
         u = evaluate_flow(field, mesh.nodes)[0]
-        t = problem12.solver.node_traction(field)
+        t = problem24_deep.solver.node_traction(field)
         full = data_vector(data, mesh)
         normal_defect = np.sum((u - full) * mesh.normals, axis=1)
         slip_defect = tangential_part(t + alpha * (u - full), mesh.normals)
@@ -160,25 +162,26 @@ class TestLifting:
         assert field.source_flux == 0.0
         assert field.source_point is None
 
-    def test_flux_data_gets_carrier(self, problem12, rng):
-        mesh = problem12.mesh
-        tang = tangential_part(rng.normal(size=(mesh.n_nodes, 3)), mesh.normals)
+    def test_flux_data_gets_carrier(self, problem24_deep, rng):
+        mesh = problem24_deep.mesh
+        # smooth tangential data: per-node white noise is not in the span of
+        # the overdetermined source grid, so only smooth data is fit to rounding
+        tang = random_boundary_data(mesh, rng).tangential_data
         base = uniform_flux_data(mesh, 2.0)
         data = BoundaryData(base.normal_data, tang)
-        field, report = solve_lifting(data, problem12.solver)
+        field, report = solve_lifting(data, problem24_deep.solver)
         assert field.source_point is not None
         # carrier strength is the flux divided by the discrete unit-sink flux
         npt.assert_allclose(field.source_flux, 2.0, rtol=1e-6)
         # the composite field still honors the original boundary data
         u = evaluate_flow(field, mesh.nodes)[0]
-        t = problem12.solver.node_traction(field)
+        t = problem24_deep.solver.node_traction(field)
         full = data_vector(data, mesh)
         normal_defect = np.sum((u - full) * mesh.normals, axis=1)
         slip_defect = tangential_part(
-            t + problem12.alpha * (u - full), mesh.normals
+            t + problem24_deep.alpha * (u - full), mesh.normals
         )
-        # per-node white noise is not in the collocation space, so the fit
-        # is only approximate; the carrier bookkeeping must still line up
+        # the carrier bookkeeping must line up: what is left is the fit's
         assert np.max(np.abs(normal_defect)) < 1e-6
         assert np.max(np.abs(slip_defect)) < 1e-6
         assert report.residual_normal < 1e-6
@@ -217,7 +220,8 @@ _BODIES = {
 
 
 def _ring_and_dense(request, body):
-    """The same body twice: as built (ring route) and without shape_info (dense)."""
+    """The same body twice: as built (ring route), and without rings and with a
+    one-ring copy of its source grid (dense)."""
     if body == "problem16_noslip":
         ring = request.getfixturevalue(body)
     elif body in _BODIES:
@@ -228,6 +232,7 @@ def _ring_and_dense(request, body):
         ring = SwimProblem(request.getfixturevalue(body), 2.0, shrink=0.5)
     dense_mesh = dataclasses.replace(ring.mesh, shape_info=None)
     dense = SwimProblem(dense_mesh, ring.alpha, shrink=ring.shrink)
+    dense.sources = SourceSet(ring.sources.locations, ring.sources.min_surface_distance)
     return ring, dense
 
 
@@ -263,10 +268,15 @@ class TestRingRoute:
         ring, dense = _ring_and_dense(request, body)
         res = int(np.sqrt(ring.mesh.n_nodes))
         assert ring.mesh.rings == ring.sources.rings == res
-        # the equator ring of an odd resolution gives n and t2 to the even half
+        n_t = round(2 * res / 3)
+        assert ring.sources.count == n_t * res
+        # the equator ring of an odd resolution gives n and t2 to the even
+        # half, that of an odd n_t (res 8 and 10) the x and y strengths
         assert ring.solver._rows.sizes == ((3 * res + 1) // 2, 3 * res // 2)
+        assert ring.solver._cols.sizes == ((3 * n_t + 1) // 2, 3 * n_t // 2)
         assert dense.mesh.rings == dense.sources.rings == 1
         assert dense.solver._rows.sizes == (3 * dense.mesh.n_nodes,)
+        assert dense.solver._cols.sizes == (3 * ring.sources.count,)
         # c = 1.6 at res 12 is under-resolved: the fields differ at 1e-7
         _assert_routes_agree(ring, dense, fields=body != "spheroid12")
 
@@ -331,9 +341,11 @@ class TestRingRoute:
         )
 
     def test_strided_sources_take_dense_route(self, problem20_strided):
+        # stride thins the sources of triangle meshes only; a sphere or
+        # spheroid rejects it (test_stokeslets)
         prob = problem20_strided
-        assert prob.mesh.rings == 20
-        assert prob.sources.rings == 1
+        assert prob.mesh.rings == prob.sources.rings == 1
+        assert prob.sources.count == -(-prob.mesh.n_nodes // 3)
         assert prob.solver._rows.sizes == (3 * prob.mesh.n_nodes,)
 
     def test_triangle_mesh_takes_dense_route(self, tmp_path):

@@ -8,6 +8,7 @@ from slipswim import (
     GeometryError,
     MeshFormatError,
     PlacementError,
+    SlipSolver,
     SourceSet,
     SurfaceMesh,
     elementary_rigid_motion,
@@ -285,12 +286,17 @@ class TestRingContract:
             ("spheroid", 12, 1e100, 0.9),
             ("spheroid", 15, 1e-100, 0.7),
             ("spheroid", 24, 1.0, 0.3),
+            # odd source ring counts n_t = 7 and 11 on even T
+            ("spheroid", 10, 1.0, 0.5),
+            ("sphere", 16, 1e-100, 0.7),
         ],
     )
     def test_rings_rotate_and_reflect(self, shape, res, radius, shrink):
         mesh = make_parametric_surface(shape, res, radius, a_axis=radius, c_axis=1.6 * radius)
         srcs = place_sources(mesh, shrink)
         assert mesh.rings == srcs.rings == res
+        # the source grid has its own n_t = round(2T/3) rings in theta
+        assert srcs.count == round(2 * res / 3) * res
         p, rot = res, _z_rotations(res)
         vectors = (mesh.nodes, mesh.normals, mesh.tangent1, mesh.tangent2, srcs.locations)
         # ring q (every P-th entry from q) is ring 0 rotated about z by 2 pi q / P
@@ -305,6 +311,18 @@ class TestRingContract:
             for v, sign in zip(vectors, signs):
                 assert _same(v[::p][order] * _XYZ[which] * sign, v[::p])
         assert _same(w[::-1, 0], w[:, 0])
+
+    @pytest.mark.parametrize("res", [8, 10, 16])
+    def test_odd_source_grid_splits_at_the_equator(self, res):
+        # an odd n_t puts a source ring on the equator; the z mirror gives its
+        # x and y strengths to the even half and its z strength to the odd half
+        mesh = make_parametric_surface("sphere", res)
+        srcs = place_sources(mesh, 0.5)
+        n_t = srcs.count // res
+        assert n_t % 2 == 1 and mesh.n_nodes // res == res
+        assert srcs.locations[::res][n_t // 2, 2] == 0.0
+        k = n_t // 2
+        assert SlipSolver(mesh, srcs, 2.0)._cols.sizes == (3 * k + 2, 3 * k + 1)
 
     def test_rings_are_not_a_knob(self, sphere8):
         names = ("nodes", "normals", "weights", "tangent1", "tangent2")

@@ -12,6 +12,7 @@ from slipswim import (
     AccuracyWarning,
     GrandMatrix,
     SwimProblem,
+    analytic_sphere_resistance,
     evaluate_flow,
     flux_and_carrier,
     h_half_norm,
@@ -299,8 +300,9 @@ def _gagliardo_double_sum(values, mesh):
 
 
 class TestSolutionRecord:
-    def test_fields_are_consistent(self, problem12):
-        sol = problem12.solve(squirmer_data(problem12.mesh))
+    def test_fields_are_consistent(self, problem24_deep):
+        # a source grid that resolves the stroke fits it to rounding
+        sol = problem24_deep.solve(squirmer_data(problem24_deep.mesh))
         npt.assert_allclose(sol.coefficients[:3], sol.xi)
         npt.assert_allclose(sol.coefficients[3:], sol.omega)
         assert sol.lifting_report is not None
@@ -325,3 +327,29 @@ class TestStridedBody:
         assert np.linalg.norm(defect) <= 1e-12 * np.linalg.norm(w)
         cert = prob.certificate(0.0, data)
         npt.assert_allclose(cert.xi_bracket[1], 1.5 * np.linalg.norm(xi), rtol=1e-12)
+
+
+# diag K of the c = 1.6 spheroid at alpha 2: res 40 and res 48 at shrink 0.5 agree to 1e-9
+_C16_K = np.array([19.4135782, 19.4135782, 16.3388475])
+
+
+class TestKErrorEstimate:
+    @pytest.mark.parametrize("shrink", [0.5, 0.7, 0.85, 0.9])
+    def test_tracks_the_error_of_k(self, shrink):
+        # ever shallower sources: K is 3.3e-5, 5.2e-4, 13% and 42% off
+        mesh = make_parametric_surface("spheroid", 20, a_axis=1.0, c_axis=1.6)
+        prob = SwimProblem(mesh, 2.0, shrink=shrink)
+        error = np.max(np.abs(np.diag(prob.grand_matrix.K) / _C16_K - 1.0))
+        assert 0.5 * error < prob.k_error_estimate < 2.0 * error
+
+    def test_tracks_the_error_on_a_sphere(self, problem12):
+        k_exact, _ = analytic_sphere_resistance(1.0, 1.0 / problem12.alpha)
+        error = np.max(np.abs(np.diag(problem12.grand_matrix.K) / k_exact - 1.0))
+        assert 0.5 * error < problem12.k_error_estimate < 2.0 * error
+
+    def test_none_without_a_source_grid(self, problem20_strided):
+        # a triangle mesh, and a sphere whose mesh copy lost its shape, have no finer rule
+        assert problem20_strided.k_error_estimate is None
+        mesh = dataclasses.replace(make_parametric_surface("sphere", 10), shape_info=None)
+        assert SwimProblem(mesh, 2.0, shrink=0.5).k_error_estimate is None
+

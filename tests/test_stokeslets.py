@@ -146,22 +146,59 @@ class TestPointSource:
 
 
 class TestSourcePlacement:
-    def test_shrunken_copies_inside(self, sphere12):
-        srcs = place_sources(sphere12, 0.5)
-        assert srcs.count == sphere12.n_nodes
-        npt.assert_allclose(np.linalg.norm(srcs.locations, axis=1), 0.5, rtol=1e-12)
-        # ring-symmetric meshes search the nearest nodes of ring 0 only
-        spheroid = make_parametric_surface("spheroid", 15, a_axis=1.0, c_axis=1.6)
-        for mesh, shrink in ((sphere12, 0.5), (spheroid, 0.9)):
-            assert mesh.rings == np.sqrt(mesh.n_nodes)
-            srcs = place_sources(mesh, shrink)
-            assert srcs.rings == mesh.rings
-            c = mesh.centroid
-            assert np.array_equal(srcs.locations, c + shrink * (mesh.nodes - c))
-            brute = np.min(
-                np.linalg.norm(mesh.nodes[:, None, :] - srcs.locations[None, :, :], axis=2)
-            )
+    def test_shrunken_copies_inside(self, icosphere2):
+        # a triangle mesh shrinks its node cloud toward the centroid
+        srcs = place_sources(icosphere2, 0.5)
+        assert srcs.count == icosphere2.n_nodes
+        assert srcs.rings == icosphere2.rings == 1
+        c = icosphere2.centroid
+        assert np.array_equal(srcs.locations, c + 0.5 * (icosphere2.nodes - c))
+        brute = np.min(
+            np.linalg.norm(icosphere2.nodes[:, None, :] - srcs.locations[None, :, :], axis=2)
+        )
+        npt.assert_allclose(srcs.min_surface_distance, brute, rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "shape, res, c_axis, shrink",
+        [
+            ("sphere", 12, 1.0, 0.5),
+            ("spheroid", 15, 1.6, 0.9),
+            ("spheroid", 10, 2.0, 0.3),
+            # depth 0.25 is the rim's radius of curvature c^2/a: the nodes are searched
+            ("spheroid", 16, 0.5, 0.5),
+        ],
+    )
+    def test_grid_on_parametric_bodies(self, shape, res, c_axis, shrink):
+        mesh = make_parametric_surface(shape, res, a_axis=1.0, c_axis=c_axis)
+        srcs = place_sources(mesh, shrink)
+        n_t = round(2 * res / 3)
+        assert srcs.rings == mesh.rings == res
+        assert srcs.count == n_t * res
+        # n_t Gauss-Legendre rings times P phi samples, theta-major, each
+        # source at depth (1 - shrink) min(a, c) along the inward normal
+        a, c = 1.0, c_axis
+        cos_t = np.repeat(np.polynomial.legendre.leggauss(n_t)[0], res)
+        phi = np.tile(2.0 * np.pi * np.arange(res) / res, n_t)
+        sin_t = np.sqrt(1.0 - cos_t**2)
+        surface = np.column_stack((a * sin_t * np.cos(phi), a * sin_t * np.sin(phi), c * cos_t))
+        normal = -surface / np.array([a * a, a * a, c * c])
+        normal /= np.linalg.norm(normal, axis=1)[:, None]
+        depth = (1.0 - shrink) * min(a, c)
+        npt.assert_allclose(srcs.locations, surface + depth * normal, rtol=0, atol=1e-14)
+        if shape == "sphere":
+            npt.assert_allclose(np.linalg.norm(srcs.locations, axis=1), shrink, rtol=1e-14)
+        brute = np.min(np.linalg.norm(mesh.nodes[:, None, :] - srcs.locations[None, :, :], axis=2))
+        if depth < min(a * a / c, c * c / a):
+            # each source's foot on the surface is its nearest surface point
+            assert srcs.min_surface_distance == depth < brute
+        else:
             npt.assert_allclose(srcs.min_surface_distance, brute, rtol=1e-12)
+
+    def test_grid_outside_a_flat_body_rejected(self):
+        # on a c = a/10 spheroid a depth of 0.07 leaves the body near the rim
+        mesh = make_parametric_surface("spheroid", 16, a_axis=1.0, c_axis=0.1)
+        with pytest.raises(PlacementError, match="outside the body"):
+            place_sources(mesh, 0.3)
 
     def test_asymmetric_mesh_searches_every_source(self, sphere12):
         # one node off ring 0 moved inward along its normal breaks the ring
@@ -177,9 +214,15 @@ class TestSourcePlacement:
         npt.assert_allclose(srcs.min_surface_distance, brute, rtol=1e-12)
         assert srcs.min_surface_distance < 0.4
 
-    def test_stride_thins_sources(self, sphere12):
-        srcs = place_sources(sphere12, 0.5, stride=3)
-        assert srcs.count == int(np.ceil(sphere12.n_nodes / 3))
+    def test_stride_thins_sources(self, icosphere2):
+        srcs = place_sources(icosphere2, 0.5, stride=3)
+        assert srcs.count == int(np.ceil(icosphere2.n_nodes / 3))
+
+    def test_stride_rejected_on_parametric_bodies(self, sphere12, spheroid12):
+        for mesh in (sphere12, spheroid12):
+            assert place_sources(mesh, 0.5, stride=1).count == 8 * 12
+            with pytest.raises(ValueError, match="triangle meshes only"):
+                place_sources(mesh, 0.5, stride=2)
 
     def test_invalid_shrink(self, sphere12):
         for bad in (0.0, 1.0, 1.3, -0.2):
@@ -191,10 +234,11 @@ class TestSourcePlacement:
             place_sources(sphere8, 0.999)
 
     def test_nearest_node_search_memory(self):
-        # one K x N x 3 displacement array would take 61 MB here
+        # one K x N x 3 displacement array would take 61 MB here; the copy
+        # has no rings, so it shrinks its node cloud and searches every source
         import tracemalloc
 
-        mesh = make_parametric_surface("sphere", 40)
+        mesh = dataclasses.replace(make_parametric_surface("sphere", 40))
         tracemalloc.start()
         try:
             srcs = place_sources(mesh, 0.5)
@@ -300,8 +344,11 @@ class TestMatricesAndFields:
         ids=["dense", "ring"],
     )
     def test_total_force_identity(self, request, rng, mesh, shrink, stride, rings):
-        # momentum flux through the surface recovers the summed strengths
+        # momentum flux through the surface recovers the summed strengths;
+        # stride thins the sources of a mesh without rings only
         mesh = request.getfixturevalue(mesh)
+        if stride > 1:
+            mesh = dataclasses.replace(mesh)
         srcs = place_sources(mesh, shrink, stride=stride)
         assert srcs.rings == rings
         q = rng.normal(size=(srcs.count, 3))
@@ -310,7 +357,7 @@ class TestMatricesAndFields:
         npt.assert_allclose(force, q.sum(axis=0), rtol=1e-7)
 
     def test_traction_includes_source_term(self, sphere12, rng):
-        srcs = place_sources(sphere12, 0.5, stride=11)
+        srcs = place_sources(dataclasses.replace(sphere12), 0.5, stride=11)
         q = rng.normal(size=(srcs.count, 3))
         x0 = np.array([0.1, 0.0, -0.2])
         field = FlowField(srcs, q, source_flux=1.5, source_point=x0)

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import json
 import math
@@ -12,6 +13,7 @@ from slipswim import (
     SwimProblem,
     SurfaceMesh,
     analytic_sphere_resistance,
+    analytic_spheroid_resistance,
     calibrate_slip_length,
     convergence_study,
     energy_identity_check,
@@ -189,7 +191,8 @@ class TestOrbitStrain:
     )
     def test_matches_full_pairing(self, kind, resolution, axes, stride, g, rng, kernel_passes):
         mesh = make_parametric_surface(kind, resolution, **axes)
-        sources = place_sources(mesh, 0.5, stride)
+        # stride thins the sources of a mesh without rings only
+        sources = place_sources(mesh if stride == 1 else dataclasses.replace(mesh), 0.5, stride)
         assert math.gcd(32, sources.rings) == g
         fields = [FlowField(sources, rng.normal(size=(sources.count, 3))) for _ in range(5)]
         # a flux source off the axis: its strain is not rotation-invariant
@@ -212,18 +215,64 @@ class TestOrbitStrain:
             reciprocal_check(1, 1, basis, sphere8, 20.0)
 
 
+class TestSpheroidOracle:
+    """Chwang & Wu's prolate-spheroid resistances, and the solver against them at alpha 1e6."""
+
+    def test_limits_and_scaling(self):
+        for c_axis in (1.0, 1.0 + 1e-9):
+            npt.assert_allclose(analytic_spheroid_resistance(1.0, c_axis), 6.0 * np.pi, rtol=1e-8)
+        # the series below e = 1/2 and the closed form above it meet
+        c_half = 1.0 / math.sqrt(0.75)
+        below, above = (
+            analytic_spheroid_resistance(1.0, c_half * f) for f in (1 - 1e-13, 1 + 1e-13)
+        )
+        npt.assert_allclose(below, above, rtol=1e-11)
+        npt.assert_allclose(
+            analytic_spheroid_resistance(2.0, 3.2),
+            2.0 * np.array(analytic_spheroid_resistance(1.0, 1.6)),
+            rtol=1e-14,
+        )
+        # broadside drag exceeds axial drag, and both exceed the inscribed sphere's
+        k_xx, k_zz = analytic_spheroid_resistance(1.0, 3.0)
+        assert k_xx > k_zz > 6.0 * np.pi
+        with pytest.raises(ValueError):
+            analytic_spheroid_resistance(1.0, 0.5)
+
+    @pytest.mark.parametrize(
+        "c_axis, res, shrink, tol",
+        [(1.6, 28, 0.6, 1e-4), (2.0, 28, 0.6, 1e-4), (3.0, 36, 0.6, 1e-4), (1.6, 28, 0.7, 1e-3)],
+    )
+    def test_no_slip_limit(self, c_axis, res, shrink, tol):
+        # the last config gave K_zz 12x too large with exit 0 when every node carried a source
+        mesh = make_parametric_surface("spheroid", res, a_axis=1.0, c_axis=c_axis)
+        k = np.diag(SwimProblem(mesh, 1e6, shrink=shrink).grand_matrix.K)
+        k_xx, k_zz = analytic_spheroid_resistance(1.0, c_axis)
+        assert np.max(np.abs(k / np.array([k_xx, k_xx, k_zz]) - 1.0)) < tol
+
+    @pytest.mark.parametrize(
+        "c_axis, res, alpha", [(2.0, 28, 2.0), (2.0, 28, 1e6), (3.0, 36, 1e6), (1.6, 28, 2.0)]
+    )
+    def test_elongated_bodies_are_positive_definite(self, c_axis, res, alpha):
+        # each was indefinite at the default shrink when every node carried a source
+        mesh = make_parametric_surface("spheroid", res, a_axis=1.0, c_axis=c_axis)
+        assert SwimProblem(mesh, alpha).grand_matrix.min_eigenvalue > 0.0
+
+
 class TestConvergence:
     def test_sphere_errors_shrink(self, tmp_path):
         study = convergence_study("sphere", 1.0, (8, 10, 12), shrink=0.5)
         assert [row.n_nodes for row in study.rows] == [64, 100, 144]
         errs = [row.k_error for row in study.rows]
         assert errs[-1] < errs[0]
+        # the estimate bounds the largest diagonal error, k_error is that of the mean
+        estimates = [row.k_error_estimate for row in study.rows]
+        assert estimates[0] > estimates[1] > estimates[2] > errs[2]
         k_exact, _ = analytic_sphere_resistance(1.0, 1.0)
         npt.assert_allclose(study.rows[-1].k_value, k_exact, rtol=5e-2)
         path = tmp_path / "study.csv"
         write_convergence_csv(study, path)
         lines = path.read_text().strip().splitlines()
-        assert lines[0].startswith("N,")
+        assert lines[0] == "N,value,error,defect,residual,estimate"
         assert len(lines) == 1 + len(study.rows)
 
     def test_spheroid_uses_extrapolated_truth(self):
