@@ -46,6 +46,7 @@ import functools
 import json
 import math
 import os
+import pathlib
 import sys
 import time
 import warnings
@@ -453,6 +454,9 @@ def main(argv=None) -> int:
     except SlipswimError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"solver error: out of memory: {exc}", file=sys.stderr)
+        return 3
 
     if args.command == "converge":
         from .validation import write_convergence_csv
@@ -460,26 +464,28 @@ def main(argv=None) -> int:
         # the study is written as CSV, so its warnings go to stderr
         for w in caught:
             print(f"warning: {w.message}", file=sys.stderr)
-        write_convergence_csv(record["study"], out_path or "convergence.csv")
-        if args.timing:
-            print(f"converge finished in {time.perf_counter() - t0:.2f}s")
-        return 0
-
-    record["warnings"] = sorted(str(w.message) for w in caught)
-    if args.timing:
-        record["timing"] = {"total_seconds": time.perf_counter() - t0}
-    try:
-        text = json.dumps(
-            record, indent=2, sort_keys=True, allow_nan=False, default=_jsonable
-        ) + "\n"
-    except ValueError:
-        print("solver error: the results contain NaN or infinite values", file=sys.stderr)
-        return 3
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        out_path = out_path or "convergence.csv"
+        write = functools.partial(write_convergence_csv, record["study"], out_path)
     else:
-        sys.stdout.write(text)
+        record["warnings"] = sorted(str(w.message) for w in caught)
+        if args.timing:
+            record["timing"] = {"total_seconds": time.perf_counter() - t0}
+        try:
+            text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False, default=_jsonable)
+        except ValueError:
+            print("solver error: the results contain NaN or infinite values", file=sys.stderr)
+            return 3
+        if not out_path:
+            sys.stdout.write(text + "\n")
+            return 0
+        write = functools.partial(pathlib.Path(out_path).write_text, text + "\n", encoding="utf-8")
+    try:
+        write()
+    except OSError as exc:
+        print(f"config error: cannot write output: {exc}", file=sys.stderr)
+        return 2
+    if args.command == "converge" and args.timing:
+        print(f"converge finished in {time.perf_counter() - t0:.2f}s")
     return 0
 
 

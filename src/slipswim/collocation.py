@@ -52,23 +52,21 @@ takes one SVD of the full 3N x 3K matrix.  Every block truncates against
 the global largest singular value, so the rank, the condition estimate
 and the solution do not depend on P beyond rounding.
 
-The modes are factored when they are needed.  Rigid-motion data
-a + b x x has azimuthal wavenumber 0 or +-1, so the six auxiliary solves
-behind the grand matrix use the stored modes 0 and 1 only, and they say
-so (``max_mode``); nothing reads it off the data.  Construction factors
-those two modes, and any other mode whose bound on the spectral norm,
-min(||B||_F, sqrt(||B||_1 ||B||_inf)), does not fall below the largest
-singular value found so far; no mode left over can then hold a larger
-one, so the global truncation threshold is exact from the start.  The
-other modes are factored, with the same routine and threshold, by the
-first solve of general data; reading the rank or the condition estimate
-also finishes the factorization.  Either way a solve on modes 0 and 1
-takes the same products, so the grand matrix does not depend on what ran
-before.  With P = 1 the one block is factored at construction.  A solve
-drops a mode whose share of the data is rounding (below 1e-13 of its
-largest mode): the truncated SVD would return it amplified by up to
-1 / svd_tol, so rigid or axisymmetric data gets strengths in its own
-modes only, on every route.
+The modes are factored when they are needed.  A solve reads off its data
+which DFT modes are live, above 1e-13 of a data set's largest mode
+(``_live_modes``), and factors, solves and applies the modes up to the
+highest live one only, dropping from each set the modes that hold only
+its rounding (the truncated SVD would amplify them up to 1 / svd_tol).
+So rigid-motion data a + b x x (wavenumbers 0 and +-1), behind the grand
+matrix, takes modes 0 and 1, and axisymmetric data mode 0.  Construction
+factors the modes in descending order of a bound on their spectral norm,
+min(||B||_F, sqrt(||B||_1 ||B||_inf)), until it falls below the largest
+singular value found so far: no mode left can hold a larger one, so the
+global truncation threshold is exact from the start.  The rest are
+factored, by the same routine, by the first solve whose data holds them,
+or when the rank or the condition estimate is read.  A solve takes the
+same products on the same modes whatever ran before, so the grand matrix
+does not depend on it.  With P = 1 the one block is factored at once.
 
 The rows come from one Stokeslet row kernel run along each node's frame
 (n, t1, t2): it gives the velocity and the traction rows in one pass, and
@@ -124,14 +122,11 @@ __all__ = [
 
 DEFAULT_SVD_TOL = 1e-12
 _ORTHO_TOL = 1e-10
-# Rigid-motion data a + b x x has azimuthal wavenumbers 0 and +-1 only, so on
-# a ring body it lives in the stored DFT modes 0 and 1.
-RIGID_MAX_MODE = 1
 # A mode's norm bound counts as below the largest singular value only with
 # this relative margin, for the rounding in both.
 _BOUND_SLACK = 1e-12
-# A solve drops a DFT mode whose share of a data set is at most this: it is
-# the ring DFT's rounding (about 1e-16 on rigid traces and axisymmetric data).
+# A DFT mode whose share of a data set is at most this is not live: it is the
+# ring DFT's rounding (about 1e-16 on rigid traces and axisymmetric data).
 _MODE_FLOOR = 1e-13
 
 
@@ -488,6 +483,18 @@ def _norm_bound(blocks) -> np.ndarray:
     return np.minimum(fro, one_inf).max(axis=1, initial=0.0)
 
 
+def _live_modes(y):
+    """The (C, M) mask of the live DFT modes of C columns, and how many modes to take.
+
+    ``y`` (C, M, n) holds the ring DFT of each column.  A mode is live in a
+    column above ``_MODE_FLOOR`` of the column's largest mode (max-abs);
+    the count runs up to the highest live mode, and is at least one.
+    """
+    size = np.abs(y).max(axis=2)
+    live = size > _MODE_FLOOR * size.max(axis=1, keepdims=True)
+    return live, int(np.flatnonzero(live.any(axis=0)).max(initial=0)) + 1
+
+
 def _real_matmul(mat, x):
     """Stacked real matrices times stacked real or complex vectors.
 
@@ -507,9 +514,9 @@ class SlipSolver:
     reused for any number of right-hand sides, which is what makes the six
     auxiliary solves plus the lifting solve cheap.  On a ring body it is
     computed per DFT mode, when first needed (see the module docstring):
-    modes 0 and 1, and those the norm bound cannot rule out, at
-    construction; the rest at the first solve of general data, or when
-    ``svd_rank`` or ``condition_estimate`` is read.
+    the modes the norm bound cannot rule out at construction, the rest at
+    the first solve whose data holds them, or when ``svd_rank`` or
+    ``condition_estimate`` is read.
 
     The ring count P is ``mesh.rings`` when the sources record the same
     rings, else 1 (see the module docstring).  With P > 1 the kernel runs
@@ -567,20 +574,18 @@ class SlipSolver:
         self._tmat = _mode_blocks(tmat.reshape(block_column), self._trows, self._cols)
         del tmat
         self._halves = list(zip(self._rows.sizes, self._cols.sizes))
-        n_modes = len(self._a)
-        self._factors = [None] * n_modes
+        self._factors = [None] * len(self._a)
         self._kept = np.zeros(self._a.shape[:2], dtype=np.intp)
-        self._s_min = np.full(n_modes, np.inf)
+        self._s_min = np.full(len(self._a), np.inf)
         self._full = None
-        svds = {m: self._svd(m) for m in range(min(RIGID_MAX_MODE + 1, n_modes))}
-        s_max = max(s[0] for svd in svds.values() for _, s, _ in svd)
-        # ||B||_2 <= the bound, so no mode whose bound is below s_max holds a larger value
-        rest = len(svds)
-        bound = _norm_bound(self._a[rest:])
-        for k in np.argsort(-bound, kind="stable"):
-            if bound[k] < (1.0 - _BOUND_SLACK) * s_max:
+        # ||B||_2 <= the bound, so once a mode's bound is below the largest
+        # singular value found so far, no mode left can hold a larger one
+        bound = _norm_bound(self._a)
+        svds, s_max = {}, 0.0
+        for m in map(int, np.argsort(-bound, kind="stable")):
+            if bound[m] < (1.0 - _BOUND_SLACK) * s_max:
                 break
-            svd = svds[rest + int(k)] = self._svd(rest + int(k))
+            svd = svds[m] = self._svd(m)
             s_max = max(s_max, *(s[0] for _, s, _ in svd))
         if s_max == 0.0:
             raise SolverError("collocation matrix is identically zero")
@@ -664,28 +669,18 @@ class SlipSolver:
             ]
         return stacks
 
-    def _mode_count(self, max_mode):
-        """How many stored DFT modes have m <= ``max_mode`` (None: all of them)."""
-        n = len(self._factors)
-        return n if max_mode is None else min(max_mode + 1, n)
+    def _apply(self, blocks, rows, y, n):
+        """Block-circulant product of ``blocks`` with the ring DFT ``y`` (C, M, 3K/P), modes < n."""
+        x = self._cols.halves(y[:, :n], conj=True)
+        return _irfft(rows.join(_real_matmul(blocks[:n], x), conj=True), len(self._rot), -2)
 
-    def _apply(self, blocks, rows, xi, n=None):
-        """Block-circulant product of half ``blocks`` with C ring-major columns ``xi`` (C, P, 3K/P).
-
-        With ``n`` only the DFT modes below n are applied.
-        """
-        p = len(self._rot)
-        x = self._cols.halves(_rfft(xi, p, -2)[:, :n], conj=True)
-        return _irfft(rows.join(_real_matmul(blocks[:n], x), conj=True), p, -2)
-
-    def _node_tractions(self, strengths, max_mode=None) -> np.ndarray:
+    def _node_tractions(self, strengths) -> np.ndarray:
         """Tractions T n (C, N, 3) at the nodes of C Stokeslet fields with strengths (C, K, 3).
 
-        ``max_mode`` as in :meth:`_solve`.
+        Only the modes up to the strengths' highest live one are applied.
         """
-        xi = _to_rings(strengths, self._rot)
-        n = self._mode_count(max_mode)
-        return _from_rings(self._apply(self._tmat, self._trows, xi, n), self._rot)
+        y = _rfft(_to_rings(strengths, self._rot), len(self._rot), -2)
+        return _from_rings(self._apply(self._tmat, self._trows, y, _live_modes(y)[1]), self._rot)
 
     def node_traction(self, field: FlowField) -> np.ndarray:
         """Traction T n of ``field`` at the mesh nodes via the cached matrix."""
@@ -707,32 +702,29 @@ class SlipSolver:
         strengths, reports = self._solve([data])
         return FlowField(self.sources, strengths[0]), reports[0]
 
-    def _solve(self, datas, max_mode=None):
+    def _solve(self, datas):
         """Solve for C sets of boundary data as one C-column right-hand side.
 
         Each stage is one FFT, one butterfly and one product for all
-        columns.  ``max_mode`` says that the data lives in the DFT modes
-        |m| <= max_mode, as rigid-motion data does in |m| <= 1
-        (``RIGID_MAX_MODE``): only those modes are factored, solved and
-        applied, and the rest of the data, rounding on such data, is left
-        to the residual.  Returns the strengths (C, K, 3) and one
-        SolveReport per set.
+        columns.  The DFT modes are read off the data (:func:`_live_modes`):
+        only those up to the highest live one are factored, solved and
+        applied, and a mode that holds only rounding in a set is dropped
+        from it, since the truncated SVD would return it amplified by up to
+        1 / svd_tol; that rounding is left to the residual.  Returns the
+        strengths (C, K, 3) and one SolveReport per set.
         """
         p = len(self._rot)
-        n = self._mode_count(max_mode)
-        uh, inv_s, v = self._mode_factors(n)
         rhs = np.array([_build_rhs(self.mesh, self.alpha, d) for d in datas])
-        b = _rows_to_rings(rhs, p) * self._scale
-        b = self._rows.halves(_rfft(b, p, -2)[:, :n])
-        # a mode holding only rounding would come back amplified by up to 1 / svd_tol
-        size = np.abs(b).reshape(b.shape[:2] + (-1,)).max(axis=2)
-        drop = size <= _MODE_FLOOR * size.max(axis=1, keepdims=True)
-        if drop.any():
-            b[drop] = 0.0
+        b = _rfft(_rows_to_rings(rhs, p) * self._scale, p, -2)
+        live, n = _live_modes(b)
+        uh, inv_s, v = self._mode_factors(n)
+        b = self._rows.halves(b[:, :n])
+        b[~live[:, :n]] = 0.0
         coef = _real_matmul(uh, b) * inv_s
         # irfft pads the modes above n with zeros
         xi = _irfft(self._cols.join(_real_matmul(v, coef)), p, -2)
-        residual = _rows_from_rings(self._apply(self._a, self._rows, xi, n) / self._scale) - rhs
+        y = _rfft(xi, p, -2)
+        residual = _rows_from_rings(self._apply(self._a, self._rows, y, n) / self._scale) - rhs
         reports = [SolveReport(*_residual_norms(res, self.mesh.weights)) for res in residual]
         return _from_rings(xi, self._rot), reports
 

@@ -50,7 +50,6 @@ from .geometry import (
 from .stokeslets import FlowField, SourceSet, _traction_product, place_sources
 from .collocation import (
     DEFAULT_SVD_TOL,
-    RIGID_MAX_MODE,
     BoundaryData,
     SlipSolver,
     SolveReport,
@@ -168,10 +167,9 @@ class SwimProblem:
     @cached_property
     def _aux(self):
         # The six rigid traces, tangential by construction, as one six-column
-        # right-hand side in the DFT modes |m| <= 1 only, whatever ran before.
-        # The strengths are held as one read-only (6, K, 3) array.
+        # right-hand side; the strengths are held as one read-only (6, K, 3) array.
         traces = [boundary_data_from_field(self.mesh, mode) for mode in _rigid_modes(self.mesh)]
-        strengths, reports = self.solver._solve(traces, max_mode=RIGID_MAX_MODE)
+        strengths, reports = self.solver._solve(traces)
         strengths.setflags(write=False)
         fields = tuple(FlowField(self.sources, q) for q in strengths)
         return fields, tuple(reports), strengths
@@ -186,7 +184,7 @@ class SwimProblem:
 
     @cached_property
     def basis(self):
-        tractions = self.solver._node_tractions(self._aux[2], max_mode=RIGID_MAX_MODE)
+        tractions = self.solver._node_tractions(self._aux[2])
         return traction_basis(self.aux_fields, self.mesh, tractions=tractions)
 
     @cached_property

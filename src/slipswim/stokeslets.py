@@ -69,7 +69,7 @@ __all__ = [
 # Source rings per node ring in theta on a sphere or spheroid: three nodes
 # to every two sources along a meridian, an oversampled least-squares fit.
 _SOURCE_RING_RATIO = 2.0 / 3.0
-# A distance below this share of the largest coordinate is rounding: the point sits on a source.
+# A distance below this share of the largest coordinate of its two ends is rounding.
 _SINGULAR_REL = 1e-12
 # Points per block, at most: nearest-node search and Stokeslet rows.
 _CHUNK = 512
@@ -80,10 +80,13 @@ _SYM_A = (0, 1, 2, 0, 0, 1)
 _SYM_B = (0, 1, 2, 1, 2, 2)
 
 
-def _coincide(d, *coords) -> bool:
-    """Whether a distance in ``d`` is rounding against the coordinates it came from."""
-    scale = max(float(np.max(np.abs(c))) for c in coords)
-    return bool(d.min() <= _SINGULAR_REL * scale)
+def _coincide(d, points, locations) -> bool:
+    """Whether some point's distances ``d`` (M, K) or (M,) to the locations are rounding."""
+    loc = np.max(np.abs(locations))
+    if d.min() > _SINGULAR_REL * max(np.max(np.abs(points)), loc):
+        return False  # far from rounding even on the batch's largest scale
+    scale = np.maximum(np.abs(points).max(axis=1), loc)
+    return bool(np.any(d.reshape(len(points), -1).min(axis=1) <= _SINGULAR_REL * scale))
 
 
 def point_source_velocity(x0, points):

@@ -351,11 +351,11 @@ def convergence_study(
 
     Spheres are compared against the analytic slip-sphere values with
     b = 1/alpha; other shapes against Aitken extrapolation of the computed
-    sequence.  Non-monotone error decay is reported through
-    :func:`warnings.warn` (a ``UserWarning``), not raised.  Each row also
-    holds ``SwimProblem.k_error_estimate`` (largest over the diagonal of
-    K, where ``k_error`` is that of its mean), and a row past the CLI's
-    limit is reported like any other.
+    sequence.  Each row also holds ``SwimProblem.k_error_estimate``
+    (largest over the diagonal of K, where ``k_error`` is that of its
+    mean), and a row past the CLI's limit is reported like any other.  A
+    rise of the estimate (not of the error, which need not be monotone) is
+    reported through :func:`warnings.warn` (a ``UserWarning``), not raised.
     """
     resolutions = list(resolutions)
     if len(resolutions) < 3:
@@ -389,10 +389,10 @@ def convergence_study(
         )
         for m in range(len(resolutions))
     )
-    for m in range(1, len(rows)):
-        if rows[m].k_error > rows[m - 1].k_error and rows[m].k_error > 1e-12:
+    for prev, row in zip(rows, rows[1:]):
+        if row.k_error_estimate > prev.k_error_estimate and row.k_error_estimate > 1e-12:
             warnings.warn(
-                f"K error did not decrease from N={rows[m-1].n_nodes} to N={rows[m].n_nodes}",
+                f"K error estimate did not decrease from N={prev.n_nodes} to N={row.n_nodes}",
                 stacklevel=2,
             )
     return ConvergenceStudy(rows)

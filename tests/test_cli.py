@@ -568,6 +568,43 @@ class TestLargeBody:
         assert np.max(np.abs(large - unit)) <= 1e-9 * np.max(np.abs(unit))
 
 
+def test_far_volume_points_validate(tmp_path):
+    # the volume rule's outer points at r_t 1e12 sit far from every source, and
+    # the near ones are judged on their own scale
+    rhs = {}
+    for r_t in (1e11, 1e12, 1e50):
+        cfg = _write_config(tmp_path / "v.json", shape={"kind": "sphere", "resolution": 12}, r_t=r_t)
+        out = tmp_path / f"v{r_t:g}.json"
+        assert main(["validate", "--config", str(cfg), "--output", str(out)]) == 0
+        rhs[r_t] = [c["rhs"] for c in json.loads(out.read_text())["checks"]]
+    npt.assert_allclose(rhs[1e12], rhs[1e11], rtol=1e-8, atol=1e-14)
+    npt.assert_allclose(rhs[1e50], rhs[1e11], rtol=2e-5, atol=1e-14)
+
+
+@pytest.mark.parametrize("command, suffix", [("mobility", "json"), ("converge", "csv")])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, suffix):
+    cfg = _write_config(tmp_path / "c.json", resolutions=[8, 9, 10])
+    out = tmp_path / "missing" / f"out.{suffix}"
+    assert main([command, "--config", str(cfg), "--output", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "cannot write output" in err[0]
+    assert not out.parent.exists()
+
+
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+    from slipswim import geometry
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(geometry, "make_parametric_surface", no_memory)
+    cfg = _write_config(tmp_path / "c.json")
+    assert main(["mobility", "--config", str(cfg), "--output", str(tmp_path / "o.json")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "out of memory" in err[0]
+    assert not (tmp_path / "o.json").exists()
+
+
 class TestDeterminism:
     def test_identical_runs_byte_identical(self, tmp_path):
         cfg = _write_config(tmp_path / "c.json")

@@ -21,7 +21,6 @@ from slipswim import (
     uniform_flux_data,
 )
 from slipswim.collocation import (
-    RIGID_MAX_MODE,
     _FRAME,
     _XYZ,
     _RingSide,
@@ -532,14 +531,51 @@ def _factored(solver):
     return [m for m, f in enumerate(solver._factors) if f is not None]
 
 
-def _grand_body(kind):
+def _grand_body(kind, size=1.0):
     """The benchmark's two bodies: a res-30 sphere and a res-24 spheroid with c = 1.2 a."""
     res, c_axis = {"sphere": (30, 1.0), "spheroid": (24, 1.2)}[kind]
-    return make_parametric_surface(kind, res, a_axis=1.0, c_axis=c_axis)
+    return make_parametric_surface(kind, res, radius=size, a_axis=size, c_axis=c_axis * size)
 
 
 class TestModesOnDemand:
-    """Ring bodies factor the DFT modes 0 and 1 first and the rest when a solve needs them."""
+    """Ring bodies factor the modes the norm bound cannot rule out first, the rest when data holds them."""
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid"])
+    @pytest.mark.parametrize("size", [0.8, 1.25])
+    def test_grand_matrix_takes_four_half_svds(self, kind, size, monkeypatch):
+        # the norm bound rules out every mode but 0 and 1, which the aux solves need
+        calls = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        prob = SwimProblem(_grand_body(kind, size), 2.0, shrink=0.5)
+        prob.grand_matrix
+        assert len(calls) == 4
+        assert _factored(prob.solver) == [0, 1]
+
+    @pytest.mark.parametrize("kind", ["sphere", "spheroid"])
+    def test_preset_data_takes_only_its_modes(self, kind):
+        mesh = _grand_body(kind)
+        finished = SwimProblem(mesh, 2.0, shrink=0.5).solver
+        finished.svd_rank
+        for data in (squirmer_data(mesh, 1.3), uniform_flux_data(mesh, 0.4), rigid_trace_data(mesh, 4)):
+            prob = SwimProblem(mesh, 2.0, shrink=0.5)
+            prob.grand_matrix
+            field, _ = prob.solver.solve_data(data)
+            assert _factored(prob.solver) == [0, 1]
+            assert np.array_equal(field.strengths, finished.solve_data(data)[0].strengths)
+
+    @pytest.mark.parametrize("body", ["problem12", "problem20_strided"])
+    def test_zero_data_keeps_one_mode(self, request, body):
+        # ring route and dense route: no mode is live, mode 0 is still solved
+        prob = request.getfixturevalue(body)
+        field, report = prob.solver.solve_data(squirmer_data(prob.mesh, 0.0))
+        assert not field.strengths.any()
+        assert np.isfinite(dataclasses.astuple(report)).all()
 
     @pytest.mark.parametrize("kind", ["sphere", "spheroid"])
     def test_grand_matrix_factors_modes_0_and_1(self, kind):
@@ -602,12 +638,12 @@ class TestModesOnDemand:
 class TestBatchedSolves:
     @pytest.mark.parametrize("body", ["problem12", "problem20_strided"])
     def test_aux_reports_equal_single_solves(self, request, body):
-        # the six-column solve against one column at a time, both on the DFT
-        # modes |m| <= 1 of rigid data (all modes on the dense route)
+        # the six-column solve against one column at a time; both read the DFT
+        # modes |m| <= 1 of rigid data off the data (one mode on the dense route)
         prob = request.getfixturevalue(body)
         for i, (field, report) in enumerate(zip(prob.aux_fields, prob.aux_reports), start=1):
             trace = rigid_trace_data(prob.mesh, i)
-            (strengths,), (single,) = prob.solver._solve([trace], max_mode=RIGID_MAX_MODE)
+            (strengths,), (single,) = prob.solver._solve([trace])
             single_field = FlowField(prob.sources, strengths)
             for got, want in zip(dataclasses.astuple(report), dataclasses.astuple(single)):
                 npt.assert_allclose(got, want, rtol=1e-12, atol=0)

@@ -115,6 +115,22 @@ class TestStokesletKernel:
         with pytest.raises(SingularEvaluationError):
             evaluate_flow(_stokeslet(np.zeros(3), np.ones(3)), np.zeros(3))
 
+    def test_far_points_do_not_set_the_scale(self):
+        # each point is judged on its own scale: a point 0.5 from the source
+        # next to one 1e12 away evaluates, one 1e-13 from it still raises
+        x0 = np.array([0.3, -0.2, 0.1])
+        far = np.array([1e12, 0.0, 0.0])
+        vel, _ = evaluate_flow(_stokeslet(x0, np.ones(3)), np.array([x0 + 0.5, far]))
+        assert np.all(np.isfinite(vel))
+        near = np.array([x0 + 1e-13, far])
+        with pytest.raises(SingularEvaluationError):
+            evaluate_flow(_stokeslet(x0, np.ones(3)), near)
+        assert np.all(np.isfinite(point_source_velocity(x0, np.array([x0 + 0.5, far]))))
+        with pytest.raises(SingularEvaluationError):
+            point_source_velocity(x0, near)
+        with pytest.raises(SingularEvaluationError):
+            point_source_traction(x0, near, np.ones((2, 3)))
+
 
 class TestPointSource:
     def test_velocity_is_radial_sink(self):
