@@ -20,7 +20,10 @@ scale at every body size and slip length.  Truncated SVD regularizes the
 exponentially ill-conditioned collocation matrix; the a-posteriori
 residuals in :class:`SolveReport` are the honest accuracy measure and are
 recomputed from the boundary conditions, not taken from the least-squares
-objective.
+objective.  The oversampled fit (Barnett & Betcke 2008) reads its on-node
+residual as its error, which means that only relative to the data: each
+residual is divided by the same norm of the data's rows, so it is
+dimensionless and the same at every body size.
 
 There is one factorization, and how the inputs were built sets its ring
 count P.  ``make_parametric_surface`` records the P phi samples of a
@@ -212,15 +215,16 @@ def uniform_flux_data(mesh: SurfaceMesh, phi: float) -> BoundaryData:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """A-posteriori diagnostics of a collocation solve.
+    """A-posteriori diagnostics of a collocation solve, relative to the data.
 
     ``residual_normal`` is the L2(surface) norm of v.n - d.n;
     ``residual_tangential`` that of the full slip rows
-    (T n)_tau + alpha (v - d)_tau.  Dividing the latter by alpha gives the
-    tangential velocity mismatch scale, which is the natural comparison
-    against ``residual_normal`` in the no-slip regime.  The SVD rank and
-    condition estimate describe the solver, not a solve: they are
-    :class:`SlipSolver` properties.
+    (T n)_tau + alpha (v - d)_tau divided by max(1/L, alpha), the row scale
+    of the fit, which puts them on the velocity scale.  Both are divided by
+    the same norm of the data's rows, all three families on that scale, so
+    they are dimensionless and do not change with the body's size; zero
+    data reads zero.  The SVD rank and condition estimate describe the
+    solver, not a solve: they are :class:`SlipSolver` properties.
     """
 
     residual_normal: float
@@ -258,37 +262,18 @@ def _slip_weight(mesh: SurfaceMesh, alpha: float) -> float:
     return max(1.0 / _length_scale(mesh), alpha)
 
 
-def _row_scale(weights: np.ndarray, slip_weight: float) -> np.ndarray:
-    sw = np.sqrt(weights)
-    scale = np.empty(3 * len(weights))
-    scale[0::3] = sw
-    scale[1::3] = sw / slip_weight
-    scale[2::3] = sw / slip_weight
-    return scale
+def _reports(residual, data):
+    """One SolveReport per set: the residual's row families relative to the data's.
 
-
-def _residual_norms(residual, weights):
-    """Weighted L2 norms of the normal and of the tangential rows of a residual.
-
-    Where a plain sum of squares overflows, the residual and the weights
-    are first scaled by powers of two, as ``SurfaceMesh.centroid`` is; that
-    is exact, so the scaled norms are those of the plain formula wherever
-    its squares are finite.
+    Both are C sets of rows scaled as the fit's, families along the last
+    axis; each set is divided by its data's largest entry, so no sum overflows.
     """
-    with np.errstate(over="ignore"):
-        norms = _sums_of_squares(residual, weights)
-    if all(map(math.isfinite, norms)):
-        return tuple(map(math.sqrt, norms))
-    e = math.frexp(float(np.max(np.abs(residual))))[1]
-    ew = math.frexp(float(np.max(weights)))[1] // 2
-    norms = _sums_of_squares(np.ldexp(residual, -e), np.ldexp(weights, -2 * ew))
-    return tuple(math.ldexp(math.sqrt(x), e + ew) for x in norms)
-
-
-def _sums_of_squares(residual, weights):
-    rn = residual[0::3]
-    rt = residual[1::3] ** 2 + residual[2::3] ** 2
-    return float(np.sum(weights * rn**2)), float(np.sum(weights * rt))
+    rows = np.stack((residual, data)).reshape(2, len(data), -1, 3)
+    size = np.abs(rows[1]).max(axis=(1, 2))
+    sq = (rows / np.where(size > 0.0, size, 1.0)[:, None, None]) ** 2
+    norms = np.sqrt([sq[0, ..., 0].sum(1), sq[0, ..., 1:].sum((1, 2)), sq[1].sum((1, 2))])
+    norms = np.divide(norms[:2], norms[2], out=np.zeros((2, len(data))), where=norms[2] > 0.0)
+    return [SolveReport(float(n), float(t)) for n, t in norms.T]
 
 
 # Component signs under the reflections y -> -y (phi -> -phi) and z -> -z:
@@ -317,12 +302,6 @@ def _rows_to_rings(rows, p) -> np.ndarray:
     """(C, 3N) rows in node order to ring-major (C, P, 3N/P); rows are scalars, so no rotation."""
     c = len(rows)
     return rows.reshape(c, -1, p, 3).swapaxes(1, 2).reshape(c, p, -1)
-
-
-def _rows_from_rings(y) -> np.ndarray:
-    """Inverse of :func:`_rows_to_rings`."""
-    c, p = y.shape[:2]
-    return y.reshape(c, p, -1, 3).swapaxes(1, 2).reshape(c, -1)
 
 
 def _rfft(y, p, axis=0):
@@ -550,7 +529,9 @@ class SlipSolver:
         self._rows = _RingSide(t, _FRAME, p > 1)
         self._trows = _RingSide(t, _XYZ, p > 1)
         self._cols = _RingSide(sources.count // p, _XYZ, p > 1)
-        self._scale = _row_scale(mesh.weights[::p], _slip_weight(mesh, alpha))
+        # the fit's rows: sqrt(weight), and the tangential rows over the slip weight
+        sw = _slip_weight(mesh, alpha)
+        self._scale = np.repeat(np.sqrt(mesh.weights[::p]), 3) / np.tile([1.0, sw, sw], t)
         # entries j < ceil(T/2) of every node ring, ring-major (all N nodes when P = 1)
         m = -(-t // 2) if p > 1 else t
         nodes = (np.arange(m) * p + np.arange(p)[:, None]).ravel()
@@ -702,7 +683,7 @@ class SlipSolver:
         strengths, reports = self._solve([data])
         return FlowField(self.sources, strengths[0]), reports[0]
 
-    def _solve(self, datas):
+    def _solve(self, datas, references=None):
         """Solve for C sets of boundary data as one C-column right-hand side.
 
         Each stage is one FFT, one butterfly and one product for all
@@ -711,11 +692,12 @@ class SlipSolver:
         applied, and a mode that holds only rounding in a set is dropped
         from it, since the truncated SVD would return it amplified by up to
         1 / svd_tol; that rounding is left to the residual.  Returns the
-        strengths (C, K, 3) and one SolveReport per set.
+        strengths (C, K, 3) and one SolveReport per set, relative to
+        ``references`` (one set of data each; the solved data by default).
         """
         p = len(self._rot)
-        rhs = np.array([_build_rhs(self.mesh, self.alpha, d) for d in datas])
-        b = _rfft(_rows_to_rings(rhs, p) * self._scale, p, -2)
+        rhs = self._fit_rows(datas)
+        b = _rfft(rhs, p, -2)
         live, n = _live_modes(b)
         uh, inv_s, v = self._mode_factors(n)
         b = self._rows.halves(b[:, :n])
@@ -724,9 +706,15 @@ class SlipSolver:
         # irfft pads the modes above n with zeros
         xi = _irfft(self._cols.join(_real_matmul(v, coef)), p, -2)
         y = _rfft(xi, p, -2)
-        residual = _rows_from_rings(self._apply(self._a, self._rows, y, n) / self._scale) - rhs
-        reports = [SolveReport(*_residual_norms(res, self.mesh.weights)) for res in residual]
-        return _from_rings(xi, self._rot), reports
+        residual = self._apply(self._a, self._rows, y, n) - rhs
+        if references is not None:
+            rhs = self._fit_rows(references)
+        return _from_rings(xi, self._rot), _reports(residual, rhs)
+
+    def _fit_rows(self, datas):
+        """The rows of C sets of data, ring-major and scaled as the fit's: (C, P, 3N/P)."""
+        rhs = np.array([_build_rhs(self.mesh, self.alpha, d) for d in datas])
+        return _rows_to_rings(rhs, len(self._rot)) * self._scale
 
 
 def _sink_traction(mesh: SurfaceMesh, x0) -> np.ndarray:
@@ -771,9 +759,12 @@ def solve_lifting(v_star: BoundaryData, solver: SlipSolver):
     If the data carries net flux phi, a point sink at the mesh centroid
     absorbs it: the sink's discrete flux is normalized to phi exactly and
     its boundary trace (velocity and slip-row traction) is subtracted from
-    the data before the Stokeslet fit on ``solver``'s mesh.
+    the data before the Stokeslet fit on ``solver``'s mesh.  A remainder
+    at most ``_MODE_FLOOR`` of the data's largest entry (uniform flux on a
+    sphere, which the sink matches) is rounding and is fitted as zero.
     By linearity the reported residuals are those of the complete composite
-    field against the original data.  Returns (FlowField, SolveReport).
+    field against the original data, relative to that data.  Returns
+    (FlowField, SolveReport).
     """
     mesh, alpha = solver.mesh, solver.alpha
     _check_match(v_star, mesh)
@@ -795,11 +786,11 @@ def solve_lifting(v_star: BoundaryData, solver: SlipSolver):
         - tangential_part(carrier, mesh.normals)
         - tangential_part(sink_traction, mesh.normals) / alpha
     )
+    size = max(np.max(np.abs(v_star.normal_data)), np.max(np.abs(v_star.tangential_data)))
+    if max(np.max(np.abs(dn)), np.max(np.abs(dt))) <= _MODE_FLOOR * size:
+        dn, dt = np.zeros_like(dn), np.zeros_like(dt)
     # dt keeps a normal part of order eps * phi from the carrier, which a
     # check scaled by dt's own (possibly rounding-sized) values would reject;
     # v_star was checked above.
-    stokeslet_field, report = solver._solve_one(BoundaryData(dn, dt))
-    field = FlowField(
-        solver.sources, stokeslet_field.strengths, source_flux=c_src, source_point=x0
-    )
-    return field, report
+    (strengths,), (report,) = solver._solve([BoundaryData(dn, dt)], [v_star])
+    return FlowField(solver.sources, strengths, source_flux=c_src, source_point=x0), report

@@ -37,9 +37,9 @@ __all__ = [
 ]
 
 _FRAME_TOL = 1e-12
-# Smallest and largest semi-axis whose square is a normal, finite float.
-_MIN_SEMI_AXIS = float(np.sqrt(np.finfo(float).tiny))
-_MAX_SEMI_AXIS = float(np.sqrt(np.finfo(float).max))
+# The accepted body sizes (largest coordinate): R grows as the size cubed and
+# stays a normal float, with the node count and 8 pi to spare.
+_MIN_SIZE, _MAX_SIZE = 1e-101, 1e101
 # mesh -> {name: (point key, value)}; entries die with their mesh.
 _MEMO = weakref.WeakKeyDictionary()
 
@@ -72,6 +72,10 @@ class SurfaceMesh:
         :func:`make_parametric_surface` sets it (to the resolution); it is
         1 on every other mesh and on ``dataclasses.replace`` copies.
 
+    Every reported number scales with a known power of the body's length,
+    so its size (largest node coordinate) is checked once, against 1e-101
+    to 1e101, where R and the surface sums are normal floats.
+
     Meshes compare and hash by identity, so per-mesh constants can be
     memoized (:func:`_per_mesh`).
     """
@@ -93,6 +97,7 @@ class SurfaceMesh:
             object.__setattr__(self, name, arr)
             # Shared read-only across workers; freeze the arrays.
             arr.setflags(write=False)
+        _check_size(self.nodes)
         n = len(self.nodes)
         if self.nodes.shape != (n, 3):
             raise GeometryError(f"nodes must be (N, 3), got {self.nodes.shape}")
@@ -126,9 +131,20 @@ class SurfaceMesh:
     @property
     def centroid(self) -> np.ndarray:
         """Area-weighted barycenter of the surface nodes."""
-        # scaled exactly by a power of two, so the sum of size r**3 cannot overflow
-        e = np.frexp(np.max(np.abs(self.nodes)))[1]
-        return np.ldexp(self.weights @ np.ldexp(self.nodes, -e) / self.area, e)
+        return self.weights @ self.nodes / self.area
+
+
+def _check_size(points):
+    """Raise GeometryError unless the largest coordinate of ``points`` is in the accepted range.
+
+    The builders apply it to their semi-axes or vertices before squaring them.
+    """
+    size = float(np.max(np.abs(points), initial=0.0))
+    if not _MIN_SIZE <= size <= _MAX_SIZE:
+        raise GeometryError(
+            f"body size {size:.3g} is outside the accepted range {_MIN_SIZE:g} to "
+            f"{_MAX_SIZE:g} (the largest coordinate; R grows as its cube)"
+        )
 
 
 def elementary_rigid_motion(i: int, x) -> np.ndarray:
@@ -295,8 +311,8 @@ def make_parametric_surface(
         node index = i_theta * resolution + i_phi, with cos(theta) ascending
         (south to north) and phi = 2*pi*i_phi/resolution.
     radius, a_axis, c_axis : float
-        Dimensions, all from sqrt(float tiny), about 1.49e-154, to below
-        sqrt(float max), about 1.34e154.
+        Dimensions, positive; the largest must lie in the range of sizes
+        :class:`SurfaceMesh` accepts, 1e-101 to 1e101.
 
     Returns
     -------
@@ -317,13 +333,7 @@ def make_parametric_surface(
     else:
         raise GeometryError(f"unknown shape {shape!r}")
     a, c = _semi_axes(shape_info)
-    if max(a, c) >= _MAX_SEMI_AXIS:
-        raise GeometryError(f"{shape} dimensions must be below {_MAX_SEMI_AXIS:.4g}")
-    if min(a, c) < _MIN_SEMI_AXIS:
-        raise GeometryError(
-            f"{shape} dimension {min(a, c):.4g} is below {_MIN_SEMI_AXIS:.4g}"
-        )
-
+    _check_size((a, c))
     t, wt = _gauss_legendre(resolution)
     nodes, normals = _spheroid_grid(a, c, t, _uniform_phi(resolution))
     ww = np.repeat(wt, resolution) * (2.0 * np.pi / resolution)
@@ -388,6 +398,7 @@ def load_triangle_mesh(path) -> SurfaceMesh:
             "are traversed by two faces"
         )
 
+    _check_size(verts)
     v0 = verts[faces[:, 0]]
     v1 = verts[faces[:, 1]]
     v2 = verts[faces[:, 2]]

@@ -56,7 +56,6 @@ from .collocation import (
     _check_match,
     _mode_multiplicity,
     _rfft,
-    _slip_weight,
     boundary_data_from_field,
     normalized_carrier,
     solve_lifting,
@@ -99,7 +98,8 @@ class SelfPropSolution:
     ``field`` is the composite flow (merged Stokeslet strengths plus the
     flux carrier of the lifting); ``force_residual`` and
     ``torque_residual`` are the magnitudes of the net surface traction
-    integrals, the discrete self-propulsion check.
+    integrals, the discrete self-propulsion check, relative to the lifting's
+    sum_n w_n |t_lift(x_n)| (the torque to that times the body's length).
     """
 
     coefficients: np.ndarray
@@ -232,11 +232,8 @@ class SwimProblem:
         return float(np.max(np.abs(fine / np.diag(self.grand_matrix.K) - 1.0)))
 
     def worst_residual(self) -> float:
-        """Largest auxiliary residual, with tangential rows on velocity scale."""
-        return max(
-            max(r.residual_normal, r.residual_tangential / _slip_weight(self.mesh, self.alpha))
-            for r in self.aux_reports
-        )
+        """Largest relative residual of the six auxiliary fits."""
+        return max(max(r.residual_normal, r.residual_tangential) for r in self.aux_reports)
 
     def wrench(self, v_star: BoundaryData) -> np.ndarray:
         return compute_wrench(v_star, self.basis, self.mesh)
@@ -267,17 +264,15 @@ class SwimProblem:
         t_comp = self.solver.node_traction(composite)
         force = surface_integral(self.mesh, t_comp)
         torque = surface_integral(self.mesh, np.cross(self.mesh.nodes, t_comp))
-        force_res = float(np.linalg.norm(force))
-        torque_res = float(np.linalg.norm(torque))
-        # the residuals are sums of tractions as large as the lifting's; a
-        # torque is a force times a length, so its tolerance is one body length more
-        lift_scale = float(self.mesh.weights @ np.linalg.norm(t_lift, axis=1))
-        tol = 1e-6 * max(1.0, float(np.max(np.abs(beta))), lift_scale)
-        torque_tol = tol * _length_scale(self.mesh)
-        if force_res > tol or torque_res > torque_tol:
+        # relative to the lifting's tractions (a torque is a force times a length),
+        # scaled before the norm squares them; zero data has zero residuals
+        lift_scale = float(self.mesh.weights @ np.linalg.norm(t_lift, axis=1)) or 1.0
+        force_res = float(np.linalg.norm(force / lift_scale))
+        torque_res = float(np.linalg.norm(torque / (lift_scale * _length_scale(self.mesh))))
+        if max(force_res, torque_res) > 1e-6:
             warnings.warn(
                 f"self-propulsion residuals (force {force_res:.3e}, torque "
-                f"{torque_res:.3e}) exceed {tol:.3e} (torque {torque_tol:.3e}); "
+                f"{torque_res:.3e}, relative to the lifting tractions) exceed 1e-6; "
                 "treat the result as inaccurate",
                 AccuracyWarning,
                 stacklevel=2,
@@ -372,7 +367,7 @@ def _ring_kernel(mesh: SurfaceMesh, p: int):
         ring0 = slice(lo * p, hi * p, p)
         dist = np.linalg.norm(x[ring0, None, :] - x[None, :, :], axis=2)
         dist[np.arange(hi - lo), np.arange(lo, hi) * p] = np.inf  # the j = k terms are excluded
-        g = w[ring0, None] * w[None, :] / dist**3
+        g = w[ring0, None] * (w[None, :] / dist**3)
         yield slice(lo, hi), np.sum(g, axis=1), _rfft(g.reshape(hi - lo, t, p).transpose(2, 0, 1), p)
 
 

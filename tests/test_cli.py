@@ -343,17 +343,36 @@ def test_mobility_in_any_units(tmp_path, radius, alpha):
     npt.assert_allclose(scaled, unit, rtol=1e-9, atol=1e-9 * np.max(np.abs(unit)))
 
 
-def test_unresolvable_body_exits_3(tmp_path, capsys):
-    # at radius 1e103 the grand matrix overflows; it is named as not finite
-    cfg = _write_config(
-        tmp_path / "c.json", shape={"kind": "sphere", "radius": 1e103, "resolution": 12}, alpha=2e-103
-    )
+def test_body_out_of_range_exits_2(tmp_path, capsys):
+    # R grows as the radius cubed: at 1e103 it would overflow and at 1e-120
+    # underflow, so the mesh is rejected where it is built, before any solve
+    for radius in (1e103, 1e-120):
+        cfg = _write_config(
+            tmp_path / "c.json",
+            shape={"kind": "sphere", "radius": radius, "resolution": 12},
+            alpha=2.0 / radius,
+        )
+        out = tmp_path / "out.json"
+        assert main(["mobility", "--config", str(cfg), "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and err.count("\n") == 1
+        assert f"body size {radius:g} is outside the accepted range 1e-101 to 1e+101" in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_triangle_mesh_out_of_range_exits_2(tmp_path, capsys, scale):
+    # the loader checks the vertices before their face areas over- or underflow
+    from test_geometry import _icosphere, _write_off
+
+    verts, faces = _icosphere(0)
+    _write_off(tmp_path / "ico.off", scale * verts, faces)
+    cfg = _write_config(tmp_path / "c.json", shape={"kind": "mesh", "path": str(tmp_path / "ico.off")})
     out = tmp_path / "out.json"
-    assert main(["mobility", "--config", str(cfg), "--output", str(out)]) == 3
+    assert main(["mobility", "--config", str(cfg), "--output", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("solver error") and err.count("\n") == 1
-    assert "not finite" in err
-    assert not out.exists()
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert "outside the accepted range 1e-101 to 1e+101" in err and not out.exists()
 
 
 def test_stride_on_a_parametric_body_exits_2(tmp_path, capsys):
@@ -486,15 +505,16 @@ def test_non_finite_output_exits_3(tmp_path, capsys):
 
 
 def test_huge_squirmer_exits_cleanly(tmp_path, capsys):
-    # the mesh centroid no longer overflows; the solve may still fail, but cleanly
+    # a body whose R would overflow is rejected when its mesh is built
     cfg = _write_config(
         tmp_path / "c.json",
         shape={"kind": "sphere", "radius": 1e103, "resolution": 12},
         alpha=2e-103,
     )
     code = main(["swim", "--config", str(cfg), "--output", str(tmp_path / "out.json")])
-    assert code in (2, 3)
-    assert capsys.readouterr().err.count("\n") == 1
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "outside the accepted range" in err
 
 
 class TestLargeBody:
@@ -532,8 +552,8 @@ class TestLargeBody:
 
 
     def test_radius_1e100_mobility_matches_unit_sphere(self, tmp_path):
-        # the residual norms are taken on power-of-two scaled rows, so the
-        # rotation fields' squared residuals no longer overflow at 1e100
+        # the residuals are relative to the data they fit, so the rotation
+        # fits read as on the unit sphere (to rounding: 1e100 is no power of two)
         outs = []
         for radius in (1.0, 1e100):
             cfg = _write_config(
@@ -543,11 +563,31 @@ class TestLargeBody:
             )
             out = tmp_path / f"mo{radius:g}.json"
             assert main(["mobility", "--config", str(cfg), "--output", str(out)]) == 0
-            outs.append(json.loads(out.read_text())["grand_matrix"])
+            outs.append(json.loads(out.read_text()))
         unit, large = outs
         for block, power in (("K", 1), ("R", 3)):
-            want, got = np.array(unit[block]), np.array(large[block]) / 1e100**power
+            want = np.array(unit["grand_matrix"][block])
+            got = np.array(large["grand_matrix"][block]) / 1e100**power
             assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+        npt.assert_allclose(large["aux_residual_worst"], unit["aux_residual_worst"], rtol=1e-12)
+
+    @pytest.mark.parametrize("radius", [1e100, 1e-100])
+    def test_swim_and_certify_at_the_ends_of_the_range(self, tmp_path, capsys, radius):
+        # the force and torque residuals are relative to the lifting's tractions,
+        # and scaled before their norms square them
+        cfg = _write_config(
+            tmp_path / "c.json",
+            shape={"kind": "sphere", "radius": radius, "resolution": 12},
+            alpha=2.0 / radius,
+        )
+        for command in ("swim", "certify"):
+            out = tmp_path / f"{command}.json"
+            assert main([command, "--config", str(cfg), "--output", str(out)]) == 0
+            record = json.loads(out.read_text(), parse_constant=pytest.fail)
+            assert record["warnings"] == []
+            assert max(record["residuals"][k] for k in ("force", "torque")) < 1e-12
+            npt.assert_allclose(record["xi"], [0.0, 0.0, 1.0 / 3.0], atol=1e-3)
+        assert capsys.readouterr().err == ""
 
     def test_radius_1e60_squirmer_has_no_torque_warning(self, tmp_path, capsys):
         # a torque is a force times a length: its tolerance scales with the body

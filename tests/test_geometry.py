@@ -121,9 +121,20 @@ class TestParametricSphere:
 
     def test_centroid_at_origin(self, sphere12):
         npt.assert_allclose(sphere12.centroid, 0.0, atol=1e-13)
-        # weights times nodes is of size r**3, which overflows above r ~ 1e102
-        huge = make_parametric_surface("sphere", 12, radius=1e150)
-        assert np.max(np.abs(huge.centroid)) <= 1e-13 * 1e150
+        # weights times nodes is of size r**3, a normal float across the accepted sizes
+        huge = make_parametric_surface("sphere", 12, radius=2.0**300)
+        assert np.max(np.abs(huge.centroid)) <= 1e-13 * 2.0**300
+        with pytest.raises(GeometryError, match="outside the accepted range"):
+            make_parametric_surface("sphere", 12, radius=1e150)
+
+    def test_hand_built_mesh_size_is_checked(self, sphere8):
+        # SurfaceMesh checks every mesh, not only those the builders make
+        for scale in (1e-120, 1e120):
+            with pytest.raises(GeometryError, match="outside the accepted range"):
+                SurfaceMesh(
+                    scale * sphere8.nodes, sphere8.normals, scale**2 * sphere8.weights,
+                    sphere8.tangent1, sphere8.tangent2,
+                )
 
     def test_gauss_legendre_rule_is_held_read_only(self):
         from numpy.polynomial.legendre import leggauss
@@ -174,11 +185,14 @@ class TestParametricSphere:
 
     @pytest.mark.parametrize(
         "shape, dims, small",
-        [("sphere", {"radius": 1e-155}, "1e-155"), ("spheroid", {"c_axis": 3e-160}, "3e-160")],
+        [
+            ("sphere", {"radius": 1e-155}, "1e-155"),
+            ("spheroid", {"a_axis": 1e-160, "c_axis": 3e-160}, "3e-160"),
+        ],
     )
     def test_dimension_floor(self, shape, dims, small):
-        # below sqrt(float tiny) a squared length is no longer a normal float
-        with pytest.raises(GeometryError, match=f"{small} is below 1.492e-154"):
+        # below 1e-101 the resistance R, of size r**3, is no longer a normal float
+        with pytest.raises(GeometryError, match=f"size {small} .* range 1e-101 to 1e\\+101"):
             make_parametric_surface(shape, 8, **dims)
 
     def test_shape_info_recorded(self, sphere12, spheroid12):

@@ -156,6 +156,17 @@ class TestSobolevSeminorm:
             rtol=1e-12,
         )
 
+    def test_scaling_law_at_the_extremes(self, sphere12, rng):
+        # the weights scale as r^2 and the kernel w_j w_k / d^3 as r, so on the
+        # sphere of radius r the square of the norm is A r^2 + B r
+        values = rng.normal(size=(sphere12.n_nodes, 3))
+        a = float(np.sum(sphere12.weights * np.sum(values**2, axis=1)))
+        b = h_half_norm(values, sphere12) ** 2 - a
+        for k in (-300, -100, -10, 10, 100, 300):
+            r = 2.0**k
+            got = h_half_norm(values, make_parametric_surface("sphere", 12, radius=r))
+            npt.assert_allclose(got, np.sqrt(a * r**2 + b * r), rtol=1e-14)
+
     def test_chunk_size_invariance(self, rng):
         # one ring of 400 rows spans two row chunks; compare with the unchunked double sum
         mesh = dataclasses.replace(make_parametric_surface("sphere", 20), shape_info=None)
@@ -199,6 +210,42 @@ class TestSobolevSeminorm:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20
+
+
+class TestScaleFree:
+    """Stokes flow has one length, the body's: every number scales with a known power of it."""
+
+    @staticmethod
+    def _diagnostics(k):
+        r = 2.0**k
+        mesh = make_parametric_surface("sphere", 12, radius=r)
+        prob = SwimProblem(mesh, 2.0 / r, shrink=0.5)
+        sol = prob.solve(squirmer_data(mesh))
+        return {
+            "K": prob.grand_matrix.K / r,
+            "R": prob.grand_matrix.R / r**3,
+            "aux": [dataclasses.astuple(report) for report in prob.aux_reports],
+            "worst": prob.worst_residual(),
+            "lifting": dataclasses.astuple(sol.lifting_report),
+            "force, torque": (sol.force_residual, sol.torque_residual),
+        }
+
+    def test_diagnostics_are_bit_identical_across_power_of_two_radii(self):
+        # scaling by a power of two is exact, and the residuals are relative to
+        # the data they fit, so they are the unit sphere's to the last bit
+        unit = self._diagnostics(0)
+        for k in (-300, -200, -60, 60, 200, 300):
+            got = self._diagnostics(k)
+            for name in ("K", "R", "aux", "worst", "lifting"):
+                assert np.array_equal(got[name], unit[name]), (k, name)
+            # the force and torque residuals sum the composite tractions, which
+            # carry xi; from k = 59 the 6x6 LU pivots on M's unequal block
+            # scales, xi_x and xi_y move from 1.4e-18 to -3.3e-16, and the
+            # residuals with them, at rounding
+            if k < 0:
+                assert np.array_equal(got["force, torque"], unit["force, torque"]), k
+            else:
+                npt.assert_allclose(got["force, torque"], unit["force, torque"], rtol=0, atol=1e-15)
 
 
 def _memo_arrays(mesh):

@@ -296,13 +296,14 @@ class TestMatricesAndFields:
         from slipswim.stokeslets import _frame_rows
 
         rows = []
+        mesh = make_parametric_surface("sphere", 8)
+        locs = place_sources(mesh, 0.5).locations
+        frames = np.stack((mesh.normals, mesh.tangent1, mesh.tangent2), axis=1)
+        # the points alone, scaled below the smallest body a mesh accepts
         for radius in (1.0, 1e-120):
-            mesh = make_parametric_surface("sphere", 8, radius=radius)
-            locs = place_sources(mesh, 0.5).locations
-            frames = np.stack((mesh.normals, mesh.tangent1, mesh.tangent2), axis=1)
             vel = np.empty((mesh.n_nodes, 3, 3, len(locs)))
             trac = np.empty_like(vel)
-            _frame_rows(mesh.nodes, frames, locs, mesh.normals, vel, trac)
+            _frame_rows(radius * mesh.nodes, frames, radius * locs, mesh.normals, vel, trac)
             rows.append((vel, trac))
         for (unit, tiny), power in zip(zip(*rows), (120, 240)):
             assert np.all(np.isfinite(tiny))
