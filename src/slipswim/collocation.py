@@ -67,9 +67,10 @@ min(||B||_F, sqrt(||B||_1 ||B||_inf)), until it falls below the largest
 singular value found so far: no mode left can hold a larger one, so the
 global truncation threshold is exact from the start.  The rest are
 factored, by the same routine, by the first solve whose data holds them,
-or when the rank or the condition estimate is read.  A solve takes the
-same products on the same modes whatever ran before, so the grand matrix
-does not depend on it.  With P = 1 the one block is factored at once.
+or when the rank or the condition estimate is read, into the mode's slots
+of three stacks that every solve slices.  A slot never changes once
+written, so the grand matrix does not depend on what ran before.  With
+P = 1 the one block is factored at once.
 
 The rows come from one Stokeslet row kernel run along each node's frame
 (n, t1, t2): it gives the velocity and the traction rows in one pass, and
@@ -437,19 +438,6 @@ def _mode_blocks(mat, rows, cols) -> np.ndarray:
     return c
 
 
-def _stack(mats, shape):
-    """Arrays into a zero-padded (len(mats), *shape) stack.
-
-    One array stays a view, so the dense path holds no second copy.
-    """
-    if len(mats) == 1:
-        return mats[0][None]
-    out = np.zeros((len(mats),) + shape)
-    for o, m in zip(out, mats):
-        o[tuple(map(slice, m.shape))] = m
-    return out
-
-
 def _norm_bound(blocks) -> np.ndarray:
     """An upper bound on the spectral norm of each mode's halves (M, H, h_r, h_c): (M,).
 
@@ -492,10 +480,11 @@ class SlipSolver:
     The truncated SVD of the row-weighted matrix is computed once and
     reused for any number of right-hand sides, which is what makes the six
     auxiliary solves plus the lifting solve cheap.  On a ring body it is
-    computed per DFT mode, when first needed (see the module docstring):
-    the modes the norm bound cannot rule out at construction, the rest at
-    the first solve whose data holds them, or when ``svd_rank`` or
-    ``condition_estimate`` is read.
+    computed per DFT mode, when first needed (see the module docstring).
+    The factors live once, in stacks with a slot per mode and half: U^T
+    (M, H, r, h_r), 1 / s (M, H, r) and V (M, H, h_c, r), r = min(h_r, h_c),
+    written when the mode is factored (``_factored``), zero past each
+    half's kept values; a solve multiplies views of their first n slots.
 
     The ring count P is ``mesh.rings`` when the sources record the same
     rings, else 1 (see the module docstring).  With P > 1 the kernel runs
@@ -554,11 +543,13 @@ class SlipSolver:
         del a
         self._tmat = _mode_blocks(tmat.reshape(block_column), self._trows, self._cols)
         del tmat
-        self._halves = list(zip(self._rows.sizes, self._cols.sizes))
-        self._factors = [None] * len(self._a)
-        self._kept = np.zeros(self._a.shape[:2], dtype=np.intp)
-        self._s_min = np.full(len(self._a), np.inf)
-        self._full = None
+        # the factor stacks (see the class docstring); unwritten slots stay zero pages
+        modes, h, h_r, h_c = self._a.shape
+        r = min(h_r, h_c)
+        self._uh = np.zeros((modes, h, r, h_r))
+        self._inv_s = np.zeros((modes, h, r))
+        self._v = np.zeros((modes, h, h_c, r))
+        self._factored = np.zeros(modes, dtype=bool)
         # ||B||_2 <= the bound, so once a mode's bound is below the largest
         # singular value found so far, no mode left can hold a larger one
         bound = _norm_bound(self._a)
@@ -571,23 +562,22 @@ class SlipSolver:
         if s_max == 0.0:
             raise SolverError("collocation matrix is identically zero")
         self._s_max = s_max
+        # svd_tol < 1, so s_max is always kept
         self._cut = svd_tol * s_max
         for m, svd in svds.items():
             self._truncate(m, svd)
-        if not self._kept.any():
-            raise SolverError("truncated SVD kept no singular values")
 
     @property
     def svd_rank(self) -> int:
         """Singular values kept over all P DFT blocks; reading it finishes the factorization."""
-        self._factor(len(self._factors))
-        return int(_mode_multiplicity(len(self._rot)) @ self._kept.sum(axis=1))
+        self._factor(len(self._factored))
+        return int(_mode_multiplicity(len(self._rot)) @ np.count_nonzero(self._inv_s, axis=(1, 2)))
 
     @property
     def condition_estimate(self) -> float:
         """Largest over smallest kept singular value; reading it finishes the factorization."""
-        self._factor(len(self._factors))
-        return float(self._s_max / self._s_min.min())
+        self._factor(len(self._factored))
+        return float(self._s_max * self._inv_s.max())
 
     def _svd(self, m):
         """The SVDs of the halves of DFT mode m."""
@@ -595,60 +585,24 @@ class SlipSolver:
             # one 2-D call per half: the perfbench SVD counter reads (m, n) from its shape
             return [
                 np.linalg.svd(self._a[m, k, :rows, :cols], full_matrices=False)
-                for k, (rows, cols) in enumerate(self._halves)
+                for k, (rows, cols) in enumerate(zip(self._rows.sizes, self._cols.sizes))
             ]
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"SVD of the collocation matrix failed: {exc}") from exc
 
     def _truncate(self, m, svd):
-        """Keep mode m's singular triplets at or above the global cut.
-
-        Its factors are U^T (H, r, h_r), 1 / s (H, r) and V (H, h_c, r),
-        with r the most values a half of the mode keeps; 1 / s is zero
-        beyond a half's own kept values.
-        """
-        kept = [np.count_nonzero(s >= self._cut) for _, s, _ in svd]
-        self._kept[m] = kept
-        self._s_min[m] = min((s[k - 1] for (_, s, _), k in zip(svd, kept) if k), default=np.inf)
-        r = max(kept)
-        h_r, h_c = self._a.shape[2:]
-        inv_s = np.zeros((len(svd), r))
-        for row, (_, s, _), k in zip(inv_s, svd, kept):
-            row[:k] = 1.0 / s[:k]
-        self._factors[m] = (
-            _stack([u[:, :r].T for u, _, _ in svd], (r, h_r)),
-            inv_s,
-            _stack([vh[:r].T for _, _, vh in svd], (h_c, r)),
-        )
+        """Write mode m's singular triplets at or above the global cut into its slots."""
+        for k, (u, s, vh) in enumerate(svd):
+            kept = np.count_nonzero(s >= self._cut)
+            self._uh[m, k, :kept, : len(u)] = u[:, :kept].T
+            self._inv_s[m, k, :kept] = 1.0 / s[:kept]
+            self._v[m, k, : vh.shape[1], :kept] = vh[:kept].T
+        self._factored[m] = True
 
     def _factor(self, n):
         """Factor every mode below n that is not factored yet."""
-        for m in range(n):
-            if self._factors[m] is None:
-                self._truncate(m, self._svd(m))
-
-    def _mode_factors(self, n):
-        """The factors of the modes below n, stacked to (n, H, ...) at one rank.
-
-        The stacks of all modes finish the factorization and are built once.
-        Each mode's own factors then become views of them, with the same
-        values and shapes, so a solve on fewer modes stacks the same arrays
-        before and after.
-        """
-        if n == len(self._factors) and self._full is not None:
-            return self._full
-        self._factor(n)
-        uh, inv_s, v = zip(*self._factors[:n])
-        h, (h_r, h_c) = self._a.shape[1], self._a.shape[2:]
-        r = max(x.shape[1] for x in inv_s)
-        stacks = (_stack(uh, (h, r, h_r)), _stack(inv_s, (h, r)), _stack(v, (h, h_c, r)))
-        if n == len(self._factors):
-            self._full = stacks
-            self._factors = [
-                (stacks[0][m, :, :w], stacks[1][m, :, :w], stacks[2][m, :, :, :w])
-                for m, w in enumerate(x.shape[1] for x in inv_s)
-            ]
-        return stacks
+        for m in np.flatnonzero(~self._factored[:n]):
+            self._truncate(m, self._svd(m))
 
     def _apply(self, blocks, rows, y, n):
         """Block-circulant product of ``blocks`` with the ring DFT ``y`` (C, M, 3K/P), modes < n."""
@@ -699,12 +653,12 @@ class SlipSolver:
         rhs = self._fit_rows(datas)
         b = _rfft(rhs, p, -2)
         live, n = _live_modes(b)
-        uh, inv_s, v = self._mode_factors(n)
+        self._factor(n)
         b = self._rows.halves(b[:, :n])
         b[~live[:, :n]] = 0.0
-        coef = _real_matmul(uh, b) * inv_s
+        coef = _real_matmul(self._uh[:n], b) * self._inv_s[:n]
         # irfft pads the modes above n with zeros
-        xi = _irfft(self._cols.join(_real_matmul(v, coef)), p, -2)
+        xi = _irfft(self._cols.join(_real_matmul(self._v[:n], coef)), p, -2)
         y = _rfft(xi, p, -2)
         residual = self._apply(self._a, self._rows, y, n) - rhs
         if references is not None:

@@ -25,6 +25,7 @@ defect.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,7 +133,7 @@ class GrandMatrix:
         k = m[:3, :3]
         r = m[3:, 3:]
         s = m[3:, :3]
-        unit = np.ldexp(m, -np.frexp(np.max(np.abs(m)))[1])
+        unit = _unit_scale(m)[0]
         defect = float(np.linalg.norm(unit - unit.T) / np.linalg.norm(unit))
         sym = 0.5 * (m + m.T)
         diag = np.diag(sym)
@@ -178,20 +179,38 @@ def compute_wrench(v_star: BoundaryData, basis: ThrustBasis, mesh: SurfaceMesh) 
     return -np.einsum("n,nj,inj->i", mesh.weights, v, basis.tractions)
 
 
+def _rigid_scale(a):
+    """D = diag(1, 1, 1, 1/s, 1/s, 1/s), s = 2^round(log2 sqrt(tr a[3:, 3:] / tr a[:3, :3]))."""
+    tr = a.diagonal().tolist()  # plain floats: a set of data costs four such solves
+    inv_s = math.ldexp(1.0, -round(0.5 * math.log2(sum(tr[3:]) / sum(tr[:3]))))
+    return np.array([1.0, 1.0, 1.0, inv_s, inv_s, inv_s])
+
+
 def swim_velocity(gm: GrandMatrix, wrench: np.ndarray):
     """Rigid-body velocity (xi, omega) generated by the wrench 6-vector W.
 
-    Solves M (xi, omega) = W and cross-checks that the solution reproduces
-    the wrench to near rounding.
+    K, S and R grow as L, L^2 and L^3 with the body's length L, too unequal
+    for LU pivoting on M, so the solve is equilibrated: D M D y = D W and
+    (xi, omega) = D y, with D = diag(1, 1, 1, 1/s, 1/s, 1/s) and s =
+    2^round(log2 sqrt(tr R / tr K)) ~ L, an exact scaling (s = 1 on the
+    unit sphere).  y must reproduce D W to near rounding, relative to max|D W|.
     """
-    wrench = np.asarray(wrench, dtype=float)
-    sol = np.linalg.solve(gm.M, wrench)
-    defect = np.max(np.abs(gm.M @ sol - wrench))
-    if defect > 1e-10 * max(1.0, float(np.max(np.abs(wrench)))):
+    d = _rigid_scale(gm.M)
+    m, w = gm.M * d * d[:, None], np.asarray(wrench, dtype=float) * d
+    y = np.linalg.solve(m, w)
+    defect = np.abs(m @ y - w).max()
+    if defect > 1e-10 * np.abs(w).max():
         raise SolverError(
             f"grand-matrix solve failed to reproduce the wrench (defect {defect:.3e})"
         )
-    return sol[:3], sol[3:]
+    x = y * d
+    return x[:3], x[3:]
+
+
+def _unit_scale(v):
+    """v divided by a power of two 2^e at or above its largest entry (exact), and e."""
+    e = math.frexp(np.abs(v).max(initial=0.0))[1]
+    return np.ldexp(v, -e), e
 
 
 def thrust_projection(v_star: BoundaryData, basis: ThrustBasis, mesh: SurfaceMesh):
@@ -200,17 +219,20 @@ def thrust_projection(v_star: BoundaryData, basis: ThrustBasis, mesh: SurfaceMes
     Returns (coefficients, residual_norm, is_nonzero) where is_nonzero
     states whether the projection exceeds 1e-8 relative to the data
     norm.  The motion dichotomy rests on this flag: the body moves exactly
-    when the projection is nonzero.
+    when the projection is nonzero.  The sums run on the data over a power
+    of two at or above its largest entry, so sum w v.v (L^4 for rotation
+    data) cannot overflow, and the Gram system is equilibrated as M is.
     """
-    v = data_vector(v_star, mesh)
+    v, e = _unit_scale(data_vector(v_star, mesh))
     rhs = np.einsum("n,nj,inj->i", mesh.weights, v, basis.tractions)
+    d = _rigid_scale(basis.gram)
     try:
-        coeff = np.linalg.solve(basis.gram, rhs)
+        coeff = d * np.linalg.solve(basis.gram * d * d[:, None], rhs * d)
     except np.linalg.LinAlgError as exc:
         raise BasisRankError("traction Gram matrix is singular") from exc
     v_sq = float(np.einsum("n,nj,nj->", mesh.weights, v, v))
     proj_sq = float(coeff @ rhs)
-    residual = float(np.sqrt(max(v_sq - proj_sq, 0.0)))
+    residual = float(np.ldexp(np.sqrt(max(v_sq - proj_sq, 0.0)), e))
     v_norm = np.sqrt(v_sq)
     is_nonzero = bool(v_norm > 0 and np.sqrt(max(proj_sq, 0.0)) > _PROJECTION_TOL * v_norm)
-    return coeff, residual, is_nonzero
+    return np.ldexp(coeff, e), residual, is_nonzero

@@ -62,6 +62,7 @@ from .collocation import (
 )
 from .mobility import (
     GrandMatrix,
+    _unit_scale,
     assemble_grand_matrix,
     compute_wrench,
     swim_velocity,
@@ -328,13 +329,15 @@ def h_half_norm(values, mesh: SurfaceMesh) -> float:
     O(N^1.5) work and memory; each call then costs O(N^1.5).  Every other
     mesh is one ring (P = 1, no FFT), whose N x N kernel is built
     ``_H_HALF_CHUNK`` rows at a time on every call, in O(N^2) work, and
-    never held.
+    never held.  The sums run on f over a power of two at or above its
+    largest entry, so its squares cannot overflow or underflow.
     """
     f = np.asarray(values, dtype=float)
     if f.ndim == 1:
         f = f[:, None]
     if f.shape[0] != mesh.n_nodes:
         raise ValueError("field does not match the mesh")
+    f, e = _unit_scale(f)
     p = mesh.rings
     t = mesh.n_nodes // p
     # node t * P + q is row t of ring q
@@ -351,7 +354,7 @@ def h_half_norm(values, mesh: SurfaceMesh) -> float:
         quad += np.sum(f_hat[:, rows] * (g_hat @ f_hat.conj()), axis=(1, 2)).real
     total = float(np.sum(mesh.weights * np.sum(f**2, axis=1)))
     total += 2.0 * (diag - float(_mode_multiplicity(p) @ quad) / p)
-    return float(np.sqrt(total))
+    return float(np.ldexp(np.sqrt(total), e))
 
 
 def _ring_kernel(mesh: SurfaceMesh, p: int):

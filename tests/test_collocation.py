@@ -206,11 +206,11 @@ class TestLifting:
         mesh = make_parametric_surface("sphere", 30)
         prob = SwimProblem(mesh, 2.0, shrink=0.5)
         prob.grand_matrix
-        factored = [f is not None for f in prob.solver._factors]
-        assert factored.count(True) < len(factored)
+        factored = prob.solver._factored.copy()
+        assert not factored.all()
         data = uniform_flux_data(mesh, 0.4)
         field, report = solve_lifting(data, prob.solver)
-        assert [f is not None for f in prob.solver._factors] == factored
+        assert np.array_equal(prob.solver._factored, factored)
         assert not np.any(field.strengths) and field.source_flux != 0.0
         assert report.residual_normal == report.residual_tangential == 0.0
 
@@ -549,7 +549,7 @@ class TestFusedAssembly:
 
 
 def _factored(solver):
-    return [m for m, f in enumerate(solver._factors) if f is not None]
+    return np.flatnonzero(solver._factored).tolist()
 
 
 def _grand_body(kind, size=1.0):
@@ -604,7 +604,7 @@ class TestModesOnDemand:
         prob.grand_matrix
         assert _factored(prob.solver) == [0, 1]
         prob.solver.svd_rank
-        assert _factored(prob.solver) == list(range(len(prob.solver._factors)))
+        assert prob.solver._factored.all()
 
     @pytest.mark.parametrize("kind", ["sphere", "spheroid"])
     def test_grand_matrix_does_not_depend_on_a_general_solve(self, kind, rng):
@@ -612,7 +612,6 @@ class TestModesOnDemand:
         fresh = SwimProblem(mesh, 2.0, shrink=0.5)
         after = SwimProblem(mesh, 2.0, shrink=0.5)
         after.solver.solve_data(random_boundary_data(mesh, rng))
-        assert after.solver._full is not None
         assert np.array_equal(fresh.grand_matrix.M, after.grand_matrix.M)
         assert np.array_equal(fresh._aux[2], after._aux[2])
 
@@ -647,13 +646,22 @@ class TestModesOnDemand:
         assert ring.svd_rank == dense.svd_rank
         npt.assert_allclose(ring.condition_estimate, dense.condition_estimate, rtol=1e-3)
 
-    def test_dense_route_factors_at_construction_without_copies(self, problem20_strided):
+    def test_dense_route_factors_at_construction_without_copies(self, problem20_strided, monkeypatch):
         solver = SlipSolver(problem20_strided.mesh, problem20_strided.sources, 1e6)
         assert _factored(solver) == [0]
-        uh, _, v = solver._mode_factors(1)
-        assert not uh.flags.owndata and not v.flags.owndata
-        assert np.shares_memory(uh, solver._factors[0][0])
-        assert np.shares_memory(v, solver._factors[0][2])
+        # a solve multiplies views of the solver's factor stacks, no copies
+        mats = []
+        real_matmul = collocation._real_matmul
+
+        def recorded(mat, x):
+            mats.append(mat)
+            return real_matmul(mat, x)
+
+        monkeypatch.setattr(collocation, "_real_matmul", recorded)
+        solver.solve_data(squirmer_data(solver.mesh, 1.0))
+        for stack in (solver._uh, solver._v):
+            used = [m for m in mats if np.shares_memory(m, stack)]
+            assert len(used) == 1 and not used[0].flags.owndata
 
 
 class TestBatchedSolves:

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import gc
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -29,6 +30,7 @@ from slipswim import (
 from slipswim import collocation, geometry, selfprop
 from slipswim.collocation import BoundaryData, data_vector
 from slipswim.geometry import tangential_part
+from slipswim.mobility import thrust_projection
 from test_geometry import _icosphere, _write_off
 
 
@@ -236,16 +238,44 @@ class TestScaleFree:
         unit = self._diagnostics(0)
         for k in (-300, -200, -60, 60, 200, 300):
             got = self._diagnostics(k)
-            for name in ("K", "R", "aux", "worst", "lifting"):
+            for name in unit:
                 assert np.array_equal(got[name], unit[name]), (k, name)
-            # the force and torque residuals sum the composite tractions, which
-            # carry xi; from k = 59 the 6x6 LU pivots on M's unequal block
-            # scales, xi_x and xi_y move from 1.4e-18 to -3.3e-16, and the
-            # residuals with them, at rounding
-            if k < 0:
-                assert np.array_equal(got["force, torque"], unit["force, torque"]), k
-            else:
-                npt.assert_allclose(got["force, torque"], unit["force, torque"], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "r",
+        [2.0**-300, 2.0**-60, 1.0, 2.0**60, 2.0**300, 1e100, 1e-100],
+        ids=["2^-300", "2^-60", "1", "2^60", "2^300", "1e100", "1e-100"],
+    )
+    def test_swim_and_sums_at_any_size(self, r):
+        # the 6x6 solves are equilibrated by a power of two of the order of r, and
+        # the surface sums run on the data over a power of two, so neither the
+        # unequal scales of K, S and R nor the r^4 of sum w v.v for rotation data
+        # reach the answer: the unit sphere's xi, and rotation data, whose exact
+        # answer is xi = 0, omega = -e_x and no translation traction in its
+        # projection, gives xi and those coefficients at rounding relative to r
+        def swim(r):
+            mesh = make_parametric_surface("sphere", 12, radius=r)
+            prob = SwimProblem(mesh, 2.0 / r, shrink=0.5)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", AccuracyWarning)
+                data = squirmer_data(mesh)
+                xi = np.concatenate((prob.swim(data)[0], prob.solve(data).xi))
+                data = rigid_trace_data(mesh, 4)
+                rotation = np.concatenate((*prob.swim(data), prob.solve(data).coefficients))
+            coeff, residual, _ = thrust_projection(data, prob.basis, mesh)
+            return xi, rotation, coeff, residual, prob.certificate(1.0, data).beta_star_half_norm
+
+        xi, rotation, coeff, residual, half_norm = swim(r)
+        if np.frexp(r)[0] == 0.5:
+            assert np.array_equal(xi, swim(1.0)[0])
+        else:
+            npt.assert_allclose(xi, swim(1.0)[0], rtol=0, atol=1e-14)
+        for x in rotation.reshape(-1, 6):
+            assert np.max(np.abs(x[:3])) <= 1e-15 * r
+            npt.assert_allclose(x[3:], [-1.0, 0.0, 0.0], rtol=0, atol=1e-12)
+        assert np.max(np.abs(coeff[:3])) <= 1e-15 * r**2
+        for value in (residual, half_norm):
+            assert np.isfinite(value) and value > 0.0
 
 
 def _memo_arrays(mesh):
