@@ -50,10 +50,13 @@ matrix has N K.  The rest, and the rotation of each source ring into its
 frame, follow from the symmetries.  Every other input (triangle meshes,
 strided or hand-built sources, mesh copies made by
 ``dataclasses.replace``, a mesh and sources whose rings differ) has
-P = 1: no FFT, no phase and no butterfly, so the same code assembles and
-takes one SVD of the full 3N x 3K matrix.  Every block truncates against
-the global largest singular value, so the rank, the condition estimate
-and the solution do not depend on P beyond rounding.
+P = 1: no FFT, no phase and no butterfly, so the same code assembles the
+full 3N x 3K matrix.  Its one factorization is a QR where R^-1 proves that
+the truncated SVD would keep every singular value: then the SVD's answer
+is the plain least-squares solution R^-1 Q^T b, and the SVD is skipped.
+Otherwise it takes one SVD.  Every block truncates against the global
+largest singular value, so the rank, the condition estimate and the
+solution do not depend on P or on the factorization beyond rounding.
 
 The modes are factored when they are needed.  A solve reads off its data
 which DFT modes are live, above 1e-13 of a data set's largest mode
@@ -85,6 +88,7 @@ and the Stokeslets fit the zero-flux remainder.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -239,12 +243,16 @@ def _check_match(data, mesh):
         )
 
 
+def _data_size(data: BoundaryData) -> float:
+    """The data's largest entry, normal and tangential together: the scale of its floors."""
+    return float(max(np.max(np.abs(data.normal_data)), np.max(np.abs(data.tangential_data))))
+
+
 def _check_tangential(data: BoundaryData, mesh: SurfaceMesh):
     defect = np.max(
         np.abs(np.einsum("ij,ij->i", data.tangential_data, mesh.normals))
     )
-    scale = max(1.0, float(np.max(np.abs(data.tangential_data), initial=0.0)))
-    if defect > _ORTHO_TOL * scale:
+    if defect > _ORTHO_TOL * _data_size(data):
         raise ValueError(
             f"tangential_data is not orthogonal to the mesh normals (defect {defect:.2e})"
         )
@@ -493,8 +501,11 @@ class SlipSolver:
     The blocks it yields (:func:`_mode_blocks`) split into real even and
     odd halves (:class:`_RingSide`), each with its own SVD, all truncated
     against the global largest singular value.  With P = 1 the same code
-    assembles the full 3N x 3K matrix and takes one SVD; a ring mismatch
-    costs time, never accuracy.
+    assembles the full 3N x 3K matrix and factors it once.  Where R^-1 of
+    its QR certifies that the truncated SVD would keep every singular value
+    (:meth:`_certified_qr`), Q, ones and R^-1 fill the stacks, no SVD is
+    taken, and a solve adds one refinement step; otherwise it takes one
+    SVD.  A ring mismatch costs time, never accuracy.
 
     The one Stokeslet row kernel (``stokeslets._frame_rows``) runs along
     each node's frame (n, t1, t2) and gives the velocity and the traction
@@ -543,16 +554,19 @@ class SlipSolver:
         del a
         self._tmat = _mode_blocks(tmat.reshape(block_column), self._trows, self._cols)
         del tmat
-        # the factor stacks (see the class docstring); unwritten slots stay zero pages
         modes, h, h_r, h_c = self._a.shape
+        self._factored = np.zeros(modes, dtype=bool)
+        bound = _norm_bound(self._a)
+        self._certified = p == 1 and self._certified_qr(bound[0], svd_tol)
+        if self._certified:
+            return
+        # the factor stacks (see the class docstring); unwritten slots stay zero pages
         r = min(h_r, h_c)
         self._uh = np.zeros((modes, h, r, h_r))
         self._inv_s = np.zeros((modes, h, r))
         self._v = np.zeros((modes, h, h_c, r))
-        self._factored = np.zeros(modes, dtype=bool)
         # ||B||_2 <= the bound, so once a mode's bound is below the largest
         # singular value found so far, no mode left can hold a larger one
-        bound = _norm_bound(self._a)
         svds, s_max = {}, 0.0
         for m in map(int, np.argsort(-bound, kind="stable")):
             if bound[m] < (1.0 - _BOUND_SLACK) * s_max:
@@ -573,11 +587,45 @@ class SlipSolver:
         self._factor(len(self._factored))
         return int(_mode_multiplicity(len(self._rot)) @ np.count_nonzero(self._inv_s, axis=(1, 2)))
 
-    @property
+    @functools.cached_property
     def condition_estimate(self) -> float:
-        """Largest over smallest kept singular value; reading it finishes the factorization."""
+        """Largest over smallest kept singular value; reading it finishes the factorization.
+
+        A certified block (:meth:`_certified_qr`) has no singular values at
+        hand: they are read off W = R^-1, whose own are their inverses, by a
+        values-only SVD the first time this is read.
+        """
         self._factor(len(self._factored))
+        if self._certified:
+            s = np.linalg.svd(self._v[0, 0], compute_uv=False)
+            return float(s[0] / s[-1])
         return float(self._s_max * self._inv_s.max())
+
+    def _certified_qr(self, bound, svd_tol):
+        """Factor the one block (P = 1) as Q R where that is its truncated SVD; True if so.
+
+        W = R^-1 gives s_min >= 1 / ||W||_F, and s_max <= ``bound``, so
+        where ||W||_F bound <= 1 / (2 svd_tol) every singular value is above
+        the cut (the 2 covers W's rounding): the truncated SVD would keep
+        them all and return the least-squares solution W Q^T b.  Q then
+        stands in for U, ones for 1 / s and W for V in the stacks, Q^T as a
+        view of Q, not a copy.  A wide block, a singular R or a failed
+        certificate returns False and leaves the block to the SVD.
+        """
+        a = self._a[0, 0]
+        if len(a) < a.shape[1]:
+            return False
+        try:
+            q, r = np.linalg.qr(a)
+            w = np.linalg.inv(r)
+        except np.linalg.LinAlgError:
+            return False
+        # NaN or inf in W fails the comparison too
+        if not np.linalg.norm(w) * bound <= 0.5 / svd_tol:
+            return False
+        self._uh, self._inv_s, self._v = q.T[None, None], np.ones((1, 1, len(w))), w[None, None]
+        self._factored[0] = True
+        return True
 
     def _svd(self, m):
         """The SVDs of the halves of DFT mode m."""
@@ -656,14 +704,23 @@ class SlipSolver:
         self._factor(n)
         b = self._rows.halves(b[:, :n])
         b[~live[:, :n]] = 0.0
-        coef = _real_matmul(self._uh[:n], b) * self._inv_s[:n]
+        x = self._fit(b, n)
+        if self._certified:
+            # the product with W = R^-1 loses up to eps cond of the solution,
+            # where back substitution would not; one step of refinement on
+            # the residual wins it back
+            x += self._fit(b - _real_matmul(self._a[:n], x), n)
         # irfft pads the modes above n with zeros
-        xi = _irfft(self._cols.join(_real_matmul(self._v[:n], coef)), p, -2)
+        xi = _irfft(self._cols.join(x), p, -2)
         y = _rfft(xi, p, -2)
         residual = self._apply(self._a, self._rows, y, n) - rhs
         if references is not None:
             rhs = self._fit_rows(references)
         return _from_rings(xi, self._rot), _reports(residual, rhs)
+
+    def _fit(self, b, n):
+        """V (1 / s) U^T b for the halves b (C, n, H, h_r) of modes < n: (C, n, H, h_c)."""
+        return _real_matmul(self._v[:n], _real_matmul(self._uh[:n], b) * self._inv_s[:n])
 
     def _fit_rows(self, datas):
         """The rows of C sets of data, ring-major and scaled as the fit's: (C, P, 3N/P)."""
@@ -710,22 +767,23 @@ def _build_carrier(mesh: SurfaceMesh, x0):
 def solve_lifting(v_star: BoundaryData, solver: SlipSolver):
     """Lift arbitrary boundary data to an exterior Stokes field.
 
-    If the data carries net flux phi, a point sink at the mesh centroid
-    absorbs it: the sink's discrete flux is normalized to phi exactly and
-    its boundary trace (velocity and slip-row traction) is subtracted from
-    the data before the Stokeslet fit on ``solver``'s mesh.  A remainder
-    at most ``_MODE_FLOOR`` of the data's largest entry (uniform flux on a
-    sphere, which the sink matches) is rounding and is fitted as zero.
-    By linearity the reported residuals are those of the complete composite
-    field against the original data, relative to that data.  Returns
-    (FlowField, SolveReport).
+    If the data carries net flux phi, more than 1e-12 of the mesh area
+    times the data's largest entry (less is rounding), a point sink at the
+    mesh centroid absorbs it: the sink's discrete flux is normalized to phi
+    exactly and its boundary trace (velocity and slip-row traction) is
+    subtracted from the data before the Stokeslet fit on ``solver``'s
+    mesh.  A remainder at most ``_MODE_FLOOR`` of the data's largest entry
+    (uniform flux on a sphere, which the sink matches) is rounding and is
+    fitted as zero.  By linearity the reported residuals are those of the
+    complete composite field against the original data, relative to that
+    data.  Returns (FlowField, SolveReport).
     """
     mesh, alpha = solver.mesh, solver.alpha
     _check_match(v_star, mesh)
     _check_tangential(v_star, mesh)
     phi = surface_integral(mesh, v_star.normal_data)
-    flux_floor = 1e-12 * mesh.area * max(1.0, float(np.max(np.abs(v_star.normal_data), initial=0.0)))
-    if abs(phi) <= flux_floor:
+    size = _data_size(v_star)
+    if abs(phi) <= 1e-12 * mesh.area * size:
         return solver._solve_one(v_star)
 
     x0 = mesh.centroid
@@ -740,7 +798,6 @@ def solve_lifting(v_star: BoundaryData, solver: SlipSolver):
         - tangential_part(carrier, mesh.normals)
         - tangential_part(sink_traction, mesh.normals) / alpha
     )
-    size = max(np.max(np.abs(v_star.normal_data)), np.max(np.abs(v_star.tangential_data)))
     if max(np.max(np.abs(dn)), np.max(np.abs(dt))) <= _MODE_FLOOR * size:
         dn, dt = np.zeros_like(dn), np.zeros_like(dt)
     # dt keeps a normal part of order eps * phi from the carrier, which a

@@ -214,6 +214,20 @@ class TestLifting:
         assert not np.any(field.strengths) and field.source_flux != 0.0
         assert report.residual_normal == report.residual_tangential == 0.0
 
+    @pytest.mark.parametrize("scale", [1e-11, 1e-13])
+    def test_small_flux_data_keeps_its_sink(self, problem12, scale):
+        # the flux floor is relative to the data, so data small in absolute
+        # terms keeps its sink and the relative residual of the unscaled data
+        data = random_boundary_data(problem12.mesh, np.random.default_rng(1), flux=0.5)
+        field, report = solve_lifting(data, problem12.solver)
+        small = BoundaryData(scale * data.normal_data, scale * data.tangential_data)
+        small_field, small_report = solve_lifting(small, problem12.solver)
+        assert field.source_flux != 0.0
+        npt.assert_allclose(small_field.source_flux, scale * field.source_flux, rtol=1e-12)
+        npt.assert_allclose(
+            dataclasses.astuple(small_report), dataclasses.astuple(report), rtol=1e-8
+        )
+
     def test_carrier_normalization(self, sphere12):
         sigma_hat, unit_strength = normalized_carrier(sphere12, np.zeros(3))
         flux = surface_integral(
@@ -649,7 +663,8 @@ class TestModesOnDemand:
     def test_dense_route_factors_at_construction_without_copies(self, problem20_strided, monkeypatch):
         solver = SlipSolver(problem20_strided.mesh, problem20_strided.sources, 1e6)
         assert _factored(solver) == [0]
-        # a solve multiplies views of the solver's factor stacks, no copies
+        # a solve multiplies views of the solver's factor stacks, no copies; on
+        # this certified block twice each, the fit and one refinement step
         mats = []
         real_matmul = collocation._real_matmul
 
@@ -661,7 +676,7 @@ class TestModesOnDemand:
         solver.solve_data(squirmer_data(solver.mesh, 1.0))
         for stack in (solver._uh, solver._v):
             used = [m for m in mats if np.shares_memory(m, stack)]
-            assert len(used) == 1 and not used[0].flags.owndata
+            assert len(used) == 2 and not any(m.flags.owndata for m in used)
 
 
 class TestBatchedSolves:
@@ -684,3 +699,67 @@ class TestBatchedSolves:
         for got, field in zip(prob.basis.tractions, prob.aux_fields):
             want = prob.solver.node_traction(field)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _svd_shapes(monkeypatch):
+    """Record the shape of every np.linalg.svd call from here on."""
+    shapes, svd = [], np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return shapes
+
+
+class TestCertifiedQR:
+    """The one block of the dense route takes a QR where R^-1 proves that the SVD would truncate nothing."""
+
+    def test_grand_matrix_takes_no_svd(self, icosphere2, monkeypatch):
+        shapes = _svd_shapes(monkeypatch)
+        prob = SwimProblem(icosphere2, 1e6, shrink=0.7, stride=3)
+        prob.grand_matrix
+        assert shapes == []
+        assert prob.solver.svd_rank == 3 * prob.sources.count
+
+    def test_matches_the_svd_route(self, problem20_strided, monkeypatch):
+        prob = problem20_strided
+        cond = prob.solver.condition_estimate
+        # the cut 0.9 s_min keeps every singular value, and the certificate
+        # would need ||W||_F ||A|| <= cond / 1.8, where it is at least cond
+        svd_route = SwimProblem(prob.mesh, prob.alpha, shrink=prob.shrink, stride=3, svd_tol=0.9 / cond)
+        shapes = _svd_shapes(monkeypatch)
+        n, k = 3 * prob.mesh.n_nodes, 3 * prob.sources.count
+        assert svd_route.solver.svd_rank == prob.solver.svd_rank == k
+        assert shapes == [(n, k)]
+        npt.assert_allclose(svd_route.solver.condition_estimate, cond, rtol=1e-10)
+        m, m_svd = prob.grand_matrix.M, svd_route.grand_matrix.M
+        assert np.max(np.abs(m - m_svd)) <= 1e-13 * np.max(np.abs(m_svd))
+        data = squirmer_data(prob.mesh)
+        xi, xi_svd = prob.solve(data).xi, svd_route.solve(data).xi
+        assert np.max(np.abs(xi - xi_svd)) <= 1e-13 * np.max(np.abs(xi_svd))
+
+    @pytest.mark.parametrize("case", ["svd_tol", "wide", "qr_fails", "inv_fails"])
+    def test_falls_back_to_the_svd(self, case, sphere8, monkeypatch):
+        from slipswim import SourceSet
+
+        mesh = dataclasses.replace(sphere8, shape_info=None)
+        sources = place_sources(sphere8, 0.5)
+        svd_tol = 0.99 if case == "svd_tol" else 1e-12
+        if case == "wide":
+            # K > N: 3K = 288 columns against 3N = 192 rows
+            finer = place_sources(make_parametric_surface("sphere", 12), 0.5)
+            sources = SourceSet(finer.locations, finer.min_surface_distance)
+        elif case in ("qr_fails", "inv_fails"):
+            def fails(*args, **kwargs):
+                raise np.linalg.LinAlgError("singular")
+
+            monkeypatch.setattr(np.linalg, "qr" if case == "qr_fails" else "inv", fails)
+        shapes = _svd_shapes(monkeypatch)
+        solver = SlipSolver(mesh, sources, 2.0, svd_tol)
+        assert shapes == [(3 * mesh.n_nodes, 3 * sources.count)]
+        field, report = solver.solve_data(squirmer_data(mesh))
+        assert np.isfinite(field.strengths).all() and report.residual_tangential < 1.0
+        if case == "svd_tol":
+            assert solver.svd_rank < 3 * sources.count
