@@ -51,12 +51,14 @@ frame, follow from the symmetries.  Every other input (triangle meshes,
 strided or hand-built sources, mesh copies made by
 ``dataclasses.replace``, a mesh and sources whose rings differ) has
 P = 1: no FFT, no phase and no butterfly, so the same code assembles the
-full 3N x 3K matrix.  Its one factorization is a QR where R^-1 proves that
-the truncated SVD would keep every singular value: then the SVD's answer
-is the plain least-squares solution R^-1 Q^T b, and the SVD is skipped.
-Otherwise it takes one SVD.  Every block truncates against the global
-largest singular value, so the rank, the condition estimate and the
-solution do not depend on P or on the factorization beyond rounding.
+full 3N x 3K matrix.  One at least as tall as wide is factored by QR
+first.  Where R^-1 proves that the truncated SVD would keep every
+singular value, the SVD's answer is the plain least-squares solution
+R^-1 Q^T b and the SVD is skipped; otherwise it takes one SVD, which
+reuses the QR where gesdd would take it first (U = Q U_R from the SVD
+of R).  Every block truncates against the global largest singular
+value, so the rank, the condition estimate and the solution do not
+depend on P or on the factorization beyond rounding.
 
 The modes are factored when they are needed.  A solve reads off its data
 which DFT modes are live, above 1e-13 of a data set's largest mode
@@ -136,6 +138,10 @@ _BOUND_SLACK = 1e-12
 # A DFT mode whose share of a data set is at most this is not live: it is the
 # ring DFT's rounding (about 1e-16 on rigid traces and axisymmetric data).
 _MODE_FLOOR = 1e-13
+# The ring and dense routes agree to this, relative to the solution; a
+# certified dense block refines a solve where R^-1 could lose more.
+_ROUTE_TOL = 1e-9
+_EPS = np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -243,16 +249,16 @@ def _check_match(data, mesh):
         )
 
 
-def _data_size(data: BoundaryData) -> float:
-    """The data's largest entry, normal and tangential together: the scale of its floors."""
-    return float(max(np.max(np.abs(data.normal_data)), np.max(np.abs(data.tangential_data))))
-
-
 def _check_tangential(data: BoundaryData, mesh: SurfaceMesh):
     defect = np.max(
         np.abs(np.einsum("ij,ij->i", data.tangential_data, mesh.normals))
     )
-    if defect > _ORTHO_TOL * _data_size(data):
+    # relative to the tangential part; the normal part adds only the rounding
+    # that splitting a velocity into the two leaves in t . n
+    allowed = _ORTHO_TOL * np.max(np.abs(data.tangential_data)) + 1e2 * _EPS * np.max(
+        np.abs(data.normal_data)
+    )
+    if defect > allowed:
         raise ValueError(
             f"tangential_data is not orthogonal to the mesh normals (defect {defect:.2e})"
         )
@@ -503,9 +509,9 @@ class SlipSolver:
     against the global largest singular value.  With P = 1 the same code
     assembles the full 3N x 3K matrix and factors it once.  Where R^-1 of
     its QR certifies that the truncated SVD would keep every singular value
-    (:meth:`_certified_qr`), Q, ones and R^-1 fill the stacks, no SVD is
-    taken, and a solve adds one refinement step; otherwise it takes one
-    SVD.  A ring mismatch costs time, never accuracy.
+    (:meth:`_certify`), Q, ones and R^-1 fill the stacks and no SVD is
+    taken; otherwise it takes one SVD (:meth:`_svd`).  A ring mismatch
+    costs time, never accuracy.
 
     The one Stokeslet row kernel (``stokeslets._frame_rows``) runs along
     each node's frame (n, t1, t2) and gives the velocity and the traction
@@ -557,7 +563,9 @@ class SlipSolver:
         modes, h, h_r, h_c = self._a.shape
         self._factored = np.zeros(modes, dtype=bool)
         bound = _norm_bound(self._a)
-        self._certified = p == 1 and self._certified_qr(bound[0], svd_tol)
+        self._refine = False
+        qr = self._dense_qr() if p == 1 else None
+        self._certified = qr is not None and self._certify(*qr, bound[0], svd_tol)
         if self._certified:
             return
         # the factor stacks (see the class docstring); unwritten slots stay zero pages
@@ -571,7 +579,7 @@ class SlipSolver:
         for m in map(int, np.argsort(-bound, kind="stable")):
             if bound[m] < (1.0 - _BOUND_SLACK) * s_max:
                 break
-            svd = svds[m] = self._svd(m)
+            svd = svds[m] = self._svd(m, qr)
             s_max = max(s_max, *(s[0] for _, s, _ in svd))
         if s_max == 0.0:
             raise SolverError("collocation matrix is identically zero")
@@ -591,7 +599,7 @@ class SlipSolver:
     def condition_estimate(self) -> float:
         """Largest over smallest kept singular value; reading it finishes the factorization.
 
-        A certified block (:meth:`_certified_qr`) has no singular values at
+        A certified block (:meth:`_certify`) has no singular values at
         hand: they are read off W = R^-1, whose own are their inverses, by a
         values-only SVD the first time this is read.
         """
@@ -601,35 +609,63 @@ class SlipSolver:
             return float(s[0] / s[-1])
         return float(self._s_max * self._inv_s.max())
 
-    def _certified_qr(self, bound, svd_tol):
-        """Factor the one block (P = 1) as Q R where that is its truncated SVD; True if so.
+    def _dense_qr(self):
+        """Q, R of the one block (P = 1), or None for a wide block or a failed QR."""
+        a = self._a[0, 0]
+        if len(a) < a.shape[1]:
+            return None
+        try:
+            return np.linalg.qr(a)
+        except np.linalg.LinAlgError:
+            return None
+
+    def _certify(self, q, r, bound, svd_tol):
+        """Keep Q R as the one block's truncated SVD where R^-1 proves it; True if so.
 
         W = R^-1 gives s_min >= 1 / ||W||_F, and s_max <= ``bound``, so
         where ||W||_F bound <= 1 / (2 svd_tol) every singular value is above
         the cut (the 2 covers W's rounding): the truncated SVD would keep
         them all and return the least-squares solution W Q^T b.  Q then
         stands in for U, ones for 1 / s and W for V in the stacks, Q^T as a
-        view of Q, not a copy.  A wide block, a singular R or a failed
-        certificate returns False and leaves the block to the SVD.
+        view of Q, not a copy.  A failed certificate or a singular R
+        returns False, and one SVD finishes the factorization
+        (:meth:`_svd`, which reuses the QR).
         """
-        a = self._a[0, 0]
-        if len(a) < a.shape[1]:
+        # W's diagonal holds 1 / r_ii, and ||W||_F is at least its norm: an R
+        # whose diagonal already fails the certificate forms no W
+        with np.errstate(divide="ignore"):
+            diagonal = np.linalg.norm(1.0 / np.diagonal(r))
+        if not diagonal * bound <= 0.5 / svd_tol:
             return False
         try:
-            q, r = np.linalg.qr(a)
             w = np.linalg.inv(r)
         except np.linalg.LinAlgError:
             return False
         # NaN or inf in W fails the comparison too
-        if not np.linalg.norm(w) * bound <= 0.5 / svd_tol:
+        ratio = np.linalg.norm(w) * bound
+        if not ratio <= 0.5 / svd_tol:
             return False
         self._uh, self._inv_s, self._v = q.T[None, None], np.ones((1, 1, len(w))), w[None, None]
         self._factored[0] = True
+        # the product with W loses up to eps cond of the solution, where a
+        # back substitution would not; a solve wins it back by one refinement
+        # step where that could exceed the routes' agreement
+        self._refine = _EPS * ratio > _ROUTE_TOL
         return True
 
-    def _svd(self, m):
-        """The SVDs of the halves of DFT mode m."""
+    def _svd(self, m, qr=None):
+        """The SVDs of the halves of DFT mode m.
+
+        The one block's Q R (``qr``, P = 1) is reused where gesdd would
+        factor the block by that QR first itself, at least 11/6 as many rows
+        as columns (LAPACK's crossover): U = Q U_R from the SVD of R is then
+        its own work and result.
+        """
         try:
+            if qr is not None and len(qr[0]) >= int(qr[1].shape[1] * 11.0 / 6.0):
+                q, r = qr
+                u, s, vh = np.linalg.svd(r, full_matrices=False)
+                return [(q @ u, s, vh)]
             # one 2-D call per half: the perfbench SVD counter reads (m, n) from its shape
             return [
                 np.linalg.svd(self._a[m, k, :rows, :cols], full_matrices=False)
@@ -705,10 +741,8 @@ class SlipSolver:
         b = self._rows.halves(b[:, :n])
         b[~live[:, :n]] = 0.0
         x = self._fit(b, n)
-        if self._certified:
-            # the product with W = R^-1 loses up to eps cond of the solution,
-            # where back substitution would not; one step of refinement on
-            # the residual wins it back
+        if self._refine:
+            # one step of refinement on the residual (see _certify)
             x += self._fit(b - _real_matmul(self._a[:n], x), n)
         # irfft pads the modes above n with zeros
         xi = _irfft(self._cols.join(x), p, -2)
@@ -782,7 +816,7 @@ def solve_lifting(v_star: BoundaryData, solver: SlipSolver):
     _check_match(v_star, mesh)
     _check_tangential(v_star, mesh)
     phi = surface_integral(mesh, v_star.normal_data)
-    size = _data_size(v_star)
+    size = max(np.max(np.abs(v_star.normal_data)), np.max(np.abs(v_star.tangential_data)))
     if abs(phi) <= 1e-12 * mesh.area * size:
         return solver._solve_one(v_star)
 
