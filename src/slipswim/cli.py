@@ -22,8 +22,9 @@ Warnings are not fatal: the output JSON lists them under ``warnings``, and
 Determinism: with a fixed thread count, rerunning a config byte-identically
 reproduces the output JSON.  Wall-clock timings would break that, so they
 are only included under ``--timing``.  ``--threads`` (or the
-SLIPSWIM_THREADS environment variable) caps the BLAS thread pools.  That
-works only before numpy is first imported, so neither this module nor the
+SLIPSWIM_THREADS environment variable, ignored with one line on stderr
+unless it is a positive integer) caps the BLAS thread pools.  That works
+only before numpy is first imported, so neither this module nor the
 package imports numpy at import time: the cap takes effect when
 ``slipswim`` starts the process (the console script or ``python -m
 slipswim.cli``), not when :func:`main` runs in a process that has already
@@ -430,10 +431,10 @@ def main(argv=None) -> int:
 
     threads = args.threads
     if threads is None and os.environ.get("SLIPSWIM_THREADS"):
-        try:
-            threads = int(os.environ["SLIPSWIM_THREADS"])
-        except ValueError:
-            print("ignoring non-integer SLIPSWIM_THREADS", file=sys.stderr)
+        value = os.environ["SLIPSWIM_THREADS"]
+        threads = int(value) if value.strip().isdecimal() and int(value) > 0 else None
+        if threads is None:
+            print(f"ignoring SLIPSWIM_THREADS={value!r}: not a positive integer", file=sys.stderr)
     if threads is not None:
         if threads < 1:
             print("--threads must be a positive integer", file=sys.stderr)

@@ -47,7 +47,7 @@ from .geometry import (
     _uniform_phi,
     surface_integral,
 )
-from .stokeslets import FlowField, SourceSet, _traction_product, place_sources
+from .stokeslets import FlowField, SourceSet, _blocks, _traction_product, place_sources
 from .collocation import (
     DEFAULT_SVD_TOL,
     BoundaryData,
@@ -88,8 +88,6 @@ CERTIFICATE_NOTE = (
 # the test bodies by 4% of itself.
 _FINE_RINGS = 2
 _FINE_PHASES = 4
-# Ring-0 kernel rows per block in h_half_norm (all N rows on a one-ring mesh).
-_H_HALF_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -327,9 +325,9 @@ def h_half_norm(values, mesh: SurfaceMesh) -> float:
     Hermitian T x T blocks, and f^T G f is one batched product of them
     with the ring DFT of f.  The blocks and D are built once per mesh, in
     O(N^1.5) work and memory; each call then costs O(N^1.5).  Every other
-    mesh is one ring (P = 1, no FFT), whose N x N kernel is built
-    ``_H_HALF_CHUNK`` rows at a time on every call, in O(N^2) work, and
-    never held.  The sums run on f over a power of two at or above its
+    mesh is one ring (P = 1, no FFT), whose N x N kernel is built a block
+    of rows at a time on every call, in O(N^2) work and bounded memory,
+    and never held.  The sums run on f over a power of two at or above its
     largest entry, so its squares cannot overflow or underflow.
     """
     f = np.asarray(values, dtype=float)
@@ -358,20 +356,20 @@ def h_half_norm(values, mesh: SurfaceMesh) -> float:
 
 
 def _ring_kernel(mesh: SurfaceMesh, p: int):
-    """Chunks (rows, D[rows], G_hat[:, rows]) of the ring-0 kernel of :func:`h_half_norm`.
+    """Blocks (rows, D[rows], G_hat[:, rows]) of the ring-0 kernel of :func:`h_half_norm`.
 
-    A generator: one chunk of ``_H_HALF_CHUNK`` ring-0 rows is built at a
-    time.
+    A generator: one block of ring-0 rows against all N nodes
+    (``stokeslets._blocks``) is built at a time.
     """
     w, x = mesh.weights, mesh.nodes
     t = mesh.n_nodes // p
-    for lo in range(0, t, _H_HALF_CHUNK):
-        hi = min(lo + _H_HALF_CHUNK, t)
+    for rows in _blocks(t, 3 * 8 * mesh.n_nodes):
+        lo, hi = rows.start, rows.stop
         ring0 = slice(lo * p, hi * p, p)
         dist = np.linalg.norm(x[ring0, None, :] - x[None, :, :], axis=2)
         dist[np.arange(hi - lo), np.arange(lo, hi) * p] = np.inf  # the j = k terms are excluded
         g = w[ring0, None] * (w[None, :] / dist**3)
-        yield slice(lo, hi), np.sum(g, axis=1), _rfft(g.reshape(hi - lo, t, p).transpose(2, 0, 1), p)
+        yield rows, np.sum(g, axis=1), _rfft(g.reshape(hi - lo, t, p).transpose(2, 0, 1), p)
 
 
 def ns_certificate(

@@ -32,9 +32,11 @@ Each singularity has one batch kernel:
   ``validation``, which applies them to many strength columns at once;
 * the sink stress, which also gives the sink's traction and strain.
 
-Rows are built a block of points at a time, each block's rows about
-``_ROW_BYTES``; the batch evaluators are matrix products over them, which
-keeps results reproducible for a fixed thread count.
+Every pass over points, here and in ``selfprop``'s H^{1/2} norm, takes
+them in blocks under one rule (:func:`_blocks`): each block's temporaries
+are about ``_ROW_BYTES``, however many points there are.  The batch
+evaluators are one row product (:func:`_row_product`), which keeps
+results reproducible for a fixed thread count.
 """
 
 from __future__ import annotations
@@ -71,9 +73,7 @@ __all__ = [
 _SOURCE_RING_RATIO = 2.0 / 3.0
 # A distance below this share of the largest coordinate of its two ends is rounding.
 _SINGULAR_REL = 1e-12
-# Points per block, at most: nearest-node search and Stokeslet rows.
-_CHUNK = 512
-# Size of one block of strain or Stokeslet rows; small enough to stay in cache.
+# Bytes of one block's temporaries in every pass over points; small enough to stay in cache.
 _ROW_BYTES = 2 * 2**20
 # Index pairs (a, b) of the six unique components of a symmetric 3x3 tensor.
 _SYM_A = (0, 1, 2, 0, 0, 1)
@@ -87,6 +87,13 @@ def _coincide(d, points, locations) -> bool:
         return False  # far from rounding even on the batch's largest scale
     scale = np.maximum(np.abs(points).max(axis=1), loc)
     return bool(np.any(d.reshape(len(points), -1).min(axis=1) <= _SINGULAR_REL * scale))
+
+
+def _blocks(n: int, item_bytes: int):
+    """Slices of range(n), each about ``_ROW_BYTES`` of items of ``item_bytes`` (one at least)."""
+    step = max(1, _ROW_BYTES // item_bytes)
+    for lo in range(0, n, step):
+        yield slice(lo, min(lo + step, n))
 
 
 def point_source_velocity(x0, points):
@@ -156,9 +163,8 @@ class SourceSet:
 def _nearest_nodes(mesh: SurfaceMesh, points) -> np.ndarray:
     """Index of the nearest node of each of a (K, 3) batch of points, a block at a time."""
     nearest = np.empty(len(points), dtype=np.intp)
-    for lo in range(0, len(points), _CHUNK):
-        dist = np.linalg.norm(points[lo : lo + _CHUNK, None, :] - mesh.nodes, axis=2)
-        nearest[lo : lo + _CHUNK] = np.argmin(dist, axis=1)
+    for sl in _blocks(len(points), 3 * 8 * mesh.n_nodes):
+        nearest[sl] = np.argmin(np.linalg.norm(points[sl, None, :] - mesh.nodes, axis=2), axis=1)
     return nearest
 
 
@@ -305,20 +311,20 @@ def evaluate_flow(field: FlowField, points):
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     pts = pts.reshape(-1, 3)
-    vel = np.empty_like(pts)
-    prs = np.empty(len(pts))
-    q = field.strengths
-    chunk = _row_chunk(3, field.sources.count)
-    for lo in range(0, len(pts), chunk):
-        sl = slice(lo, lo + chunk)
-        rhat, inv = _unit_displacements(pts[sl], field.sources.locations)
-        vel[sl] = (_velocity_rows(rhat, inv) @ q.T.ravel()).reshape(-1, 3)
-        prs[sl] = np.einsum("mjk,kj,mk->m", rhat, q, inv * inv) / (4.0 * np.pi)
+    columns = field.strengths.T.reshape(-1, 1)
+    flow = _row_product(pts, field.sources.locations, columns, 4, _flow_rows)
+    vel, prs = flow[:, :3, 0], flow[:, 3, 0]
     if field.source_flux != 0.0:
         vel += field.source_flux * point_source_velocity(field.source_point, pts)
     if single:
         return vel[0], float(prs[0])
     return vel, prs
+
+
+def _flow_rows(sl, rhat, inv, out):
+    """The x, y, z velocity rows and the pressure row (out[:, 3]) of :func:`evaluate_flow`."""
+    _rows_along(rhat, inv, _xyz_frames(len(inv)), vel=out[:, :3])
+    np.multiply(rhat, (inv * inv * (1.0 / (4.0 * np.pi)))[:, None], out=out[:, 3])
 
 
 def evaluate_strain(field: FlowField, points) -> np.ndarray:
@@ -333,64 +339,56 @@ def evaluate_strain(field: FlowField, points) -> np.ndarray:
     return out
 
 
-def _strain_rows(points, locations, out) -> np.ndarray:
-    """(6M, 3K) strain rows of (M, 3) points against (K, 3) source locations.
+def _strain_rows(sl, rhat, inv, out):
+    """The six strain rows per point, in the order (_SYM_A, _SYM_B), written into ``out``.
 
-    Row block m holds the six unique components of D at points[m], in the
-    order (_SYM_A, _SYM_B); the columns are component-major, column
-    c K + k for strength component c of source k.  The rows are written
-    into ``out``, an (M, 6, 3, K) buffer.  Each entry is
-    (delta_ab - 3 rhat_a rhat_b) rhat_c / (8 pi d^2), written as
-    (rhat_a rhat_b - delta_ab / 3) times -3 rhat_c / (8 pi d^2).
+    Each entry (delta_ab - 3 rhat_a rhat_b) rhat_c / (8 pi d^2) is written as
+    (rhat_a rhat_b - delta_ab / 3) times -3 rhat_c / (8 pi d^2), in ``rhat`` and ``inv``.
     """
-    u, inv = _unit_displacements(points, locations)
-    dyad = np.empty((len(u), 6, u.shape[2]))
-    np.multiply(u, u, out=dyad[:, :3])
+    dyad = np.empty((len(rhat), 6, rhat.shape[2]))
+    np.multiply(rhat, rhat, out=dyad[:, :3])
     dyad[:, :3] -= 1.0 / 3.0
-    np.multiply(u[:, :1], u[:, 1:], out=dyad[:, 3:5])
-    np.multiply(u[:, 1], u[:, 2], out=dyad[:, 5])
+    np.multiply(rhat[:, :1], rhat[:, 1:], out=dyad[:, 3:5])
+    np.multiply(rhat[:, 1], rhat[:, 2], out=dyad[:, 5])
     inv *= inv * (-3.0 / (8.0 * np.pi))
-    u *= inv[:, None]
-    np.multiply(dyad[:, :, None], u[:, None], out=out)
-    return out.reshape(6 * len(u), -1)
+    rhat *= inv[:, None]
+    np.multiply(dyad[:, :, None], rhat[:, None], out=out)
 
 
 def _strain_product(points, locations, columns) -> np.ndarray:
-    """Unique strain components (M, 6, C) of C strength columns (3K, C).
-
-    Column j holds the strengths of a Stokeslet field on ``locations`` in
-    the component-major order of :func:`_strain_rows`.  The rows are built
-    a block of points at a time, each block about ``_ROW_BYTES``, and
-    applied to all columns by one product.
-    """
-    m, k = len(points), len(locations)
-    out = np.empty((m, 6, columns.shape[1]))
-    chunk = max(1, _ROW_BYTES // (6 * 3 * k * 8))
-    buf = np.empty((min(chunk, m), 6, 3, k))
-    for lo in range(0, m, chunk):
-        pts = points[lo : lo + chunk]
-        rows = _strain_rows(pts, locations, buf[: len(pts)])
-        out[lo : lo + len(pts)] = (rows @ columns).reshape(len(pts), 6, -1)
-    return out
+    """Unique strain components (M, 6, C) of strength columns (3K, C): :func:`_row_product`."""
+    return _row_product(points, locations, columns, 6, _strain_rows)
 
 
 def _traction_product(points, normals, locations, columns) -> np.ndarray:
-    """Tractions T n (M, 3, C) of C strength columns (3K, C) at (M, 3) points.
+    """Tractions T n (M, 3, C) of strength columns (3K, C) at (M, 3) points with (M, 3) normals."""
 
-    The columns are component-major as in :func:`_strain_product`; the
-    traction rows are built a block of points at a time and applied to all
-    columns by one product.
+    def rows(sl, rhat, inv, out):
+        _rows_along(rhat, inv, _xyz_frames(len(inv)), normals[sl], trac=out)
+
+    return _row_product(points, locations, columns, 3, rows)
+
+
+def _row_product(points, locations, columns, a, rows) -> np.ndarray:
+    """(M, A, C): A kernel rows per point of (M, 3) points applied to C strength columns (3K, C).
+
+    Column j of ``columns`` holds the strengths of a Stokeslet field on the
+    (K, 3) ``locations``, component-major: entry c K + k for strength
+    component c of source k.  Per block of points (:func:`_blocks`),
+    ``rows(sl, rhat, inv, out)`` writes the rows of the points ``sl`` into
+    ``out``, (m, A, 3, K), from :func:`_unit_displacements`, and one
+    product applies them to all columns.
     """
     m, k = len(points), len(locations)
-    out = np.empty((m, 3, columns.shape[1]))
-    chunk = _row_chunk(3, k)
-    buf = np.empty((min(chunk, m), 3, 3, k))
-    for lo in range(0, m, chunk):
-        sl = slice(lo, lo + chunk)
+    out = np.empty((m, a, columns.shape[1]))
+    buf = None
+    for sl in _blocks(m, a * 3 * 8 * k):
         rhat, inv = _unit_displacements(points[sl], locations)
-        rows = buf[: len(inv)]
-        _rows_along(rhat, inv, _xyz_frames(len(inv)), normals[sl], trac=rows)
-        out[sl] = (rows.reshape(3 * len(inv), -1) @ columns).reshape(len(inv), 3, -1)
+        if buf is None:  # the first block is the largest
+            buf = np.empty((len(inv), a, 3, k))
+        block = buf[: len(inv)]
+        rows(sl, rhat, inv, block)
+        out[sl] = (block.reshape(a * len(inv), -1) @ columns).reshape(len(inv), a, -1)
     return out
 
 
@@ -416,7 +414,7 @@ def _rows_along(rhat, inv, frames, normals=None, vel=None, trac=None):
     ``frames`` (M, A, 3) holds A vectors e_a per point, ``normals`` (M, 3)
     the traction normals.  Both outputs are (M, A, 3, K): row (m, a),
     column c K + k for strength component c of source k, as in
-    :func:`_strain_rows`.  The entries are
+    :func:`_row_product`.  The entries are
 
         vel    e_a . G e_c    = ((e_a)_c + (rhat . e_a) rhat_c) / (8 pi d)
         trac   e_a . T_c n    = -(3/4 pi) (rhat . n)(rhat . e_a) rhat_c / d^2
@@ -434,20 +432,9 @@ def _rows_along(rhat, inv, frames, normals=None, vel=None, trac=None):
         np.multiply(re[:, :, None], rhat[:, None], out=trac)
 
 
-def _row_chunk(a, k) -> int:
-    """Points per block of A rows against K sources: about ``_ROW_BYTES``, at most ``_CHUNK``."""
-    return max(1, min(_CHUNK, _ROW_BYTES // (a * 3 * k * 8)))
-
-
 def _frame_rows(points, frames, locations, normals=None, vel=None, trac=None):
-    """:func:`_rows_along` over (M, 3) points, a block of points at a time.
-
-    The outputs (M, A, 3, K) are written in place, and a block's
-    temporaries stay near ``_ROW_BYTES``.
-    """
-    chunk = _row_chunk(frames.shape[1], len(locations))
-    for lo in range(0, len(points), chunk):
-        sl = slice(lo, lo + chunk)
+    """:func:`_rows_along` over (M, 3) points, a block (:func:`_blocks`) at a time."""
+    for sl in _blocks(len(points), frames.shape[1] * 3 * 8 * len(locations)):
         rhat, inv = _unit_displacements(points[sl], locations)
         _rows_along(
             rhat, inv, frames[sl], None if normals is None else normals[sl],
@@ -458,14 +445,6 @@ def _frame_rows(points, frames, locations, normals=None, vel=None, trac=None):
 def _xyz_frames(m):
     """The x, y, z frame at each of m points, (m, 3, 3), as a read-only view."""
     return np.broadcast_to(np.eye(3), (m, 3, 3))
-
-
-def _velocity_rows(rhat, inv) -> np.ndarray:
-    """(3M, 3K) component-major velocity rows in x, y, z from :func:`_unit_displacements`."""
-    m, k = inv.shape
-    out = np.empty((m, 3, 3, k))
-    _rows_along(rhat, inv, _xyz_frames(m), vel=out)
-    return out.reshape(3 * m, 3 * k)
 
 
 def _source_major(rows) -> np.ndarray:

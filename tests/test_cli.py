@@ -676,6 +676,22 @@ class TestDeterminism:
         main(["mobility", "--config", str(cfg), "--output", str(out)])
         assert os.environ["OMP_NUM_THREADS"] == "3"
 
+    @pytest.mark.parametrize("value", ["0", "-2", "abc"])
+    def test_env_var_not_a_positive_integer_is_ignored(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("SLIPSWIM_THREADS", value)
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        cfg = _write_config(tmp_path / "c.json")
+        assert main(["mobility", "--config", str(cfg), "--output", str(tmp_path / "o.json")]) == 0
+        assert "OMP_NUM_THREADS" not in os.environ
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"ignoring SLIPSWIM_THREADS='{value}': not a positive integer"]
+
+    def test_nonpositive_thread_flag_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.delenv("SLIPSWIM_THREADS", raising=False)
+        cfg = _write_config(tmp_path / "c.json")
+        assert main(["mobility", "--config", str(cfg), "--threads", "0"]) == 2
+        assert capsys.readouterr().err.strip() == "--threads must be a positive integer"
+
     def test_console_entry_point(self, tmp_path):
         cfg = _write_config(tmp_path / "c.json")
         out = tmp_path / "out.json"

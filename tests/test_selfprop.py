@@ -32,6 +32,7 @@ from slipswim.collocation import BoundaryData, data_vector
 from slipswim.geometry import tangential_part
 from slipswim.mobility import thrust_projection
 from test_geometry import _icosphere, _write_off
+from test_stokeslets import _ONE_BLOCK, _blocked
 
 
 class TestRestState:
@@ -170,7 +171,7 @@ class TestSobolevSeminorm:
             npt.assert_allclose(got, np.sqrt(a * r**2 + b * r), rtol=1e-14)
 
     def test_chunk_size_invariance(self, rng):
-        # one ring of 400 rows spans two row chunks; compare with the unchunked double sum
+        # one ring of 400 rows, in blocks and in one block; and the plain double sum
         mesh = dataclasses.replace(make_parametric_surface("sphere", 20), shape_info=None)
         values = rng.normal(size=(mesh.n_nodes, 3))
         diff = np.sum((values[:, None] - values[None]) ** 2, axis=2)
@@ -179,7 +180,11 @@ class TestSobolevSeminorm:
         w = mesh.weights
         want = np.sum(w * np.sum(values**2, axis=1)) + np.sum(np.outer(w, w) * diff / dist**3)
         assert mesh.rings == 1
-        npt.assert_allclose(h_half_norm(values, mesh), np.sqrt(want), rtol=1e-12)
+        got, blocks = _blocked(2**16, h_half_norm, values, mesh)
+        one, count = _blocked(_ONE_BLOCK, h_half_norm, values, mesh)
+        assert blocks >= 3 and count == 1
+        npt.assert_allclose(got, one, rtol=1e-12)
+        npt.assert_allclose(got, np.sqrt(want), rtol=1e-12)
 
     @pytest.mark.parametrize("kind", ["random", "squirmer", "random+flux", "uniform-flux"])
     @pytest.mark.parametrize(
@@ -212,6 +217,19 @@ class TestSobolevSeminorm:
         finally:
             tracemalloc.stop()
         assert peak < 48 * 2**20
+
+    def test_one_ring_norm_memory(self, rng):
+        # the N x N double sum in 256-row blocks had a traced peak of 31 MiB
+        mesh = dataclasses.replace(make_parametric_surface("sphere", 40), shape_info=None)
+        values = rng.normal(size=(mesh.n_nodes, 3))
+        tracemalloc.start()
+        try:
+            h_half_norm(values, mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mesh.rings == 1
+        assert peak < 10 * 2**20
 
 
 class TestScaleFree:

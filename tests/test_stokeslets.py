@@ -13,6 +13,7 @@ from slipswim import (
     SourceSet,
     evaluate_flow,
     evaluate_strain,
+    load_triangle_mesh,
     make_parametric_surface,
     place_sources,
     point_source_velocity,
@@ -20,7 +21,29 @@ from slipswim import (
     traction_matrix,
     velocity_matrix,
 )
+from slipswim import selfprop, stokeslets
 from slipswim.stokeslets import point_source_traction
+from test_geometry import _icosphere, _write_off
+
+
+def _blocked(row_bytes, fn, *args):
+    """``fn(*args)`` with blocks of ``row_bytes`` in every pass, and the number of blocks it ran."""
+    slices, blocks = [], stokeslets._blocks
+
+    def counted(n, item_bytes):
+        for sl in blocks(n, item_bytes):
+            slices.append(sl)
+            yield sl
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stokeslets, "_ROW_BYTES", row_bytes)
+        mp.setattr(stokeslets, "_blocks", counted)
+        mp.setattr(selfprop, "_blocks", counted)
+        return fn(*args), len(slices)
+
+
+# Blocks of this many bytes hold everything at once.
+_ONE_BLOCK = 2**62
 
 
 def _oseen_velocity(source, q, x):
@@ -264,6 +287,21 @@ class TestSourcePlacement:
         assert srcs.count == 1600
         assert peak < 80 * 2**20
 
+    def test_triangle_mesh_placement_memory(self, tmp_path):
+        # 512-source blocks against every node had a traced peak of 45 MiB
+        import tracemalloc
+
+        _write_off(tmp_path / "ico.off", *_icosphere(3))
+        mesh = load_triangle_mesh(tmp_path / "ico.off")
+        tracemalloc.start()
+        try:
+            srcs = place_sources(mesh, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert srcs.count == mesh.n_nodes == 1280
+        assert peak < 10 * 2**20
+
 
 class TestMatricesAndFields:
     def test_velocity_matrix_against_loop(self, rng):
@@ -330,11 +368,30 @@ class TestMatricesAndFields:
         srcs = SourceSet(rng.normal(size=(6, 3)) * 0.2, 1.0)
         field = FlowField(srcs, rng.normal(size=(6, 3)))
         pts = rng.normal(size=(600, 3)) * 0.5 + np.array([0, 0, 5.0])
-        vel, pres = evaluate_flow(field, pts)
-        for m in (0, 100, 599):
-            v, p = evaluate_flow(field, pts[m : m + 1])
-            npt.assert_allclose(vel[m], v[0], rtol=1e-13)
-            npt.assert_allclose(pres[m], p[0], rtol=1e-13)
+        (vel, pres), blocks = _blocked(2**16, evaluate_flow, field, pts)
+        (v, p), one = _blocked(_ONE_BLOCK, evaluate_flow, field, pts)
+        assert blocks >= 3 and one == 1
+        npt.assert_allclose(vel, v, rtol=1e-13)
+        npt.assert_allclose(pres, p, rtol=1e-13)
+
+    @pytest.mark.parametrize("which", ["strain", "traction", "nearest"])
+    def test_blocks_match_one_block(self, rng, sphere12, which):
+        srcs = SourceSet(rng.normal(size=(40, 3)) * 0.3, 1.0)
+        pts = rng.normal(size=(700, 3)) * 3.0
+        nrm = rng.normal(size=(700, 3))
+        cols = rng.normal(size=(120, 2))
+        fn, args = {
+            "strain": (evaluate_strain, (FlowField(srcs, rng.normal(size=(40, 3))), pts)),
+            "traction": (stokeslets._traction_product, (pts, nrm, srcs.locations, cols)),
+            "nearest": (stokeslets._nearest_nodes, (sphere12, pts)),
+        }[which]
+        got, blocks = _blocked(2**16, fn, *args)
+        want, one = _blocked(_ONE_BLOCK, fn, *args)
+        assert blocks >= 3 and one == 1
+        if which == "nearest":
+            npt.assert_array_equal(got, want)
+        else:
+            npt.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
 
     def test_flow_with_source_term(self, rng):
         srcs = SourceSet(rng.normal(size=(2, 3)) * 0.1, 1.0)
@@ -403,7 +460,6 @@ class TestMatricesAndFields:
         npt.assert_allclose(got, want, atol=1e-9)
 
     def test_strain_matches_einsum_form(self, rng):
-        # 700 points span two row chunks
         srcs = SourceSet(rng.normal(size=(40, 3)) * 0.3, 1.0)
         field = FlowField(srcs, rng.normal(size=(40, 3)))
         pts = rng.normal(size=(700, 3)) * 3.0
