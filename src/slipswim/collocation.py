@@ -54,11 +54,11 @@ P = 1: no FFT, no phase and no butterfly, so the same code assembles the
 full 3N x 3K matrix.  One at least as tall as wide is factored by QR
 first.  Where R^-1 proves that the truncated SVD would keep every
 singular value, the SVD's answer is the plain least-squares solution
-R^-1 Q^T b and the SVD is skipped; otherwise it takes one SVD, which
-reuses the QR where gesdd would take it first (U = Q U_R from the SVD
-of R).  Every block truncates against the global largest singular
-value, so the rank, the condition estimate and the solution do not
-depend on P or on the factorization beyond rounding.
+R^-1 Q^T b and the SVD is skipped; otherwise it takes one SVD, of R,
+with U = Q U_R.  A wide block, or one whose QR fails, takes the SVD of
+the whole block.  Every block truncates against the global largest
+singular value, so the rank, the condition estimate and the solution do
+not depend on P or on the factorization beyond rounding.
 
 The modes are factored when they are needed.  A solve reads off its data
 which DFT modes are live, above 1e-13 of a data set's largest mode
@@ -67,15 +67,15 @@ highest live one only, dropping from each set the modes that hold only
 its rounding (the truncated SVD would amplify them up to 1 / svd_tol).
 So rigid-motion data a + b x x (wavenumbers 0 and +-1), behind the grand
 matrix, takes modes 0 and 1, and axisymmetric data mode 0.  Construction
-factors the modes in descending order of a bound on their spectral norm,
-min(||B||_F, sqrt(||B||_1 ||B||_inf)), until it falls below the largest
-singular value found so far: no mode left can hold a larger one, so the
-global truncation threshold is exact from the start.  The rest are
-factored, by the same routine, by the first solve whose data holds them,
-or when the rank or the condition estimate is read, into the mode's slots
-of three stacks that every solve slices.  A slot never changes once
-written, so the grand matrix does not depend on what ran before.  With
-P = 1 the one block is factored at once.
+factors the modes in descending order of ||B||_F, a bound on their
+spectral norm, until it falls below the largest singular value found so
+far: no mode left can hold a larger one, so the global truncation
+threshold is exact from the start.  The rest are factored, by the same
+routine, by the first solve whose data holds them, or when the rank or
+the condition estimate is read, into the mode's slots of three stacks
+that every solve slices.  A slot never changes once written, so the
+grand matrix does not depend on what ran before.  With P = 1 the one
+block is factored at once.
 
 The rows come from one Stokeslet row kernel run along each node's frame
 (n, t1, t2): it gives the velocity and the traction rows in one pass, and
@@ -455,13 +455,11 @@ def _mode_blocks(mat, rows, cols) -> np.ndarray:
 def _norm_bound(blocks) -> np.ndarray:
     """An upper bound on the spectral norm of each mode's halves (M, H, h_r, h_c): (M,).
 
-    min(||B||_F, sqrt(||B||_1 ||B||_inf)), the larger over the halves; the
-    zero padding changes none of these norms.
+    ||B||_F, the larger over the halves; the zero padding does not change
+    it.  The singular values of the blocks decay exponentially (Barnett &
+    Betcke 2008), so it is close to ||B||_2.
     """
-    fro = np.sqrt(np.einsum("mkij,mkij->mk", blocks, blocks))
-    mag = np.abs(blocks)
-    one_inf = np.sqrt(mag.sum(axis=2).max(axis=2) * mag.sum(axis=3).max(axis=2))
-    return np.minimum(fro, one_inf).max(axis=1, initial=0.0)
+    return np.sqrt(np.einsum("mkij,mkij->mk", blocks, blocks)).max(axis=1, initial=0.0)
 
 
 def _live_modes(y):
@@ -495,7 +493,8 @@ class SlipSolver:
     reused for any number of right-hand sides, which is what makes the six
     auxiliary solves plus the lifting solve cheap.  On a ring body it is
     computed per DFT mode, when first needed (see the module docstring).
-    The factors live once, in stacks with a slot per mode and half: U^T
+    A set of boundary data is solved by :func:`solve_lifting`.  The
+    factors live once, in stacks with a slot per mode and half: U^T
     (M, H, r, h_r), 1 / s (M, H, r) and V (M, H, h_c, r), r = min(h_r, h_c),
     written when the mode is factored (``_factored``), zero past each
     half's kept values; a solve multiplies views of their first n slots.
@@ -510,8 +509,8 @@ class SlipSolver:
     assembles the full 3N x 3K matrix and factors it once.  Where R^-1 of
     its QR certifies that the truncated SVD would keep every singular value
     (:meth:`_certify`), Q, ones and R^-1 fill the stacks and no SVD is
-    taken; otherwise it takes one SVD (:meth:`_svd`).  A ring mismatch
-    costs time, never accuracy.
+    taken; otherwise it takes one SVD, of R where there is a QR
+    (:meth:`_svd`).  A ring mismatch costs time, never accuracy.
 
     The one Stokeslet row kernel (``stokeslets._frame_rows``) runs along
     each node's frame (n, t1, t2) and gives the velocity and the traction
@@ -628,8 +627,8 @@ class SlipSolver:
         them all and return the least-squares solution W Q^T b.  Q then
         stands in for U, ones for 1 / s and W for V in the stacks, Q^T as a
         view of Q, not a copy.  A failed certificate or a singular R
-        returns False, and one SVD finishes the factorization
-        (:meth:`_svd`, which reuses the QR).
+        returns False, and the SVD of R finishes the factorization
+        (:meth:`_svd`).
         """
         # W's diagonal holds 1 / r_ii, and ||W||_F is at least its norm: an R
         # whose diagonal already fails the certificate forms no W
@@ -656,16 +655,14 @@ class SlipSolver:
     def _svd(self, m, qr=None):
         """The SVDs of the halves of DFT mode m.
 
-        The one block's Q R (``qr``, P = 1) is reused where gesdd would
-        factor the block by that QR first itself, at least 11/6 as many rows
-        as columns (LAPACK's crossover): U = Q U_R from the SVD of R is then
-        its own work and result.
+        The one block's Q R (``qr``, P = 1) is always reused: the SVD of R
+        gives U = Q U_R.  The whole block takes its SVD only where it has no
+        QR: a wide block, a failed QR, and every ring half.
         """
         try:
-            if qr is not None and len(qr[0]) >= int(qr[1].shape[1] * 11.0 / 6.0):
-                q, r = qr
-                u, s, vh = np.linalg.svd(r, full_matrices=False)
-                return [(q @ u, s, vh)]
+            if qr is not None:
+                u, s, vh = np.linalg.svd(qr[1], full_matrices=False)
+                return [(qr[0] @ u, s, vh)]
             # one 2-D call per half: the perfbench SVD counter reads (m, n) from its shape
             return [
                 np.linalg.svd(self._a[m, k, :rows, :cols], full_matrices=False)
@@ -707,19 +704,6 @@ class SlipSolver:
         if field.source_flux != 0.0:
             t = t + field.source_flux * _sink_traction(self.mesh, field.source_point)
         return t
-
-    def solve_data(self, data: BoundaryData):
-        """Solve for the given boundary data; returns (FlowField, SolveReport).
-
-        The residuals re-apply the unscaled boundary rows to the solution.
-        """
-        _check_match(data, self.mesh)
-        _check_tangential(data, self.mesh)
-        return self._solve_one(data)
-
-    def _solve_one(self, data):
-        strengths, reports = self._solve([data])
-        return FlowField(self.sources, strengths[0]), reports[0]
 
     def _solve(self, datas, references=None):
         """Solve for C sets of boundary data as one C-column right-hand side.
@@ -799,7 +783,7 @@ def _build_carrier(mesh: SurfaceMesh, x0):
 
 
 def solve_lifting(v_star: BoundaryData, solver: SlipSolver):
-    """Lift arbitrary boundary data to an exterior Stokes field.
+    """Lift arbitrary boundary data to an exterior Stokes field: the one solve of a data set.
 
     If the data carries net flux phi, more than 1e-12 of the mesh area
     times the data's largest entry (less is rounding), a point sink at the
@@ -818,7 +802,8 @@ def solve_lifting(v_star: BoundaryData, solver: SlipSolver):
     phi = surface_integral(mesh, v_star.normal_data)
     size = max(np.max(np.abs(v_star.normal_data)), np.max(np.abs(v_star.tangential_data)))
     if abs(phi) <= 1e-12 * mesh.area * size:
-        return solver._solve_one(v_star)
+        (strengths,), (report,) = solver._solve([v_star])
+        return FlowField(solver.sources, strengths), report
 
     x0 = mesh.centroid
     sigma_hat, unit_strength = normalized_carrier(mesh, x0)

@@ -231,7 +231,8 @@ def _rigid_modes(mesh: SurfaceMesh) -> np.ndarray:
 
 def _z_rotations(p: int) -> np.ndarray:
     """(P, 3, 3) rotations about z by 2 pi q / P, q = 0..P-1."""
-    c, s = np.cos(2.0 * np.pi * np.arange(p) / p), np.sin(2.0 * np.pi * np.arange(p) / p)
+    phi = _uniform_phi(p)
+    c, s = np.cos(phi), np.sin(phi)
     rot = np.zeros((p, 3, 3))
     rot[:, 0, 0], rot[:, 0, 1], rot[:, 1, 0], rot[:, 1, 1] = c, -s, s, c
     rot[:, 2, 2] = 1.0

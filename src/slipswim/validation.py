@@ -42,6 +42,8 @@ from .geometry import (
     SurfaceMesh,
     _gauss_legendre,
     _semi_axes,
+    _spheroid_grid,
+    _uniform_phi,
     _z_rotations,
     elementary_rigid_motion,
     make_parametric_surface,
@@ -184,21 +186,13 @@ def _ray_radius(mesh: SurfaceMesh, t: np.ndarray) -> np.ndarray:
 def _volume_rule(mesh: SurfaceMesh, r_t: float):
     """Quadrature points/weights for the exterior region out to radius r_t."""
     t, wt = _gauss_legendre(_N_ANGULAR)
-    phi = 2.0 * np.pi * np.arange(_N_ANGULAR) / _N_ANGULAR
     w_phi = 2.0 * np.pi / _N_ANGULAR
     rho0 = _ray_radius(mesh, t)
     if np.any(rho0 >= r_t):
         raise GeometryError(f"truncation radius {r_t} does not enclose the body")
 
-    s = np.sqrt(1.0 - t**2)
-    dirs = np.stack(
-        (
-            np.outer(s, np.cos(phi)),
-            np.outer(s, np.sin(phi)),
-            np.outer(t, np.ones_like(phi)),
-        ),
-        axis=-1,
-    )  # (n_t, n_phi, 3)
+    # the unit directions on the polar grid, (n_t, n_phi, 3)
+    dirs = _spheroid_grid(1.0, 1.0, t, _uniform_phi(_N_ANGULAR))[0].reshape(len(t), -1, 3)
 
     u, wu = _gauss_legendre(_N_RADIAL)
     u = 0.5 * (u + 1.0)
