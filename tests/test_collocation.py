@@ -789,7 +789,7 @@ class TestCertifiedQR:
             monkeypatch.setattr(np.linalg, "qr" if case == "qr_fails" else "inv", fails)
         shapes = _svd_shapes(monkeypatch)
         solver = SlipSolver(mesh, sources, 2.0, svd_tol)
-        # 3N = 192 rows against 3K = 120 columns: a block with a QR takes the SVD of R
+        # a block with a QR (192 x 120 here) takes the SVD of its 120 x 120 R
         k = 3 * sources.count
         assert shapes == [(k, k) if case in ("svd_tol", "inv_fails") else (3 * mesh.n_nodes, k)]
         field, report = solve_lifting(squirmer_data(mesh), solver)
