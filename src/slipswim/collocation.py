@@ -52,13 +52,17 @@ strided or hand-built sources, mesh copies made by
 ``dataclasses.replace``, a mesh and sources whose rings differ) has
 P = 1: no FFT, no phase and no butterfly, so the same code assembles the
 full 3N x 3K matrix.  One at least as tall as wide is factored by QR
-first.  Where R^-1 proves that the truncated SVD would keep every
-singular value, the SVD's answer is the plain least-squares solution
-R^-1 Q^T b and the SVD is skipped; otherwise it takes one SVD, of R,
-with U = Q U_R.  A wide block, or one whose QR fails, takes the SVD of
-the whole block.  Every block truncates against the global largest
-singular value, so the rank, the condition estimate and the solution do
-not depend on P or on the factorization beyond rounding.
+first, by geqrf alone: Q is never formed.  Its Householder reflectors
+are kept in blocks of the compact WY form I - V T V^T (Schreiber & Van
+Loan, SIAM J. Sci. Stat. Comput. 10, 1989), which map a solve's rows
+to the 3K entries of Q^T b.  Where R^-1 proves that the truncated SVD
+would keep every singular value, the SVD's answer is the plain
+least-squares solution R^-1 Q^T b and the SVD is skipped; otherwise it
+takes one SVD, of R, and U_R^T maps Q^T b on.  A wide block, or one
+whose QR fails, takes the SVD of the whole block.  Every block
+truncates against the global largest singular value, so the rank, the
+condition estimate and the solution do not depend on P or on the
+factorization beyond rounding.
 
 The modes are factored when they are needed.  A solve reads off its data
 which DFT modes are live, above 1e-13 of a data set's largest mode
@@ -142,6 +146,8 @@ _MODE_FLOOR = 1e-13
 # certified dense block refines a solve where R^-1 could lose more.
 _ROUTE_TOL = 1e-9
 _EPS = np.finfo(float).eps
+# Reflectors per compact WY block of the dense QR (:func:`_reflector_blocks`)
+_WY_WIDTH = 256
 
 
 @dataclass(frozen=True)
@@ -474,6 +480,52 @@ def _live_modes(y):
     return live, int(np.flatnonzero(live.any(axis=0)).max(initial=0)) + 1
 
 
+def _reflector_blocks(v, tau):
+    """The compact WY blocks (j, V, T) of Householder reflectors: Q = prod (I - V T V^T).
+
+    ``v`` (m, k) holds geqrf's array, the reflectors below the diagonal
+    and R on and above it, and ``tau`` their k scalars.  The diagonal
+    squares of v are overwritten with the reflectors' unit diagonal and
+    zeros above it, so V = v[j:, j:j+w], the columns from j, is a unit
+    lower trapezoidal view of v.  T is upper triangular, from LAPACK
+    dlarft's forward recurrence T[:i, i] = -tau_i T[:i, :i] (V^T V)[:i, i],
+    T[i, i] = tau_i.  That holds where tau_i = 0 (geqrf's last reflector
+    of a square block); the inverse striu(V^T V) + diag(1 / tau) would not.
+    """
+    blocks = []
+    for j in range(0, len(tau), _WY_WIDTH):
+        w = min(_WY_WIDTH, len(tau) - j)
+        d = v[j : j + w, j : j + w]
+        d[np.triu_indices(w, 1)] = 0.0
+        np.fill_diagonal(d, 1.0)
+        block = v[j:, j : j + w]
+        g = block.T @ block
+        t = np.zeros((w, w))
+        for i, ti in enumerate(tau[j : j + w]):
+            t[:i, i] = -ti * (t[:i, :i] @ g[:i, i])
+            t[i, i] = ti
+        blocks.append((j, block, t))
+    return blocks
+
+
+def _reflect(y, v, t):
+    """y -= V T^T V^T y in place: one WY block's part of Q^T y (see :func:`_reflector_blocks`)."""
+    y -= v @ (t.T @ (v.T @ y))
+
+
+def _apply_qt(blocks, b):
+    """The first k entries of Q^T b for C sets of rows b (C, m), from Q's WY blocks: (C, k).
+
+    The blocks apply in order, each to the rows from its first column on,
+    of one (m, C) copy of b: one product per block for all C sets.
+    """
+    y = b.T.copy()
+    for j, v, t in blocks:
+        _reflect(y[j:], v, t)
+    j, v, _ = blocks[-1]
+    return y[: j + v.shape[1]].T
+
+
 def _real_matmul(mat, x):
     """Stacked real matrices times stacked real or complex vectors.
 
@@ -506,11 +558,14 @@ class SlipSolver:
     The blocks it yields (:func:`_mode_blocks`) split into real even and
     odd halves (:class:`_RingSide`), each with its own SVD, all truncated
     against the global largest singular value.  With P = 1 the same code
-    assembles the full 3N x 3K matrix and factors it once.  Where R^-1 of
-    its QR certifies that the truncated SVD would keep every singular value
-    (:meth:`_certify`), Q, ones and R^-1 fill the stacks and no SVD is
-    taken; otherwise it takes one SVD, of R where there is a QR
-    (:meth:`_svd`).  A ring mismatch costs time, never accuracy.
+    assembles the full 3N x 3K matrix and factors it once.  Where it has a
+    QR (:meth:`_dense_qr`), Q stays in its Householder reflectors, and a
+    solve first maps its rows to the 3K entries of Q^T b
+    (:func:`_apply_qt`); the stacks then act on those.  Where R^-1 certifies that the truncated
+    SVD would keep every singular value (:meth:`_certify`), R^-1 alone
+    fills V, with ones for 1 / s and no U, and no SVD is taken; otherwise
+    it takes one SVD, of R where there is a QR (:meth:`_svd`), and U^T is
+    U_R^T (3K x 3K).  A ring mismatch costs time, never accuracy.
 
     The one Stokeslet row kernel (``stokeslets._frame_rows``) runs along
     each node's frame (n, t1, t2) and gives the velocity and the traction
@@ -563,13 +618,15 @@ class SlipSolver:
         self._factored = np.zeros(modes, dtype=bool)
         bound = _norm_bound(self._a)
         self._refine = False
-        qr = self._dense_qr() if p == 1 else None
-        self._certified = qr is not None and self._certify(*qr, bound[0], svd_tol)
+        self._reflectors = None
+        qr_r = self._dense_qr() if p == 1 else None
+        self._certified = qr_r is not None and self._certify(qr_r, bound[0], svd_tol)
         if self._certified:
             return
-        # the factor stacks (see the class docstring); unwritten slots stay zero pages
+        # the factor stacks (see the class docstring); unwritten slots stay zero
+        # pages.  After a QR, U^T acts on the r entries of Q^T b
         r = min(h_r, h_c)
-        self._uh = np.zeros((modes, h, r, h_r))
+        self._uh = np.zeros((modes, h, r, h_r if qr_r is None else r))
         self._inv_s = np.zeros((modes, h, r))
         self._v = np.zeros((modes, h, h_c, r))
         # ||B||_2 <= the bound, so once a mode's bound is below the largest
@@ -578,7 +635,7 @@ class SlipSolver:
         for m in map(int, np.argsort(-bound, kind="stable")):
             if bound[m] < (1.0 - _BOUND_SLACK) * s_max:
                 break
-            svd = svds[m] = self._svd(m, qr)
+            svd = svds[m] = self._svd(m, qr_r)
             s_max = max(s_max, *(s[0] for _, s, _ in svd))
         if s_max == 0.0:
             raise SolverError("collocation matrix is identically zero")
@@ -609,26 +666,37 @@ class SlipSolver:
         return float(self._s_max * self._inv_s.max())
 
     def _dense_qr(self):
-        """Q, R of the one block (P = 1), or None for a wide block or a failed QR."""
+        """R of the one block's QR (P = 1), or None for a wide block or a failed QR.
+
+        ``qr(mode="raw")`` runs geqrf alone, no orgqr: it returns the
+        transpose of geqrf's array, R on and above the diagonal and the
+        Householder reflectors below.  R is a copy of the upper triangle;
+        the array is kept in place as the reflectors' compact WY blocks
+        (:func:`_reflector_blocks`), and Q is never formed.
+        """
         a = self._a[0, 0]
         if len(a) < a.shape[1]:
             return None
         try:
-            return np.linalg.qr(a)
+            h, tau = np.linalg.qr(a, mode="raw")
         except np.linalg.LinAlgError:
             return None
+        v = h.T
+        r = np.triu(v[: len(tau)])
+        self._reflectors = _reflector_blocks(v, tau)
+        return r
 
-    def _certify(self, q, r, bound, svd_tol):
-        """Keep Q R as the one block's truncated SVD where R^-1 proves it; True if so.
+    def _certify(self, r, bound, svd_tol):
+        """Keep R^-1 as the one block's truncated SVD where it proves it; True if so.
 
         W = R^-1 gives s_min >= 1 / ||W||_F, and s_max <= ``bound``, so
         where ||W||_F bound <= 1 / (2 svd_tol) every singular value is above
         the cut (the 2 covers W's rounding): the truncated SVD would keep
-        them all and return the least-squares solution W Q^T b.  Q then
-        stands in for U, ones for 1 / s and W for V in the stacks, Q^T as a
-        view of Q, not a copy.  A failed certificate or a singular R
-        returns False, and the SVD of R finishes the factorization
-        (:meth:`_svd`).
+        them all and return the least-squares solution W Q^T b.  W then
+        fills V, ones 1 / s (for the rank), and there is no U: a solve
+        multiplies Q^T b (:func:`_apply_qt`) by W alone.  A failed
+        certificate or a singular R returns False, and the SVD of R
+        finishes the factorization (:meth:`_svd`).
         """
         # W's diagonal holds 1 / r_ii, and ||W||_F is at least its norm: an R
         # whose diagonal already fails the certificate forms no W
@@ -644,7 +712,7 @@ class SlipSolver:
         ratio = np.linalg.norm(w) * bound
         if not ratio <= 0.5 / svd_tol:
             return False
-        self._uh, self._inv_s, self._v = q.T[None, None], np.ones((1, 1, len(w))), w[None, None]
+        self._uh, self._inv_s, self._v = None, np.ones((1, 1, len(w))), w[None, None]
         self._factored[0] = True
         # the product with W loses up to eps cond of the solution, where a
         # back substitution would not; a solve wins it back by one refinement
@@ -652,17 +720,17 @@ class SlipSolver:
         self._refine = _EPS * ratio > _ROUTE_TOL
         return True
 
-    def _svd(self, m, qr=None):
+    def _svd(self, m, r=None):
         """The SVDs of the halves of DFT mode m.
 
-        The one block's Q R (``qr``, P = 1) is always reused: the SVD of R
-        gives U = Q U_R.  The whole block takes its SVD only where it has no
-        QR: a wide block, a failed QR, and every ring half.
+        The one block's R (``r``, P = 1) is always reused: its SVD is the
+        block's, with U_R (3K x 3K) acting on Q^T b, so U = Q U_R is never
+        formed.  The whole block takes its SVD only where it has no QR: a
+        wide block, a failed QR, and every ring half.
         """
         try:
-            if qr is not None:
-                u, s, vh = np.linalg.svd(qr[1], full_matrices=False)
-                return [(qr[0] @ u, s, vh)]
+            if r is not None:
+                return [np.linalg.svd(r, full_matrices=False)]
             # one 2-D call per half: the perfbench SVD counter reads (m, n) from its shape
             return [
                 np.linalg.svd(self._a[m, k, :rows, :cols], full_matrices=False)
@@ -737,8 +805,17 @@ class SlipSolver:
         return _from_rings(xi, self._rot), _reports(residual, rhs)
 
     def _fit(self, b, n):
-        """V (1 / s) U^T b for the halves b (C, n, H, h_r) of modes < n: (C, n, H, h_c)."""
-        return _real_matmul(self._v[:n], _real_matmul(self._uh[:n], b) * self._inv_s[:n])
+        """V (1 / s) U^T b for the halves b (C, n, H, h_r) of modes < n: (C, n, H, h_c).
+
+        A dense block with a QR takes Q^T b first (:func:`_apply_qt`); a
+        certified one then has no U and 1 / s of ones, so it takes V = R^-1
+        alone.
+        """
+        if self._reflectors is not None:
+            b = _apply_qt(self._reflectors, b.reshape(len(b), -1)).reshape(b.shape[:-1] + (-1,))
+        if not self._certified:
+            b = _real_matmul(self._uh[:n], b) * self._inv_s[:n]
+        return _real_matmul(self._v[:n], b)
 
     def _fit_rows(self, datas):
         """The rows of C sets of data, ring-major and scaled as the fit's: (C, P, 3N/P)."""

@@ -685,20 +685,32 @@ class TestModesOnDemand:
     def test_dense_route_factors_at_construction_without_copies(self, problem20_strided, monkeypatch):
         solver = SlipSolver(problem20_strided.mesh, problem20_strided.sources, 1e6)
         assert _factored(solver) == [0]
-        # a solve multiplies views of the solver's factor stacks, no copies,
-        # once each: this certified block is too well conditioned to refine
-        mats = []
-        real_matmul = collocation._real_matmul
+        # a solve applies each reflector block, then the V stack (R^-1), once
+        # each, as views of the solver's arrays, no copies: this certified
+        # block has no U and is too well conditioned to refine
+        mats, reflected = [], []
+        real_matmul, reflect = collocation._real_matmul, collocation._reflect
 
         def recorded(mat, x):
             mats.append(mat)
             return real_matmul(mat, x)
 
+        def recorded_block(y, v, t):
+            reflected.append((v, t))
+            reflect(y, v, t)
+
         monkeypatch.setattr(collocation, "_real_matmul", recorded)
+        monkeypatch.setattr(collocation, "_reflect", recorded_block)
         solve_lifting(squirmer_data(solver.mesh, 1.0), solver)
-        for stack in (solver._uh, solver._v):
-            used = [m for m in mats if np.shares_memory(m, stack)]
-            assert len(used) == 1 and not any(m.flags.owndata for m in used)
+        assert solver._uh is None
+        used = [m for m in mats if np.shares_memory(m, solver._v)]
+        assert len(used) == 1 and not any(m.flags.owndata for m in used)
+        # 960 rows against 321 columns: two blocks, every V a view of one array
+        blocks = solver._reflectors
+        assert len(blocks) == 2
+        assert [(id(v), id(t)) for v, t in reflected] == [(id(v), id(t)) for _, v, t in blocks]
+        assert not any(v.flags.owndata for _, v, _ in blocks)
+        assert blocks[0][1].base is blocks[1][1].base
 
 
 class TestBatchedSolves:
@@ -762,8 +774,10 @@ class TestCertifiedQR:
             svd_route.solver
         k = 3 * prob.sources.count
         assert svd_route.solver.svd_rank == prob.solver.svd_rank == k
-        # 3N = 960 rows against 321 columns: the SVD takes the certificate's R
+        # 3N = 960 rows against 321 columns: the SVD takes the certificate's R,
+        # and U^T is U_R^T, acting on Q^T b: no U with 3N rows
         assert shapes == [(k, k)]
+        assert svd_route.solver._uh.shape == (1, 1, k, k)
         npt.assert_allclose(svd_route.solver.condition_estimate, cond, rtol=1e-10)
         m, m_svd = prob.grand_matrix.M, svd_route.grand_matrix.M
         assert np.max(np.abs(m - m_svd)) <= 1e-13 * np.max(np.abs(m_svd))
@@ -796,6 +810,39 @@ class TestCertifiedQR:
         assert np.isfinite(field.strengths).all() and report.residual_tangential < 1.0
         if case == "svd_tol":
             assert solver.svd_rank < 3 * sources.count
+
+    @pytest.mark.parametrize("width", [None, 16])
+    @pytest.mark.parametrize("shape", [(300, 300), (640, 300), (301, 77), (50, 1)])
+    def test_reflector_map_matches_the_explicit_q(self, shape, width, rng, monkeypatch):
+        # square (geqrf's last tau is 0), a width that is no multiple of the
+        # block width, one block, one column; at the default and a small width
+        if width is not None:
+            monkeypatch.setattr(collocation, "_WY_WIDTH", width)
+        a = rng.standard_normal(shape)
+        b = rng.standard_normal((3, shape[0]))
+        h, tau = np.linalg.qr(a, mode="raw")
+        if shape[0] == shape[1]:
+            assert tau[-1] == 0.0
+        got = collocation._apply_qt(collocation._reflector_blocks(h.T, tau), b)
+        want = b @ np.linalg.qr(a)[0]
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("stride, svd_tol", [(2, 1e-12), (1, 1e-6)])
+    def test_dense_build_forms_no_q(self, icosphere2, stride, svd_tol, monkeypatch):
+        # certified, and the CI's square 960 x 960 block that fails the
+        # certificate: every QR of the build returns the reflectors only
+        modes, qr = [], np.linalg.qr
+
+        def recorded(a, mode="reduced"):
+            modes.append(mode)
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", recorded)
+        prob = SwimProblem(icosphere2, 2.0, stride=stride, svd_tol=svd_tol)
+        prob.grand_matrix
+        assert prob.solver._certified == (stride == 2)
+        assert modes == ["raw"]
 
     def test_refines_only_where_r_inverse_could_lose_the_route_agreement(self, request, problem20_strided):
         # eps ||W||_F ||A|| against 1e-9: the res-16 near no-slip sphere on the
