@@ -51,14 +51,15 @@ frame, follow from the symmetries.  Every other input (triangle meshes,
 strided or hand-built sources, mesh copies made by
 ``dataclasses.replace``, a mesh and sources whose rings differ) has
 P = 1: no FFT, no phase and no butterfly, so the same code assembles the
-full 3N x 3K matrix.  One at least as tall as wide is factored by QR
-first, by geqrf alone: Q is never formed.  Its Householder reflectors
-are kept in blocks of the compact WY form I - V T V^T (Schreiber & Van
-Loan, SIAM J. Sci. Stat. Comput. 10, 1989), which map a solve's rows
-to the 3K entries of Q^T b.  Where R^-1 proves that the truncated SVD
-would keep every singular value, the SVD's answer is the plain
-least-squares solution R^-1 Q^T b and the SVD is skipped; otherwise it
-takes one SVD, of R, and U_R^T maps Q^T b on.  A wide block, or one
+full 3N x 3K matrix, column-major.  One at least as tall as wide is
+factored by QR first, by geqrf alone: Q is never formed.  Its
+Householder reflectors are kept in blocks of the compact WY form
+I - V T V^T (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989),
+which map a solve's rows to the 3K entries of Q^T b.  Where R^-1,
+formed by a blocked back substitution rather than a general inverse,
+proves that the truncated SVD would keep every singular value, the SVD's
+answer is the plain least-squares solution R^-1 Q^T b and the SVD is
+skipped; otherwise it takes one SVD, of R, and U_R^T maps Q^T b on.  A wide block, or one
 whose QR fails, takes the SVD of the whole block.  Every block
 truncates against the global largest singular value, so the rank, the
 condition estimate and the solution do not depend on P or on the
@@ -146,7 +147,9 @@ _MODE_FLOOR = 1e-13
 # certified dense block refines a solve where R^-1 could lose more.
 _ROUTE_TOL = 1e-9
 _EPS = np.finfo(float).eps
-# Reflectors per compact WY block of the dense QR (:func:`_reflector_blocks`)
+# The dense route's block width: reflectors per compact WY block of its QR
+# (:func:`_reflector_blocks`), rows per block row of R^-1 (:func:`_triu_inv`)
+# and the side of the squares in which :func:`_mode_blocks` copies the block
 _WY_WIDTH = 256
 
 
@@ -441,11 +444,19 @@ def _mode_blocks(mat, rows, cols) -> np.ndarray:
       which ``rows.fold`` picks and weights each half's rows.
 
     One ring returns the matrix itself as (1, 1, 3N, 3K), with the columns
-    of each source together as in every other vector of sources.
+    of each source together as in every other vector of sources, in one
+    column-major copy: geqrf reads it as it lies, where a row-major block
+    costs numpy's QR a strided copy in and out (:meth:`SlipSolver._dense_qr`).
     """
     p, n, k = len(mat), mat.shape[1], mat.shape[3]
     if rows.q is None:
-        return mat.swapaxes(2, 3).reshape(1, 1, n, 3 * k)
+        # copied in squares of rows and sources: a transposed copy at once
+        # reads one entry per cache line and takes about twice as long
+        out, w = np.empty((k, 3, n)), _WY_WIDTH
+        for i in range(0, n, w):
+            for j in range(0, k, w):
+                out[j : j + w, :, i : i + w] = mat[0, i : i + w, :, j : j + w].T
+        return out.reshape(1, 1, 3 * k, n).swapaxes(2, 3)
     h = cols.q.shape[1]
     angle = np.outer(np.arange(p // 2 + 1), np.arange(p)) % p * (2.0 * np.pi / p)
     c = (np.cos(angle) + np.sin(angle)) @ mat.reshape(p, -1)
@@ -524,6 +535,29 @@ def _apply_qt(blocks, b):
         _reflect(y[j:], v, t)
     j, v, _ = blocks[-1]
     return y[: j + v.shape[1]].T
+
+
+def _triu_inv(r):
+    """W = R^-1 of an upper triangular R (n, n) by blocked back substitution.
+
+    Block rows of ``_WY_WIDTH`` rows, bottom to top: X_i = R_ii^-1
+    [I | -R_i,>i X_>i], the rows of W from column i on (W is zero below
+    its diagonal).  ``np.linalg.solve``'s LU of the triangular R_ii pivots
+    nowhere and is exact, so each solve is a plain back substitution, which
+    keeps the right residual |R W - I| <= c n eps |R| |W| (Du Croz &
+    Higham, IMA J. Numer. Anal. 12, 1992).  It takes about 2 n^3 / 3
+    flops, a quarter of a general inverse's LU and n solves.  A zero on the
+    diagonal raises LinAlgError.
+    """
+    n = len(r)
+    w = np.zeros((n, n))
+    for j in reversed(range(0, n, _WY_WIDTH)):
+        e = min(j + _WY_WIDTH, n)
+        x = w[j:e, j:]
+        np.fill_diagonal(x, 1.0)
+        x[:, e - j :] = -(r[j:e, e:] @ w[e:, e:])
+        x[...] = np.linalg.solve(r[j:e, j:e], x)
+    return w
 
 
 def _real_matmul(mat, x):
@@ -668,10 +702,11 @@ class SlipSolver:
     def _dense_qr(self):
         """R of the one block's QR (P = 1), or None for a wide block or a failed QR.
 
-        ``qr(mode="raw")`` runs geqrf alone, no orgqr: it returns the
-        transpose of geqrf's array, R on and above the diagonal and the
-        Householder reflectors below.  R is a copy of the upper triangle;
-        the array is kept in place as the reflectors' compact WY blocks
+        ``qr(mode="raw")`` runs geqrf alone, no orgqr, on the column-major
+        block as it lies (:func:`_mode_blocks`): it returns the transpose of
+        geqrf's array, R on and above the diagonal and the Householder
+        reflectors below.  R is a copy of the upper triangle; the array is
+        kept in place as the reflectors' compact WY blocks
         (:func:`_reflector_blocks`), and Q is never formed.
         """
         a = self._a[0, 0]
@@ -689,13 +724,14 @@ class SlipSolver:
     def _certify(self, r, bound, svd_tol):
         """Keep R^-1 as the one block's truncated SVD where it proves it; True if so.
 
-        W = R^-1 gives s_min >= 1 / ||W||_F, and s_max <= ``bound``, so
-        where ||W||_F bound <= 1 / (2 svd_tol) every singular value is above
-        the cut (the 2 covers W's rounding): the truncated SVD would keep
-        them all and return the least-squares solution W Q^T b.  W then
-        fills V, ones 1 / s (for the rank), and there is no U: a solve
-        multiplies Q^T b (:func:`_apply_qt`) by W alone.  A failed
-        certificate or a singular R returns False, and the SVD of R
+        W = R^-1, formed by a blocked back substitution (:func:`_triu_inv`),
+        not a general inverse, gives s_min >= 1 / ||W||_F, and s_max <=
+        ``bound``, so where ||W||_F bound <= 1 / (2 svd_tol) every singular
+        value is above the cut (the 2 covers W's rounding): the truncated
+        SVD would keep them all and return the least-squares solution
+        W Q^T b.  W then fills V, ones 1 / s (for the rank), and there is no
+        U: a solve multiplies Q^T b (:func:`_apply_qt`) by W alone.  A
+        failed certificate or a singular R returns False, and the SVD of R
         finishes the factorization (:meth:`_svd`).
         """
         # W's diagonal holds 1 / r_ii, and ||W||_F is at least its norm: an R
@@ -705,7 +741,7 @@ class SlipSolver:
         if not diagonal * bound <= 0.5 / svd_tol:
             return False
         try:
-            w = np.linalg.inv(r)
+            w = _triu_inv(r)
         except np.linalg.LinAlgError:
             return False
         # NaN or inf in W fails the comparison too

@@ -770,7 +770,7 @@ class TestCertifiedQR:
 
         # the norm of R's inverted diagonal alone fails the certificate
         with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "inv", fails)
+            patch.setattr(collocation, "_triu_inv", fails)
             svd_route.solver
         k = 3 * prob.sources.count
         assert svd_route.solver.svd_rank == prob.solver.svd_rank == k
@@ -800,7 +800,10 @@ class TestCertifiedQR:
             def fails(*args, **kwargs):
                 raise np.linalg.LinAlgError("singular")
 
-            monkeypatch.setattr(np.linalg, "qr" if case == "qr_fails" else "inv", fails)
+            if case == "qr_fails":
+                monkeypatch.setattr(np.linalg, "qr", fails)
+            else:
+                monkeypatch.setattr(collocation, "_triu_inv", fails)
         shapes = _svd_shapes(monkeypatch)
         solver = SlipSolver(mesh, sources, 2.0, svd_tol)
         # a block with a QR (192 x 120 here) takes the SVD of its 120 x 120 R
@@ -827,6 +830,82 @@ class TestCertifiedQR:
         want = b @ np.linalg.qr(a)[0]
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @staticmethod
+    def _right_residuals(r):
+        """max |R W - I| of the blocked back substitution and of np.linalg.inv, and both W."""
+        w, want = collocation._triu_inv(r), np.linalg.inv(r)
+        eye = np.eye(len(r))
+        return np.max(np.abs(r @ w - eye)), np.max(np.abs(r @ want - eye)), w, want
+
+    @pytest.mark.parametrize("width", [None, 16])
+    @pytest.mark.parametrize("n", [1, 255, 256, 257, 600])
+    def test_triangular_inverse_matches_inv(self, n, width, rng, monkeypatch):
+        # a 1 x 1 R, sizes just below, at and just above the block width, and
+        # several block rows with a ragged last one
+        if width is not None:
+            monkeypatch.setattr(collocation, "_WY_WIDTH", width)
+        r = np.linalg.qr(rng.standard_normal((n + 3, n)), mode="r")
+        got, inv, w, want = self._right_residuals(r)
+        assert np.all(np.tril(w, -1) == 0.0)
+        assert np.max(np.abs(w - want)) <= 1e-12 * np.max(np.abs(want))
+        assert got <= 4.0 * max(inv, np.finfo(float).eps)
+
+    @pytest.mark.parametrize("width", [None, 16])
+    def test_triangular_inverse_of_an_ill_conditioned_r(self, width, rng, monkeypatch):
+        # condition 1e10, as the seed-3 benchmark icosphere's R at stride 1: an
+        # inverse built from products of block inverses loses the right
+        # residual there, a back substitution keeps it
+        if width is not None:
+            monkeypatch.setattr(collocation, "_WY_WIDTH", width)
+        n = 300
+        u, v = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+        r = np.linalg.qr((u * np.logspace(0.0, -10.0, n)) @ v.T, mode="r")
+        assert 1e9 < np.linalg.cond(r) < 1e11
+        got, inv, w, _ = self._right_residuals(r)
+        assert np.all(np.tril(w, -1) == 0.0)
+        assert got <= 4.0 * inv
+
+    @pytest.mark.parametrize("index", [0, 100, 299])
+    def test_triangular_inverse_of_a_singular_r(self, index, rng):
+        # a zero in the first, a middle and the last block row solved
+        r = np.linalg.qr(rng.standard_normal((300, 300)), mode="r")
+        r[index, index] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            collocation._triu_inv(r)
+
+    @pytest.mark.parametrize("width", [None, 16])
+    @pytest.mark.parametrize("t, k", [(320, 107), (5, 1), (600, 256)])
+    def test_one_ring_block_is_the_source_major_matrix(self, t, k, width, rng, monkeypatch):
+        # copied column-major in squares, ragged at both edges at the smaller width
+        if width is not None:
+            monkeypatch.setattr(collocation, "_WY_WIDTH", width)
+        mat = rng.standard_normal((1, 3 * t, 3, k))
+        got = collocation._mode_blocks(mat, _RingSide(t, _FRAME, False), _RingSide(k, _XYZ, False))
+        assert np.array_equal(got, mat.swapaxes(2, 3).reshape(1, 1, 3 * t, 3 * k))
+        assert got[0, 0].flags.f_contiguous
+
+    def test_dense_block_reaches_the_qr_column_major(self, problem20_strided, monkeypatch):
+        # geqrf reads the block as it lies, and its array and R are those of a
+        # row-major copy, bit for bit
+        blocks, qr = [], np.linalg.qr
+
+        def recorded(a, mode="reduced"):
+            blocks.append(a)
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", recorded)
+        prob = problem20_strided
+        solver = SlipSolver(prob.mesh, prob.sources, prob.alpha, prob.svd_tol)
+        (a,) = blocks
+        assert a.flags.f_contiguous and not a.flags.c_contiguous
+        h, tau = qr(a, mode="raw")
+        h_c, tau_c = qr(np.ascontiguousarray(a), mode="raw")
+        assert np.array_equal(h, h_c) and np.array_equal(tau, tau_c)
+        # the certified block's W is R^-1 of the row-major copy's R
+        r_c = np.triu(h_c.T[: len(tau_c)])
+        assert solver._certified
+        assert np.array_equal(solver._v[0, 0], collocation._triu_inv(r_c))
 
     @pytest.mark.parametrize("stride, svd_tol", [(2, 1e-12), (1, 1e-6)])
     def test_dense_build_forms_no_q(self, icosphere2, stride, svd_tol, monkeypatch):
