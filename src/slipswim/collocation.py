@@ -51,19 +51,23 @@ frame, follow from the symmetries.  Every other input (triangle meshes,
 strided or hand-built sources, mesh copies made by
 ``dataclasses.replace``, a mesh and sources whose rings differ) has
 P = 1: no FFT, no phase and no butterfly, so the same code assembles the
-full 3N x 3K matrix, column-major.  One at least as tall as wide is
-factored by QR first, by geqrf alone: Q is never formed.  Its
-Householder reflectors are kept in blocks of the compact WY form
-I - V T V^T (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989),
-which map a solve's rows to the 3K entries of Q^T b.  Where R^-1,
-formed by a blocked back substitution rather than a general inverse,
-proves that the truncated SVD would keep every singular value, the SVD's
-answer is the plain least-squares solution R^-1 Q^T b and the SVD is
-skipped; otherwise it takes one SVD, of R, and U_R^T maps Q^T b on.  A wide block, or one
-whose QR fails, takes the SVD of the whole block.  Every block
-truncates against the global largest singular value, so the rank, the
-condition estimate and the solution do not depend on P or on the
-factorization beyond rounding.
+full 3N x 3K matrix, as the kernel writes it: row-major, its columns
+component-major (all the x strengths, then the y and the z ones).  One at
+least as tall as wide is factored by a blocked Householder QR in place,
+on one copy of the matrix (:func:`_householder_qr`): Q is never formed.
+Its reflectors come in panels of the compact WY form I - V T V^T
+(Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989), T built
+while each panel is factored, recursively (Elmroth & Gustavson, IBM J.
+Res. Dev. 44, 2000), so the rest of the matrix is updated by wide
+matrix products; the same blocks map a solve's rows to the 3K entries of
+Q^T b.  Where R^-1, formed by a blocked back substitution rather than a
+general inverse, proves that the truncated SVD would keep every singular
+value, the SVD's answer is the plain least-squares solution R^-1 Q^T b
+and the SVD is skipped; otherwise it takes one SVD, of R, and U_R^T maps
+Q^T b on.  A wide block, or one whose QR fails, takes the SVD of the
+whole block.  Every block truncates against the global largest singular
+value, so the rank, the condition estimate and the solution do not depend
+on P or on the factorization beyond rounding.
 
 The modes are factored when they are needed.  A solve reads off its data
 which DFT modes are live, above 1e-13 of a data set's largest mode
@@ -147,10 +151,15 @@ _MODE_FLOOR = 1e-13
 # certified dense block refines a solve where R^-1 could lose more.
 _ROUTE_TOL = 1e-9
 _EPS = np.finfo(float).eps
-# The dense route's block width: reflectors per compact WY block of its QR
-# (:func:`_reflector_blocks`), rows per block row of R^-1 (:func:`_triu_inv`)
-# and the side of the squares in which :func:`_mode_blocks` copies the block
+# The dense route's block width: columns per panel, and so reflectors per
+# compact WY block, of its QR (:func:`_householder_qr`), rows per block row
+# of R^-1 (:func:`_triu_inv`) and the side of the squares in which the QR
+# copies the block
 _WY_WIDTH = 256
+# The QR's leaves: LAPACK factors panels at most this wide
+_QR_LEAF = 16
+# The QR updates the columns right of a panel at most this many at a time
+_QR_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -371,13 +380,18 @@ class _RingSide:
     which of the first 3 ceil(t/2) entries each half entry comes from, and
     with what weight, when the mirrored entries are not stored (see
     :func:`_mode_blocks`); padding has weight 0.
+
+    On one ring the block's rows lie node by node, but its columns
+    (``columns``) lie component-major, as the kernel writes them: the one
+    half of a vector of sources holds component c of source k at c t + k,
+    so ``halves`` and ``join`` transpose between the two orders there.
     """
 
-    def __init__(self, t, kind, rings):
+    def __init__(self, t, kind, rings, columns=False):
         phi_signs, z_signs = kind
         n = 3 * t
         if not rings:
-            self.sizes, self.q = (n,), None
+            self.sizes, self.q, self.columns = (n,), None, columns
             return
         self.phase = np.tile(np.where(phi_signs < 0, 1j, 1.0), t)
         k, root = t // 2, math.sqrt(0.5)
@@ -403,6 +417,8 @@ class _RingSide:
     def halves(self, v, conj=False):
         """Q^T D v, or Q^T conj(D) v, for ring-0 vectors (..., n): (..., H, h)."""
         if self.q is None:
+            if self.columns:
+                v = v.reshape(v.shape[:-1] + (-1, 3)).swapaxes(-1, -2).reshape(v.shape)
             return v[..., None, :]
         q = self.q.reshape(-1, self.q.shape[2])
         v = v * (self.phase.conj() if conj else self.phase)
@@ -411,7 +427,10 @@ class _RingSide:
     def join(self, w, conj=False):
         """D Q w, or conj(D) Q w, for halves (..., H, h): (..., n)."""
         if self.q is None:
-            return w[..., 0, :]
+            v = w[..., 0, :]
+            if self.columns:
+                v = v.reshape(v.shape[:-1] + (3, -1)).swapaxes(-1, -2).reshape(v.shape)
+            return v
         q = self.q.reshape(-1, self.q.shape[2])
         v = _real_matmul(q.T, w.reshape(w.shape[:-2] + (-1,)))
         return v * (self.phase.conj() if conj else self.phase)
@@ -443,20 +462,13 @@ def _mode_blocks(mat, rows, cols) -> np.ndarray:
       half.  Hence one product with both column halves of Q_c, after
       which ``rows.fold`` picks and weights each half's rows.
 
-    One ring returns the matrix itself as (1, 1, 3N, 3K), with the columns
-    of each source together as in every other vector of sources, in one
-    column-major copy: geqrf reads it as it lies, where a row-major block
-    costs numpy's QR a strided copy in and out (:meth:`SlipSolver._dense_qr`).
+    One ring returns the matrix itself as a (1, 1, 3N, 3K) view, columns
+    component-major as the kernel wrote them (see :class:`_RingSide`): no
+    copy.
     """
     p, n, k = len(mat), mat.shape[1], mat.shape[3]
     if rows.q is None:
-        # copied in squares of rows and sources: a transposed copy at once
-        # reads one entry per cache line and takes about twice as long
-        out, w = np.empty((k, 3, n)), _WY_WIDTH
-        for i in range(0, n, w):
-            for j in range(0, k, w):
-                out[j : j + w, :, i : i + w] = mat[0, i : i + w, :, j : j + w].T
-        return out.reshape(1, 1, 3 * k, n).swapaxes(2, 3)
+        return mat.reshape(1, 1, n, 3 * k)
     h = cols.q.shape[1]
     angle = np.outer(np.arange(p // 2 + 1), np.arange(p)) % p * (2.0 * np.pi / p)
     c = (np.cos(angle) + np.sin(angle)) @ mat.reshape(p, -1)
@@ -491,50 +503,104 @@ def _live_modes(y):
     return live, int(np.flatnonzero(live.any(axis=0)).max(initial=0)) + 1
 
 
-def _reflector_blocks(v, tau):
-    """The compact WY blocks (j, V, T) of Householder reflectors: Q = prod (I - V T V^T).
+def _householder_qr(a):
+    """R and the compact WY blocks (j, V^T, T) of the QR of a block a (m, n), m >= n.
 
-    ``v`` (m, k) holds geqrf's array, the reflectors below the diagonal
-    and R on and above it, and ``tau`` their k scalars.  The diagonal
-    squares of v are overwritten with the reflectors' unit diagonal and
-    zeros above it, so V = v[j:, j:j+w], the columns from j, is a unit
-    lower trapezoidal view of v.  T is upper triangular, from LAPACK
-    dlarft's forward recurrence T[:i, i] = -tau_i T[:i, :i] (V^T V)[:i, i],
-    T[i, i] = tau_i.  That holds where tau_i = 0 (geqrf's last reflector
-    of a square block); the inverse striu(V^T V) + diag(1 / tau) would not.
+    Q = prod (I - V T V^T) over the blocks, in order, and is never formed.
+    The block is copied once, in squares of ``_WY_WIDTH``, into a working
+    array held as the row-major transpose x^T (n, m): column c of the block
+    is row c of x^T.  The factorization overwrites it: panels of
+    ``_WY_WIDTH`` columns, each factored with its T (:func:`_qr_panel`),
+    then the rows of x^T below the panel's updated to those of Q_j^T C
+    (:func:`_reflect`), ``_QR_CHUNK`` rows at a time, so that no
+    temporary is the size of the block.  Once a panel's columns are
+    updated, its block row of R is final and is copied out; V^T, rows of
+    x^T from column j on, is then unit upper trapezoidal.  A non-finite
+    block raises LinAlgError, as LAPACK's does in numpy.
     """
-    blocks = []
-    for j in range(0, len(tau), _WY_WIDTH):
-        w = min(_WY_WIDTH, len(tau) - j)
-        d = v[j : j + w, j : j + w]
-        d[np.triu_indices(w, 1)] = 0.0
+    m, n = a.shape
+    # copied in squares: a transposed copy at once reads one entry per
+    # cache line and takes about twice as long
+    xt, w = np.empty((n, m)), _WY_WIDTH
+    for i in range(0, m, w):
+        for j in range(0, n, w):
+            xt[j : j + w, i : i + w] = a[i : i + w, j : j + w].T
+    r, blocks = np.zeros((n, n)), []
+    for j in range(0, n, w):
+        e = min(j + w, n)
+        t = _qr_panel(xt, r, j, e)
+        vt = xt[j:e, j:]
+        for i in range(e, n, _QR_CHUNK):
+            _reflect(xt[i : i + _QR_CHUNK, j:], vt, t)
+        r[j:e, e:] = xt[e:, j:e].T
+        blocks.append((j, vt, t))
+    return r, blocks
+
+
+def _reflect(rows, vt, t):
+    """rows -= ((rows V) T) V^T in place: one WY block's Q^T applied to each row.
+
+    The rows are those of C^T (a solve's sets of rows, or columns of the
+    working array as rows of x^T), and V^T is held by its rows too, so the
+    products and the subtraction all run along contiguous rows.
+    """
+    rows -= ((rows @ vt.T) @ t) @ vt
+
+
+def _qr_panel(xt, r, j, e):
+    """Factor the columns j:e of the working array x, from row j down, in place; returns their T.
+
+    ``xt`` is x^T (see :func:`_householder_qr`).  A panel is split in
+    halves: the left half is factored, its reflectors applied to the right
+    half, and the right half factored, so T = [[T1, -T1 V1^T V2 T2],
+    [0, T2]] (Elmroth & Gustavson 2000).  The rows j:e of R in these
+    columns go to ``r``, and x keeps V, unit lower trapezoidal: ones on
+    the diagonal and zeros above it (zeros left of it in x^T).  A leaf of at most ``_QR_LEAF``
+    columns is LAPACK's (``qr(mode="raw")`` of the strided view, which
+    returns geqrf's array transposed), and its T comes from dlarft's
+    forward recurrence T[:i, i] = -tau_i T[:i, :i] (V^T V)[:i, i],
+    T[i, i] = tau_i, which holds where tau_i = 0 (a zero column, or the
+    last of a square block); the inverse striu(V^T V) + diag(1 / tau)
+    would not.
+    """
+    w = e - j
+    if w <= _QR_LEAF:
+        h, tau = np.linalg.qr(xt[j:e, j:].T, mode="raw")
+        d = h[:, :w]
+        r[j:e, j:e] = np.tril(d).T
+        d[np.tril_indices(w, -1)] = 0.0
         np.fill_diagonal(d, 1.0)
-        block = v[j:, j : j + w]
-        g = block.T @ block
+        xt[j:e, j:] = h
+        g = h @ h.T
         t = np.zeros((w, w))
-        for i, ti in enumerate(tau[j : j + w]):
+        for i, ti in enumerate(tau):
             t[:i, i] = -ti * (t[:i, :i] @ g[:i, i])
             t[i, i] = ti
-        blocks.append((j, block, t))
-    return blocks
-
-
-def _reflect(y, v, t):
-    """y -= V T^T V^T y in place: one WY block's part of Q^T y (see :func:`_reflector_blocks`)."""
-    y -= v @ (t.T @ (v.T @ y))
+        return t
+    k = j + w // 2
+    t1 = _qr_panel(xt, r, j, k)
+    _reflect(xt[k:e, j:], xt[j:k, j:], t1)
+    # the rows j:k of the right half are R's, and V2 is zero there
+    r[j:k, k:e] = xt[k:e, j:k].T
+    xt[k:e, j:k] = 0.0
+    t2 = _qr_panel(xt, r, k, e)
+    t = np.zeros((w, w))
+    t[: k - j, : k - j], t[k - j :, k - j :] = t1, t2
+    t[: k - j, k - j :] = -t1 @ ((xt[j:k, k:] @ xt[k:e, k:].T) @ t2)
+    return t
 
 
 def _apply_qt(blocks, b):
     """The first k entries of Q^T b for C sets of rows b (C, m), from Q's WY blocks: (C, k).
 
-    The blocks apply in order, each to the rows from its first column on,
-    of one (m, C) copy of b: one product per block for all C sets.
+    The blocks apply in order, each to the entries from its first column
+    on, of one copy of b: one product per block for all C sets.
     """
-    y = b.T.copy()
-    for j, v, t in blocks:
-        _reflect(y[j:], v, t)
-    j, v, _ = blocks[-1]
-    return y[: j + v.shape[1]].T
+    y = b.copy()
+    for j, vt, t in blocks:
+        _reflect(y[:, j:], vt, t)
+    j, vt, _ = blocks[-1]
+    return y[:, : j + len(vt)]
 
 
 def _triu_inv(r):
@@ -564,11 +630,15 @@ def _real_matmul(mat, x):
     """Stacked real matrices times stacked real or complex vectors.
 
     A complex vector goes through as two real columns (a float view), so
-    the real matrices are never upcast.
+    the real matrices are never upcast.  A stack of one matrix
+    (1, 1, m, n), the dense route's, takes C real vectors (C, 1, 1, n) in
+    one (C, n) @ (n, m) product, which reads the matrix once, not C times.
     """
     if np.iscomplexobj(x):
         y = mat @ x.view(float).reshape(x.shape + (2,))
         return y.view(complex)[..., 0]
+    if mat.shape[:-2] == (1, 1):
+        return (x.reshape(-1, x.shape[-1]) @ mat[0, 0].T).reshape(x.shape[:-1] + (-1,))
     return (mat @ x[..., None])[..., 0]
 
 
@@ -592,14 +662,16 @@ class SlipSolver:
     The blocks it yields (:func:`_mode_blocks`) split into real even and
     odd halves (:class:`_RingSide`), each with its own SVD, all truncated
     against the global largest singular value.  With P = 1 the same code
-    assembles the full 3N x 3K matrix and factors it once.  Where it has a
-    QR (:meth:`_dense_qr`), Q stays in its Householder reflectors, and a
-    solve first maps its rows to the 3K entries of Q^T b
-    (:func:`_apply_qt`); the stacks then act on those.  Where R^-1 certifies that the truncated
-    SVD would keep every singular value (:meth:`_certify`), R^-1 alone
-    fills V, with ones for 1 / s and no U, and no SVD is taken; otherwise
-    it takes one SVD, of R where there is a QR (:meth:`_svd`), and U^T is
-    U_R^T (3K x 3K).  A ring mismatch costs time, never accuracy.
+    assembles the full 3N x 3K matrix, row-major with component-major
+    columns, and factors it once.  Where it has a QR (:meth:`_dense_qr`,
+    a blocked Householder QR whose panels build their compact WY T as they
+    are factored), Q stays in its reflectors, and a solve first maps its
+    rows to the 3K entries of Q^T b (:func:`_apply_qt`); the stacks then
+    act on those.  Where R^-1 certifies that the truncated SVD would keep
+    every singular value (:meth:`_certify`), R^-1 alone fills V, with
+    ones for 1 / s and no U, and no SVD is taken; otherwise it takes one
+    SVD, of R where there is a QR (:meth:`_svd`), and U^T is U_R^T
+    (3K x 3K).  A ring mismatch costs time, never accuracy.
 
     The one Stokeslet row kernel (``stokeslets._frame_rows``) runs along
     each node's frame (n, t1, t2) and gives the velocity and the traction
@@ -622,7 +694,7 @@ class SlipSolver:
         t = mesh.n_nodes // p
         self._rows = _RingSide(t, _FRAME, p > 1)
         self._trows = _RingSide(t, _XYZ, p > 1)
-        self._cols = _RingSide(sources.count // p, _XYZ, p > 1)
+        self._cols = _RingSide(sources.count // p, _XYZ, p > 1, columns=True)
         # the fit's rows: sqrt(weight), and the tangential rows over the slip weight
         sw = _slip_weight(mesh, alpha)
         self._scale = np.repeat(np.sqrt(mesh.weights[::p]), 3) / np.tile([1.0, sw, sw], t)
@@ -702,23 +774,20 @@ class SlipSolver:
     def _dense_qr(self):
         """R of the one block's QR (P = 1), or None for a wide block or a failed QR.
 
-        ``qr(mode="raw")`` runs geqrf alone, no orgqr, on the column-major
-        block as it lies (:func:`_mode_blocks`): it returns the transpose of
-        geqrf's array, R on and above the diagonal and the Householder
-        reflectors below.  R is a copy of the upper triangle; the array is
-        kept in place as the reflectors' compact WY blocks
-        (:func:`_reflector_blocks`), and Q is never formed.
+        The blocked QR (:func:`_householder_qr`) copies the block once, as
+        the kernel wrote it (row-major, columns component-major), and
+        factors the copy in place: R is read off its block rows, and the
+        copy holds the Householder reflectors, kept as the compact WY
+        blocks that every solve applies (:func:`_apply_qt`).  Q is never
+        formed.
         """
         a = self._a[0, 0]
         if len(a) < a.shape[1]:
             return None
         try:
-            h, tau = np.linalg.qr(a, mode="raw")
+            r, self._reflectors = _householder_qr(a)
         except np.linalg.LinAlgError:
             return None
-        v = h.T
-        r = np.triu(v[: len(tau)])
-        self._reflectors = _reflector_blocks(v, tau)
         return r
 
     def _certify(self, r, bound, svd_tol):

@@ -459,6 +459,17 @@ class TestButterfly:
         v = rng.normal(size=(3, 24))
         npt.assert_array_equal(side.join(side.halves(v)), v)
 
+    def test_one_ring_columns_are_component_major(self, rng):
+        # the column side of one ring: source-major strengths (x, y, z of
+        # each source) to the kernel's component-major columns and back
+        side = _RingSide(8, _XYZ, False, columns=True)
+        assert side.q is None and side.sizes == (24,)
+        v = rng.normal(size=(3, 24))
+        half = side.halves(v)
+        assert half.shape == (3, 1, 24)
+        npt.assert_array_equal(half[:, 0], v.reshape(3, 8, 3).swapaxes(1, 2).reshape(3, 24))
+        npt.assert_array_equal(side.join(half), v)
+
 
 # The assembly of the parent design, kept as the oracle of the fused row
 # kernel: dense velocity and traction matrices of all ring-0 rows in x, y, z
@@ -485,7 +496,8 @@ def _ref_frame(mat, frames):
 def _ref_mode_blocks(mat, rot, rows, cols):
     p = len(rot)
     if p == 1:
-        return mat[None, None]
+        # the dense route's columns are component-major, as the kernel writes them
+        return mat.reshape(len(mat), -1, 3).swapaxes(1, 2).reshape(mat.shape)[None, None]
     c = rows.q @ mat
     halves = c.shape[:2]
     c = c.reshape(halves[0] * halves[1], -1, p, 3).transpose(2, 0, 1, 3) @ rot[:, None]
@@ -728,6 +740,16 @@ class TestBatchedSolves:
             npt.assert_allclose(field.strengths, single_field.strengths, rtol=0,
                                 atol=1e-12 * np.max(np.abs(single_field.strengths)))
 
+    def test_one_block_stack_takes_one_product(self, rng):
+        # the dense route's (1, 1, m, n) stack times C real vectors is one
+        # (C, n) @ (n, m) product, not C matrix-vector products (which round
+        # differently), as in the residuals, refinement and node tractions
+        a = rng.standard_normal((1, 1, 960, 480))
+        x = rng.standard_normal((6, 1, 1, 480))
+        got = collocation._real_matmul(a, x)
+        assert got.shape == (6, 1, 1, 960)
+        assert np.array_equal(got[:, 0, 0], x[:, 0, 0] @ a[0, 0].T)
+
     def test_basis_tractions_equal_single_tractions(self, problem12):
         prob = problem12
         for got, field in zip(prob.basis.tractions, prob.aux_fields):
@@ -814,22 +836,100 @@ class TestCertifiedQR:
         if case == "svd_tol":
             assert solver.svd_rank < 3 * sources.count
 
+    @staticmethod
+    def _check_qr(a, rng):
+        """The blocked QR of a against numpy's: R to rounding, Q^T b against an explicit Q."""
+        m, n = a.shape
+        r, blocks = collocation._householder_qr(a)
+        q, r_np = np.linalg.qr(a)
+        assert np.max(np.abs(r - r_np)) <= 1e-13 * np.max(np.abs(r_np))
+        b = rng.standard_normal((3, m))
+        got, want = collocation._apply_qt(blocks, b), b @ q
+        assert got.shape == want.shape
+        # two QRs' Q differ by up to about eps cond(a): 4e3 for the square block
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # panels of _WY_WIDTH columns; each V^T a unit upper trapezoidal
+        # view of the one working array, each T upper triangular
+        width = collocation._WY_WIDTH
+        assert [j for j, _, _ in blocks] == list(range(0, n, width))
+        for j, vt, t in blocks:
+            w = len(vt)
+            assert vt.shape == (w, m - j) and t.shape == (w, w)
+            assert vt.base is blocks[0][1].base and not vt.flags.owndata
+            assert np.array_equal(np.tril(vt[:, :w]), np.eye(w))
+            assert np.array_equal(np.triu(t), t)
+        return r, blocks
+
     @pytest.mark.parametrize("width", [None, 16])
-    @pytest.mark.parametrize("shape", [(300, 300), (640, 300), (301, 77), (50, 1)])
+    @pytest.mark.parametrize(
+        "shape", [(300, 300), (640, 300), (301, 77), (50, 1), (2000, 1920), (301, 10)]
+    )
     def test_reflector_map_matches_the_explicit_q(self, shape, width, rng, monkeypatch):
-        # square (geqrf's last tau is 0), a width that is no multiple of the
-        # block width, one block, one column; at the default and a small width
+        # square (the last tau is 0), a width that is no multiple of the
+        # panel width (1920 at the default), one panel, one column, fewer
+        # columns than one leaf; at the default and a small panel width,
+        # where the panels are leaves
         if width is not None:
             monkeypatch.setattr(collocation, "_WY_WIDTH", width)
         a = rng.standard_normal(shape)
-        b = rng.standard_normal((3, shape[0]))
-        h, tau = np.linalg.qr(a, mode="raw")
         if shape[0] == shape[1]:
-            assert tau[-1] == 0.0
-        got = collocation._apply_qt(collocation._reflector_blocks(h.T, tau), b)
-        want = b @ np.linalg.qr(a)[0]
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            assert np.linalg.qr(a, mode="raw")[1][-1] == 0.0
+        self._check_qr(a, rng)
+
+    @pytest.mark.parametrize("leaf, chunk", [(None, None), (4, 7)])
+    def test_blocked_qr_with_a_zero_column(self, leaf, chunk, rng, monkeypatch):
+        # a zero column inside a leaf: its reflector has tau = 0, and R a
+        # zero on its diagonal; at the default sizes, and with leaves of 4
+        # columns (ragged halves) and the trailing columns 7 at a time
+        if leaf is not None:
+            monkeypatch.setattr(collocation, "_QR_LEAF", leaf)
+            monkeypatch.setattr(collocation, "_QR_CHUNK", chunk)
+        a = rng.standard_normal((700, 300))
+        a[:, 100] = 0.0
+        r, _ = self._check_qr(a, rng)
+        assert r[100, 100] == 0.0
+
+    def test_blocked_qr_leaves_and_chunks(self, rng, monkeypatch):
+        # every leaf is one LAPACK call on at most _QR_LEAF columns of a
+        # strided view of the working array, and the trailing columns go
+        # _QR_CHUNK at a time: with panels of 32, leaves of 5 and chunks of
+        # 40, a 150 x 100 block takes leaves of 4 and 5 columns (32 = 4 x 8,
+        # ragged halves) and several chunks per panel
+        monkeypatch.setattr(collocation, "_WY_WIDTH", 32)
+        monkeypatch.setattr(collocation, "_QR_LEAF", 5)
+        monkeypatch.setattr(collocation, "_QR_CHUNK", 40)
+        widths, qr = [], np.linalg.qr
+
+        def recorded(a, mode="reduced"):
+            assert mode == "raw" and not a.flags.owndata
+            widths.append(a.shape[1])
+            return qr(a, mode=mode)
+
+        a = rng.standard_normal((150, 100))
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "qr", recorded)
+            collocation._householder_qr(a)
+        assert sum(widths) == 100 and max(widths) <= 5 and min(widths) >= 4
+        self._check_qr(a, rng)
+
+    def test_blocked_qr_updates_a_chunk_at_a_time(self, rng, monkeypatch):
+        # the QR's traced peak is its working array, R and the T blocks, plus
+        # temporaries of one chunk: with panels of 32 and chunks of 16 rows a
+        # 700 x 300 block peaks within 10% of those (an update of all the
+        # columns right of a panel at once reads about 60% over them)
+        import tracemalloc
+
+        monkeypatch.setattr(collocation, "_WY_WIDTH", 32)
+        monkeypatch.setattr(collocation, "_QR_CHUNK", 16)
+        a = rng.standard_normal((700, 300))
+        tracemalloc.start()
+        try:
+            r, blocks = collocation._householder_qr(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = blocks[0][1].base.nbytes + r.nbytes + sum(t.nbytes for _, _, t in blocks)
+        assert peak <= 1.1 * kept
 
     @staticmethod
     def _right_residuals(r):
@@ -877,51 +977,85 @@ class TestCertifiedQR:
     @pytest.mark.parametrize("width", [None, 16])
     @pytest.mark.parametrize("t, k", [(320, 107), (5, 1), (600, 256)])
     def test_one_ring_block_is_the_source_major_matrix(self, t, k, width, rng, monkeypatch):
-        # copied column-major in squares, ragged at both edges at the smaller width
+        # the block is the kernel's array itself, row-major, its columns
+        # component-major, at any panel width; the column side maps
+        # source-major strengths onto them, so it acts as the source-major matrix
         if width is not None:
             monkeypatch.setattr(collocation, "_WY_WIDTH", width)
         mat = rng.standard_normal((1, 3 * t, 3, k))
-        got = collocation._mode_blocks(mat, _RingSide(t, _FRAME, False), _RingSide(k, _XYZ, False))
-        assert np.array_equal(got, mat.swapaxes(2, 3).reshape(1, 1, 3 * t, 3 * k))
-        assert got[0, 0].flags.f_contiguous
+        cols = _RingSide(k, _XYZ, False, columns=True)
+        got = collocation._mode_blocks(mat, _RingSide(t, _FRAME, False), cols)
+        assert got.shape == (1, 1, 3 * t, 3 * k) and np.shares_memory(got, mat)
+        assert got[0, 0].flags.c_contiguous
+        x = rng.standard_normal((2, 3 * k))
+        y = collocation._real_matmul(got, cols.halves(x)[:, None])
+        want = x @ mat[0].swapaxes(1, 2).reshape(3 * t, 3 * k).T
+        assert np.max(np.abs(y[:, 0, 0] - want)) <= 1e-13 * np.max(np.abs(want))
 
-    def test_dense_block_reaches_the_qr_column_major(self, problem20_strided, monkeypatch):
-        # geqrf reads the block as it lies, and its array and R are those of a
-        # row-major copy, bit for bit
-        blocks, qr = [], np.linalg.qr
+    def test_dense_qr_factors_one_copy_of_the_block(self, problem20_strided, monkeypatch):
+        # the kernel's arrays are kept as they lie, and the QR's working
+        # array, the one copy of the block, is what every leaf hands LAPACK
+        # (strided views) and what every WY block's V^T views
+        leaves, qr = [], np.linalg.qr
 
         def recorded(a, mode="reduced"):
-            blocks.append(a)
+            leaves.append(a)
             return qr(a, mode=mode)
 
         monkeypatch.setattr(np.linalg, "qr", recorded)
         prob = problem20_strided
         solver = SlipSolver(prob.mesh, prob.sources, prob.alpha, prob.svd_tol)
-        (a,) = blocks
-        assert a.flags.f_contiguous and not a.flags.c_contiguous
-        h, tau = qr(a, mode="raw")
-        h_c, tau_c = qr(np.ascontiguousarray(a), mode="raw")
-        assert np.array_equal(h, h_c) and np.array_equal(tau, tau_c)
-        # the certified block's W is R^-1 of the row-major copy's R
-        r_c = np.triu(h_c.T[: len(tau_c)])
+        for block in (solver._a, solver._tmat):
+            assert block[0, 0].flags.c_contiguous and not block.flags.owndata
+        work = solver._reflectors[0][1].base
+        assert work.shape == solver._a[0, 0].T.shape and work.flags.c_contiguous
+        assert all(v.base is work for _, v, _ in solver._reflectors)
+        assert leaves and all(np.shares_memory(a, work) for a in leaves)
+        assert all(a.shape[1] <= collocation._QR_LEAF for a in leaves)
+        # the certified block's W is R^-1 of that QR's R, bit for bit
+        monkeypatch.undo()
+        r, _ = collocation._householder_qr(solver._a[0, 0])
         assert solver._certified
-        assert np.array_equal(solver._v[0, 0], collocation._triu_inv(r_c))
+        assert np.array_equal(solver._v[0, 0], collocation._triu_inv(r))
 
     @pytest.mark.parametrize("stride, svd_tol", [(2, 1e-12), (1, 1e-6)])
     def test_dense_build_forms_no_q(self, icosphere2, stride, svd_tol, monkeypatch):
         # certified, and the CI's square 960 x 960 block that fails the
-        # certificate: every QR of the build returns the reflectors only
-        modes, qr = [], np.linalg.qr
+        # certificate: every QR call of the build is a leaf of the blocked
+        # QR, which returns the reflectors only
+        calls, qr = [], np.linalg.qr
 
         def recorded(a, mode="reduced"):
-            modes.append(mode)
+            calls.append((mode, a.shape[1]))
             return qr(a, mode=mode)
 
         monkeypatch.setattr(np.linalg, "qr", recorded)
         prob = SwimProblem(icosphere2, 2.0, stride=stride, svd_tol=svd_tol)
         prob.grand_matrix
         assert prob.solver._certified == (stride == 2)
-        assert modes == ["raw"]
+        assert {mode for mode, _ in calls} == {"raw"}
+        assert sum(w for _, w in calls) == 3 * prob.sources.count
+        assert max(w for _, w in calls) <= collocation._QR_LEAF
+
+    def test_dense_build_peak_is_the_arrays_it_keeps(self, icosphere2):
+        # the traced peak of a certified dense build (960 x 480) is the
+        # arrays it keeps, within 10%: the block, the traction block, the
+        # QR's working array and its T blocks, R and W; a temporary the size
+        # of the block (3.7 MB) in the QR or after it would exceed it
+        import tracemalloc
+
+        sources = SwimProblem(icosphere2, 2.0, stride=2).sources
+        tracemalloc.start()
+        try:
+            solver = SlipSolver(icosphere2, sources, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert solver._certified
+        n = solver._a.shape[3]
+        kept = solver._a.nbytes + solver._tmat.nbytes + solver._reflectors[0][1].base.nbytes
+        kept += sum(t.nbytes for _, _, t in solver._reflectors) + 8 * n * n + solver._v.nbytes
+        assert peak <= 1.1 * kept
 
     def test_refines_only_where_r_inverse_could_lose_the_route_agreement(self, request, problem20_strided):
         # eps ||W||_F ||A|| against 1e-9: the res-16 near no-slip sphere on the
