@@ -165,7 +165,7 @@ def load_config(path) -> dict:
         "alpha": float(_number(raw["alpha"], "alpha")),
         "re": float(_number(raw.get("re", 0.0), "re")),
         "shrink": float(_number(raw.get("shrink", 0.7), "shrink")),
-        "stride": int(_integer(raw.get("stride", 1), "stride")),
+        "stride": int(_integer(raw["stride"], "stride")) if "stride" in raw else None,
         "svd_tol": float(_number(raw.get("svd_tol", 1e-12), "svd_tol")),
         "r_t": float(_number(raw.get("r_t", 20.0), "r_t")),
         "resolutions": [
@@ -179,12 +179,18 @@ def load_config(path) -> dict:
         raise ConfigError("re must be nonnegative")
     if not 0.0 < cfg["shrink"] < 1.0:
         raise ConfigError("shrink must lie in (0, 1)")
-    if cfg["stride"] < 1:
-        raise ConfigError("stride must be a positive integer")
-    if cfg["stride"] != 1 and kind != "mesh":
+    if kind != "mesh":
+        if cfg["stride"] not in (None, 1):
+            raise ConfigError(
+                "stride applies to triangle meshes only; "
+                "a sphere or spheroid places its sources on a grid"
+            )
+        # a grid takes no stride; the output's config reads 1
+        cfg["stride"] = 1
+    elif cfg["stride"] is not None and cfg["stride"] < 2:
         raise ConfigError(
-            "stride applies to triangle meshes only; "
-            "a sphere or spheroid places its sources on a grid"
+            f"stride {cfg['stride']} must be 2 or more: stride 1 puts a source on every node "
+            "(K = N), a fit that interpolates and checks nothing; use stride 2 (the default)"
         )
     if not 0.0 < cfg["svd_tol"] < 1.0:
         raise ConfigError("svd_tol must lie in (0, 1)")

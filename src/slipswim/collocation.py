@@ -52,9 +52,9 @@ strided or hand-built sources, mesh copies made by
 ``dataclasses.replace``, a mesh and sources whose rings differ) has
 P = 1: no FFT, no phase and no butterfly, so the same code assembles the
 full 3N x 3K matrix, as the kernel writes it: row-major, its columns
-component-major (all the x strengths, then the y and the z ones).  One at
-least as tall as wide is factored by a blocked Householder QR in place,
-on one copy of the matrix (:func:`_householder_qr`): Q is never formed.
+component-major (all the x strengths, then the y and the z ones), taller
+than wide (K < N), and factored by a blocked Householder QR in place, on
+one copy of the matrix (:func:`_householder_qr`): Q is never formed.
 Its reflectors come in panels of the compact WY form I - V T V^T
 (Schreiber & Van Loan, SIAM J. Sci. Stat. Comput. 10, 1989), T built
 while each panel is factored, recursively (Elmroth & Gustavson, IBM J.
@@ -64,8 +64,7 @@ Q^T b.  Where R^-1, formed by a blocked back substitution rather than a
 general inverse, proves that the truncated SVD would keep every singular
 value, the SVD's answer is the plain least-squares solution R^-1 Q^T b
 and the SVD is skipped; otherwise it takes one SVD, of R, and U_R^T maps
-Q^T b on.  A wide block, or one whose QR fails, takes the SVD of the
-whole block.  Every block truncates against the global largest singular
+Q^T b on.  Every block truncates against the global largest singular
 value, so the rank, the condition estimate and the solution do not depend
 on P or on the factorization beyond rounding.
 
@@ -516,7 +515,7 @@ def _householder_qr(a):
     temporary is the size of the block.  Once a panel's columns are
     updated, its block row of R is final and is copied out; V^T, rows of
     x^T from column j on, is then unit upper trapezoidal.  A non-finite
-    block raises LinAlgError, as LAPACK's does in numpy.
+    block raises nothing here: numpy's QR returns a non-finite R for it.
     """
     m, n = a.shape
     # copied in squares: a transposed copy at once reads one entry per
@@ -663,15 +662,16 @@ class SlipSolver:
     odd halves (:class:`_RingSide`), each with its own SVD, all truncated
     against the global largest singular value.  With P = 1 the same code
     assembles the full 3N x 3K matrix, row-major with component-major
-    columns, and factors it once.  Where it has a QR (:meth:`_dense_qr`,
-    a blocked Householder QR whose panels build their compact WY T as they
-    are factored), Q stays in its reflectors, and a solve first maps its
-    rows to the 3K entries of Q^T b (:func:`_apply_qt`); the stacks then
-    act on those.  Where R^-1 certifies that the truncated SVD would keep
-    every singular value (:meth:`_certify`), R^-1 alone fills V, with
-    ones for 1 / s and no U, and no SVD is taken; otherwise it takes one
-    SVD, of R where there is a QR (:meth:`_svd`), and U^T is U_R^T
-    (3K x 3K).  A ring mismatch costs time, never accuracy.
+    columns, and factors it once, by a blocked Householder QR whose panels
+    build their compact WY T as they are factored (:func:`_householder_qr`).
+    Q stays in its reflectors, and a solve first maps its rows to the 3K
+    entries of Q^T b (:func:`_apply_qt`); the stacks then act on those.
+    Where R^-1 certifies that the truncated SVD would keep every singular
+    value (:meth:`_certify`), R^-1 alone fills V, with ones for 1 / s and
+    no U, and no SVD is taken; otherwise it takes one SVD, of R
+    (:meth:`_svd`), and U^T is U_R^T (3K x 3K).  A ring mismatch costs
+    time, never accuracy.  ValueError rejects K outside 1 <= K < N (K >= N
+    would interpolate) and an ``alpha`` that is not finite and positive.
 
     The one Stokeslet row kernel (``stokeslets._frame_rows``) runs along
     each node's frame (n, t1, t2) and gives the velocity and the traction
@@ -682,10 +682,15 @@ class SlipSolver:
     """
 
     def __init__(self, mesh, sources, alpha, svd_tol=DEFAULT_SVD_TOL):
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha}")
+        if not 0.0 < alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {alpha}")
         if not 0.0 < svd_tol < 1.0:
             raise ValueError(f"svd_tol must lie in (0, 1), got {svd_tol}")
+        if not 0 < sources.count < mesh.n_nodes:
+            raise ValueError(
+                f"the fit needs 1 <= K < N, got K = {sources.count} sources for "
+                f"N = {mesh.n_nodes} nodes; on a triangle mesh use stride 2 or more"
+            )
         self.mesh = mesh
         self.sources = sources
         self.alpha = float(alpha)
@@ -724,8 +729,8 @@ class SlipSolver:
         self._factored = np.zeros(modes, dtype=bool)
         bound = _norm_bound(self._a)
         self._refine = False
-        self._reflectors = None
-        qr_r = self._dense_qr() if p == 1 else None
+        # the one block's QR (P = 1): R, and Q kept in its reflectors' WY blocks
+        qr_r, self._reflectors = _householder_qr(self._a[0, 0]) if p == 1 else (None, None)
         self._certified = qr_r is not None and self._certify(qr_r, bound[0], svd_tol)
         if self._certified:
             return
@@ -771,25 +776,6 @@ class SlipSolver:
             return float(s[0] / s[-1])
         return float(self._s_max * self._inv_s.max())
 
-    def _dense_qr(self):
-        """R of the one block's QR (P = 1), or None for a wide block or a failed QR.
-
-        The blocked QR (:func:`_householder_qr`) copies the block once, as
-        the kernel wrote it (row-major, columns component-major), and
-        factors the copy in place: R is read off its block rows, and the
-        copy holds the Householder reflectors, kept as the compact WY
-        blocks that every solve applies (:func:`_apply_qt`).  Q is never
-        formed.
-        """
-        a = self._a[0, 0]
-        if len(a) < a.shape[1]:
-            return None
-        try:
-            r, self._reflectors = _householder_qr(a)
-        except np.linalg.LinAlgError:
-            return None
-        return r
-
     def _certify(self, r, bound, svd_tol):
         """Keep R^-1 as the one block's truncated SVD where it proves it; True if so.
 
@@ -828,10 +814,9 @@ class SlipSolver:
     def _svd(self, m, r=None):
         """The SVDs of the halves of DFT mode m.
 
-        The one block's R (``r``, P = 1) is always reused: its SVD is the
+        The one block (P = 1) takes the SVD of its R (``r``): it is the
         block's, with U_R (3K x 3K) acting on Q^T b, so U = Q U_R is never
-        formed.  The whole block takes its SVD only where it has no QR: a
-        wide block, a failed QR, and every ring half.
+        formed.  Only a ring half takes the SVD of the whole half.
         """
         try:
             if r is not None:

@@ -146,13 +146,13 @@ class SwimProblem:
         mesh: SurfaceMesh,
         alpha: float,
         shrink: float = 0.7,
-        stride: int = 1,
+        stride: int | None = None,
         svd_tol: float = DEFAULT_SVD_TOL,
     ):
         self.mesh = mesh
         self.alpha = float(alpha)
         self.shrink = float(shrink)
-        self.stride = int(stride)
+        self.stride = None if stride is None else int(stride)
         self.svd_tol = float(svd_tol)
 
     @cached_property

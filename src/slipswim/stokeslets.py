@@ -71,6 +71,8 @@ __all__ = [
 # Source rings per node ring in theta on a sphere or spheroid: three nodes
 # to every two sources along a meridian, an oversampled least-squares fit.
 _SOURCE_RING_RATIO = 2.0 / 3.0
+# Every second node of any other mesh carries a source: K < N, as the fit needs.
+_DEFAULT_STRIDE = 2
 # A distance below this share of the largest coordinate of its two ends is rounding.
 _SINGULAR_REL = 1e-12
 # Bytes of one block's temporaries in every pass over points; small enough to stay in cache.
@@ -141,7 +143,7 @@ class SourceSet:
     from q) is ring 0 rotated about z by 2 pi q / P, and ring 0 is
     symmetric under y -> -y and, with entry j onto entry n_t - 1 - j,
     under z -> -z.  Only :func:`place_sources` sets it; hand-built sets
-    have 1 and take the dense route.
+    have 1 and take the dense route.  Non-finite locations are rejected.
     """
 
     locations: np.ndarray
@@ -152,6 +154,8 @@ class SourceSet:
         locs = np.asarray(self.locations, dtype=float)
         if locs.ndim != 2 or locs.shape[1] != 3:
             raise ValueError("source locations must be (K, 3)")
+        if not np.all(np.isfinite(locs)):
+            raise ValueError("source locations must be finite")
         object.__setattr__(self, "locations", locs)
         locs.setflags(write=False)
 
@@ -180,7 +184,7 @@ def _inside_body(mesh: SurfaceMesh, points):
     return np.einsum("kj,kj->k", offset, mesh.normals[nearest]) > 0, offset
 
 
-def place_sources(mesh: SurfaceMesh, shrink: float, stride: int = 1) -> SourceSet:
+def place_sources(mesh: SurfaceMesh, shrink: float, stride: int | None = None) -> SourceSet:
     """Place the Stokeslet sources of a mesh.
 
     A sphere or spheroid mesh (one with ``rings`` P > 1) gets a grid of its
@@ -210,17 +214,17 @@ def place_sources(mesh: SurfaceMesh, shrink: float, stride: int = 1) -> SourceSe
     shrink : float in (0, 1)
         Source depth; on a sphere the sources land on the sphere of
         radius shrink times its radius.
-    stride : int >= 1
-        Keep every stride-th node, so K = ceil(N/stride); on meshes
-        without rings only (a sphere or spheroid raises ValueError for
-        stride > 1).
+    stride : int >= 1, optional
+        Keep every stride-th node, so K = ceil(N/stride); by default 2, as
+        ``SlipSolver`` needs K < N.  On meshes without rings only (a sphere
+        or spheroid raises ValueError for stride > 1).
     """
     if not 0.0 < shrink < 1.0:
         raise PlacementError(f"shrink must lie in (0, 1), got {shrink}")
-    if stride < 1:
+    if stride is not None and stride < 1:
         raise ValueError(f"stride must be a positive integer, got {stride}")
     if mesh.rings > 1:
-        if stride != 1:
+        if stride not in (None, 1):
             raise ValueError(
                 f"stride applies to triangle meshes only; a sphere or spheroid places its "
                 f"sources on a grid (got stride {stride})"
@@ -228,7 +232,7 @@ def place_sources(mesh: SurfaceMesh, shrink: float, stride: int = 1) -> SourceSe
         locs, min_dist = _grid_sources(mesh, shrink)
     else:
         c = mesh.centroid
-        locs = c + shrink * (mesh.nodes[::stride] - c)
+        locs = c + shrink * (mesh.nodes[:: stride or _DEFAULT_STRIDE] - c)
         inside, offset = _inside_body(mesh, locs)
         if not np.all(inside):
             raise PlacementError(

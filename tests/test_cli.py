@@ -28,9 +28,12 @@ class TestConfigParsing:
     def test_defaults_filled(self, tmp_path):
         cfg = load_config(_write_config(tmp_path / "c.json"))
         assert cfg["re"] == 0.0
-        assert cfg["stride"] == 1
+        assert cfg["stride"] == 1  # a sphere's grid takes no stride
         assert cfg["svd_tol"] == 1e-12
         assert cfg["thresholds"] == {"c1": 1.0, "c2": 1.0}
+        # a triangle mesh leaves the stride to place_sources, which takes 2
+        mesh = {"kind": "mesh", "path": "body.off"}
+        assert load_config(_write_config(tmp_path / "c.json", shape=mesh))["stride"] is None
 
     def test_unknown_top_level_key(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -386,6 +389,25 @@ def test_stride_on_a_parametric_body_exits_2(tmp_path, capsys):
     assert load_config(_write_config(tmp_path / "c.json", stride=1))["stride"] == 1
 
 
+_OCTAHEDRON = (
+    "OFF\n6 8 0\n1 0 0\n-1 0 0\n0 1 0\n0 -1 0\n0 0 1\n0 0 -1\n3 0 2 4\n3 2 1 4\n"
+    "3 1 3 4\n3 3 0 4\n3 2 0 5\n3 1 2 5\n3 3 1 5\n3 0 3 5\n"
+)
+
+
+def test_stride_1_on_a_mesh_exits_2(tmp_path, capsys):
+    # a source on every node (K = N) interpolates: its residual checks nothing
+    mesh_path = tmp_path / "octa.off"
+    mesh_path.write_text(_OCTAHEDRON)
+    shape = {"kind": "mesh", "path": str(mesh_path)}
+    cfg = _write_config(tmp_path / "c.json", shape=shape, shrink=0.3, stride=1)
+    out = tmp_path / "out.json"
+    assert main(["mobility", "--config", str(cfg), "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and err.count("\n") == 1
+    assert "use stride 2" in err and not out.exists()
+
+
 # diag K of the c = 1.6 spheroid at alpha 2: res 40 and res 48 at shrink 0.5 agree to 1e-9
 _C16_K = (19.4135782, 19.4135782, 16.3388475)
 
@@ -442,10 +464,7 @@ def test_unresolved_sphere_fails_loudly_but_converge_reports_it(tmp_path, capsys
 def test_triangle_mesh_has_no_k_estimate(tmp_path):
     # a triangle mesh has no finer rule: the estimate is null and nothing is gated
     mesh_path = tmp_path / "octa.off"
-    mesh_path.write_text(
-        "OFF\n6 8 0\n1 0 0\n-1 0 0\n0 1 0\n0 -1 0\n0 0 1\n0 0 -1\n3 0 2 4\n3 2 1 4\n"
-        "3 1 3 4\n3 3 0 4\n3 2 0 5\n3 1 2 5\n3 3 1 5\n3 0 3 5\n"
-    )
+    mesh_path.write_text(_OCTAHEDRON)
     cfg = _write_config(
         tmp_path / "c.json", shape={"kind": "mesh", "path": str(mesh_path)}, shrink=0.3
     )

@@ -98,13 +98,39 @@ class TestAssembly:
         with pytest.raises(ValueError):
             SlipSolver(sphere8, srcs, 1.0, svd_tol=2.0)
 
-    def test_failed_svd_is_solver_error(self, sphere8):
-        from slipswim import SolverError, SourceSet
+    def test_failed_svd_is_solver_error(self, sphere8, monkeypatch):
+        from slipswim import SolverError
 
-        # NaN entries make LAPACK give up; that surfaces as a solver failure
-        srcs = SourceSet(np.full((4, 3), np.nan), 0.5)
-        with pytest.raises(SolverError):
-            SlipSolver(sphere8, srcs, 1.0)
+        # LAPACK giving up surfaces as a solver failure, on the ring halves
+        # and on the dense block's R (svd_tol 0.99 fails its certificate)
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        srcs = place_sources(sphere8, 0.5)
+        monkeypatch.setattr(np.linalg, "svd", fails)
+        for mesh in (sphere8, dataclasses.replace(sphere8)):
+            with pytest.raises(SolverError, match="did not converge"):
+                SlipSolver(mesh, srcs, 1.0, svd_tol=0.99)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
+    def test_alpha_must_be_positive_and_finite(self, sphere8, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            SlipSolver(sphere8, place_sources(sphere8, 0.5), alpha)
+
+    @pytest.mark.parametrize("case", ["empty", "square", "wide"])
+    def test_needs_fewer_sources_than_nodes(self, sphere8, case):
+        # the fit must oversample the surface: K = N interpolates, K > N more so
+        mesh = dataclasses.replace(sphere8, shape_info=None)
+        if case == "empty":
+            sources = SourceSet(np.empty((0, 3)), 0.5)
+        elif case == "square":
+            sources = place_sources(mesh, 0.5, stride=1)
+        else:
+            # K > N: 3K = 288 columns against 3N = 192 rows
+            finer = place_sources(make_parametric_surface("sphere", 12), 0.5)
+            sources = SourceSet(finer.locations, finer.min_surface_distance)
+        with pytest.raises(ValueError, match="1 <= K < N"):
+            SlipSolver(mesh, sources, 2.0)
 
 
 class TestSlipSolver:
@@ -549,10 +575,11 @@ class TestFusedAssembly:
     @pytest.mark.parametrize("res", [8, 9])
     def test_dense_route_matches_the_oracle(self, res):
         mesh = dataclasses.replace(make_parametric_surface("sphere", res), shape_info=None)
-        solver = SlipSolver(mesh, place_sources(mesh, 0.5), 2.0)
+        sources = place_sources(mesh, 0.5, stride=2)
+        solver = SlipSolver(mesh, sources, 2.0)
         assert len(solver._rot) == 1
         for got, want in zip((solver._a, solver._tmat), _ref_blocks(solver)):
-            assert got.shape == want.shape == (1, 1, 3 * mesh.n_nodes, 3 * mesh.n_nodes)
+            assert got.shape == want.shape == (1, 1, 3 * mesh.n_nodes, 3 * sources.count)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize(
@@ -807,30 +834,21 @@ class TestCertifiedQR:
         xi, xi_svd = prob.solve(data).xi, svd_route.solve(data).xi
         assert np.max(np.abs(xi - xi_svd)) <= 1e-13 * np.max(np.abs(xi_svd))
 
-    @pytest.mark.parametrize("case", ["svd_tol", "wide", "qr_fails", "inv_fails"])
+    @pytest.mark.parametrize("case", ["svd_tol", "inv_fails"])
     def test_falls_back_to_the_svd(self, case, sphere8, monkeypatch):
-        from slipswim import SourceSet
-
         mesh = dataclasses.replace(sphere8, shape_info=None)
         sources = place_sources(sphere8, 0.5)
         svd_tol = 0.99 if case == "svd_tol" else 1e-12
-        if case == "wide":
-            # K > N: 3K = 288 columns against 3N = 192 rows
-            finer = place_sources(make_parametric_surface("sphere", 12), 0.5)
-            sources = SourceSet(finer.locations, finer.min_surface_distance)
-        elif case in ("qr_fails", "inv_fails"):
+        if case == "inv_fails":
             def fails(*args, **kwargs):
                 raise np.linalg.LinAlgError("singular")
 
-            if case == "qr_fails":
-                monkeypatch.setattr(np.linalg, "qr", fails)
-            else:
-                monkeypatch.setattr(collocation, "_triu_inv", fails)
+            monkeypatch.setattr(collocation, "_triu_inv", fails)
         shapes = _svd_shapes(monkeypatch)
         solver = SlipSolver(mesh, sources, 2.0, svd_tol)
-        # a block with a QR (192 x 120 here) takes the SVD of its 120 x 120 R
+        # the block (192 x 120 here) takes the SVD of its 120 x 120 R
         k = 3 * sources.count
-        assert shapes == [(k, k) if case in ("svd_tol", "inv_fails") else (3 * mesh.n_nodes, k)]
+        assert shapes == [(k, k)]
         field, report = solve_lifting(squirmer_data(mesh), solver)
         assert np.isfinite(field.strengths).all() and report.residual_tangential < 1.0
         if case == "svd_tol":
@@ -1018,11 +1036,12 @@ class TestCertifiedQR:
         assert solver._certified
         assert np.array_equal(solver._v[0, 0], collocation._triu_inv(r))
 
-    @pytest.mark.parametrize("stride, svd_tol", [(2, 1e-12), (1, 1e-6)])
-    def test_dense_build_forms_no_q(self, icosphere2, stride, svd_tol, monkeypatch):
-        # certified, and the CI's square 960 x 960 block that fails the
-        # certificate: every QR call of the build is a leaf of the blocked
-        # QR, which returns the reflectors only
+    @pytest.mark.parametrize("svd_tol", [1e-12, 1e-4])
+    def test_dense_build_forms_no_q(self, icosphere2, svd_tol, monkeypatch):
+        # certified, and the CI's 960 x 480 block at svd_tol 1e-4, which fails
+        # the certificate and keeps all 480 singular values of R: every QR
+        # call of the build is a leaf of the blocked QR, which returns the
+        # reflectors only
         calls, qr = [], np.linalg.qr
 
         def recorded(a, mode="reduced"):
@@ -1030,9 +1049,10 @@ class TestCertifiedQR:
             return qr(a, mode=mode)
 
         monkeypatch.setattr(np.linalg, "qr", recorded)
-        prob = SwimProblem(icosphere2, 2.0, stride=stride, svd_tol=svd_tol)
+        prob = SwimProblem(icosphere2, 2.0, stride=2, svd_tol=svd_tol)
         prob.grand_matrix
-        assert prob.solver._certified == (stride == 2)
+        assert prob.solver._certified == (svd_tol == 1e-12)
+        assert prob.solver.svd_rank == 3 * prob.sources.count
         assert {mode for mode, _ in calls} == {"raw"}
         assert sum(w for _, w in calls) == 3 * prob.sources.count
         assert max(w for _, w in calls) <= collocation._QR_LEAF

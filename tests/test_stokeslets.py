@@ -187,7 +187,7 @@ class TestPointSource:
 class TestSourcePlacement:
     def test_shrunken_copies_inside(self, icosphere2):
         # a triangle mesh shrinks its node cloud toward the centroid
-        srcs = place_sources(icosphere2, 0.5)
+        srcs = place_sources(icosphere2, 0.5, stride=1)
         assert srcs.count == icosphere2.n_nodes
         assert srcs.rings == icosphere2.rings == 1
         c = icosphere2.centroid
@@ -253,9 +253,18 @@ class TestSourcePlacement:
         npt.assert_allclose(srcs.min_surface_distance, brute, rtol=1e-12)
         assert srcs.min_surface_distance < 0.4
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_locations_rejected(self, bad):
+        locs = np.zeros((4, 3))
+        locs[2, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SourceSet(locs, 0.5)
+
     def test_stride_thins_sources(self, icosphere2):
         srcs = place_sources(icosphere2, 0.5, stride=3)
         assert srcs.count == int(np.ceil(icosphere2.n_nodes / 3))
+        # by default every second node: K < N, as the fit needs
+        assert place_sources(icosphere2, 0.5).count == int(np.ceil(icosphere2.n_nodes / 2))
 
     def test_stride_rejected_on_parametric_bodies(self, sphere12, spheroid12):
         for mesh in (sphere12, spheroid12):
@@ -280,7 +289,7 @@ class TestSourcePlacement:
         mesh = dataclasses.replace(make_parametric_surface("sphere", 40))
         tracemalloc.start()
         try:
-            srcs = place_sources(mesh, 0.5)
+            srcs = place_sources(mesh, 0.5, stride=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -295,7 +304,7 @@ class TestSourcePlacement:
         mesh = load_triangle_mesh(tmp_path / "ico.off")
         tracemalloc.start()
         try:
-            srcs = place_sources(mesh, 0.5)
+            srcs = place_sources(mesh, 0.5, stride=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
