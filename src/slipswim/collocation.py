@@ -314,20 +314,19 @@ _XYZ = (np.array([1.0, -1.0, 1.0]), np.array([1.0, 1.0, -1.0]))
 _FRAME = (np.array([1.0, 1.0, -1.0]), np.array([1.0, -1.0, 1.0]))
 
 
-def _to_rings(v, rot) -> np.ndarray:
-    """(C, n, 3) vectors in node or source order to (C, P, 3n/P) ring-0 frame components.
+def _to_rings(q, rot) -> np.ndarray:
+    """(C, K, 3) strengths to (C, P, 3K/P) ring vectors, component-major as the kernel's columns.
 
-    Ring q is rotated back by R_q^T, so its components are those of the
-    matching ring-0 entries.  With one ring this is a plain reshape.
+    Source ring q is rotated back by R_q^T, into the frame of ring 0.
     """
-    c, p = len(v), len(rot)
-    return (v.reshape(c, -1, p, 3).swapaxes(1, 2) @ rot).reshape(c, p, -1)
+    c, p = len(q), len(rot)
+    return (rot.swapaxes(1, 2) @ q.reshape(c, -1, p, 3).transpose(0, 2, 3, 1)).reshape(c, p, -1)
 
 
 def _from_rings(y, rot) -> np.ndarray:
-    """Inverse of :func:`_to_rings`: (C, P, 3n/P) components to (C, n, 3) vectors."""
+    """Inverse of :func:`_to_rings`: (C, P, 3K/P) ring vectors to (C, K, 3) strengths."""
     c, p = y.shape[:2]
-    return (y.reshape(c, p, -1, 3) @ rot.swapaxes(1, 2)).swapaxes(1, 2).reshape(c, -1, 3)
+    return (rot @ y.reshape(c, p, 3, -1)).transpose(0, 3, 1, 2).reshape(c, -1, 3)
 
 
 def _rows_to_rings(rows, p) -> np.ndarray:
@@ -358,10 +357,12 @@ class _RingSide:
     """One side of the ring route's DFT blocks: the node rows or the source columns.
 
     A ring-0 vector holds ``t`` entries of three components, signed under
-    the two reflections by ``kind`` = (phi signs, z signs).  On one ring
-    (``rings`` False, P = 1) ``q`` is None, every map here is the identity
-    and there is one half.  Otherwise the blocks B_m become real and split
-    in two, by the reflections that every mesh with rings has:
+    the two reflections by ``kind`` = (phi signs, z signs), node by node on
+    the rows and component-major (``columns``, as :func:`_to_rings`) on the
+    columns.  On one ring (``rings`` False, P = 1) ``q`` is None, every map
+    here is the identity and there is one half.  Otherwise the blocks B_m
+    become real and split in two, by the reflections that every mesh with
+    rings has:
 
     * The phi reflection maps ring q onto ring P - q and flips the
       components with phi sign -1, so B_m equals its conjugate up to those
@@ -376,25 +377,22 @@ class _RingSide:
     ``q`` holds Q^T as one real (2, h, 3t) array, the halves zero-padded
     to one length h; it is 3t wide, the size of one ring, so it stays
     small.  Q is its transpose.  ``fold`` and ``fold_weight`` (2, h) say
-    which of the first 3 ceil(t/2) entries each half entry comes from, and
-    with what weight, when the mirrored entries are not stored (see
+    which of the first 3 ceil(t/2) rows each half row comes from, and
+    with what weight, when the mirrored rows are not stored (see
     :func:`_mode_blocks`); padding has weight 0.
-
-    On one ring the block's rows lie node by node, but its columns
-    (``columns``) lie component-major, as the kernel writes them: the one
-    half of a vector of sources holds component c of source k at c t + k,
-    so ``halves`` and ``join`` transpose between the two orders there.
     """
 
     def __init__(self, t, kind, rings, columns=False):
         phi_signs, z_signs = kind
         n = 3 * t
         if not rings:
-            self.sizes, self.q, self.columns = (n,), None, columns
+            self.sizes, self.q = (n,), None
             return
-        self.phase = np.tile(np.where(phi_signs < 0, 1j, 1.0), t)
+        # idx[j, c]: where component c of entry j lies
+        idx = np.arange(n).reshape(3, t).T if columns else np.arange(n).reshape(t, 3)
+        self.phase = np.empty(n, dtype=complex)
+        self.phase[idx] = np.where(phi_signs < 0, 1j, 1.0)
         k, root = t // 2, math.sqrt(0.5)
-        idx = np.arange(n).reshape(t, 3)
         lo, hi, pos = idx[:k].ravel(), idx[::-1][:k].ravel(), np.arange(3 * k)
         signed = np.tile(z_signs, k) * root
         equator = [idx[k][z_signs > 0], idx[k][z_signs < 0]] if t % 2 else [idx[:0, 0]] * 2
@@ -416,8 +414,6 @@ class _RingSide:
     def halves(self, v, conj=False):
         """Q^T D v, or Q^T conj(D) v, for ring-0 vectors (..., n): (..., H, h)."""
         if self.q is None:
-            if self.columns:
-                v = v.reshape(v.shape[:-1] + (-1, 3)).swapaxes(-1, -2).reshape(v.shape)
             return v[..., None, :]
         q = self.q.reshape(-1, self.q.shape[2])
         v = v * (self.phase.conj() if conj else self.phase)
@@ -426,10 +422,7 @@ class _RingSide:
     def join(self, w, conj=False):
         """D Q w, or conj(D) Q w, for halves (..., H, h): (..., n)."""
         if self.q is None:
-            v = w[..., 0, :]
-            if self.columns:
-                v = v.reshape(v.shape[:-1] + (3, -1)).swapaxes(-1, -2).reshape(v.shape)
-            return v
+            return w[..., 0, :]
         q = self.q.reshape(-1, self.q.shape[2])
         v = _real_matmul(q.T, w.reshape(w.shape[:-2] + (-1,)))
         return v * (self.phase.conj() if conj else self.phase)
@@ -461,20 +454,17 @@ def _mode_blocks(mat, rows, cols) -> np.ndarray:
       half.  Hence one product with both column halves of Q_c, after
       which ``rows.fold`` picks and weights each half's rows.
 
-    One ring returns the matrix itself as a (1, 1, 3N, 3K) view, columns
-    component-major as the kernel wrote them (see :class:`_RingSide`): no
-    copy.
+    One ring returns the matrix itself as a (1, 1, 3N, 3K) view, as the
+    kernel wrote it: no copy.
     """
     p, n, k = len(mat), mat.shape[1], mat.shape[3]
     if rows.q is None:
         return mat.reshape(1, 1, n, 3 * k)
-    h = cols.q.shape[1]
     angle = np.outer(np.arange(p // 2 + 1), np.arange(p)) % p * (2.0 * np.pi / p)
     c = (np.cos(angle) + np.sin(angle)) @ mat.reshape(p, -1)
-    # both column halves of Q_c, its rows in the component-major order of mat
-    q = cols.q.transpose(2, 0, 1).reshape(k, 3, 2 * h).swapaxes(0, 1).reshape(3 * k, 2 * h)
-    c = c.reshape(-1, 3 * k) @ q
-    c = c.reshape(len(angle), n, 2, h)[:, rows.fold, [[0], [1]]]
+    # both column halves of Q_c at once
+    c = c.reshape(-1, 3 * k) @ cols.q.reshape(-1, 3 * k).T
+    c = c.reshape(len(angle), n, 2, -1)[:, rows.fold, [[0], [1]]]
     phase = rows.half_phase[:, :, None] * cols.half_phase[:, None, :]
     c *= (phase.real + phase.imag) * rows.fold_weight[:, :, None]
     return c
@@ -626,19 +616,18 @@ def _triu_inv(r):
 
 
 def _real_matmul(mat, x):
-    """Stacked real matrices times stacked real or complex vectors.
+    """Stacked real matrices times stacked complex vectors, or one matrix times real ones.
 
     A complex vector goes through as two real columns (a float view), so
-    the real matrices are never upcast.  A stack of one matrix
-    (1, 1, m, n), the dense route's, takes C real vectors (C, 1, 1, n) in
+    the real matrices are never upcast; the ring route's stacks always
+    receive the complex ring DFT.  Real vectors reach only the dense
+    route's stack of one matrix (1, 1, m, n): C of them (C, 1, 1, n) take
     one (C, n) @ (n, m) product, which reads the matrix once, not C times.
     """
     if np.iscomplexobj(x):
         y = mat @ x.view(float).reshape(x.shape + (2,))
         return y.view(complex)[..., 0]
-    if mat.shape[:-2] == (1, 1):
-        return (x.reshape(-1, x.shape[-1]) @ mat[0, 0].T).reshape(x.shape[:-1] + (-1,))
-    return (mat @ x[..., None])[..., 0]
+    return (x.reshape(-1, x.shape[-1]) @ mat[0, 0].T).reshape(x.shape[:-1] + (-1,))
 
 
 class SlipSolver:
@@ -672,6 +661,8 @@ class SlipSolver:
     (:meth:`_svd`), and U^T is U_R^T (3K x 3K).  A ring mismatch costs
     time, never accuracy.  ValueError rejects K outside 1 <= K < N (K >= N
     would interpolate) and an ``alpha`` that is not finite and positive.
+    The columns are component-major at every P, as the kernel writes them
+    (:func:`_to_rings`), so with P = 1 the column side is the identity.
 
     The one Stokeslet row kernel (``stokeslets._frame_rows``) runs along
     each node's frame (n, t1, t2) and gives the velocity and the traction
@@ -713,8 +704,8 @@ class SlipSolver:
         # the slip rows: v . n, then (T n + alpha v) . t_a
         a[:, 1:] *= alpha
         a[:, 1:] += trac[:, 1:]
-        # the node-traction rows in x, y, z of the ring's frame (as _from_rings
-        # reads them): node (q, j) takes the ring-0 frame of entry j
+        # the node-traction rows in x, y, z of the ring's frame (as
+        # _node_tractions reads them): node (q, j) takes the ring-0 frame of entry j
         ring0_frames = frames[:m].swapaxes(1, 2)
         tmat = ring0_frames @ trac.reshape(p, m, 3, -1)
         del trac
@@ -786,8 +777,9 @@ class SlipSolver:
         SVD would keep them all and return the least-squares solution
         W Q^T b.  W then fills V, ones 1 / s (for the rank), and there is no
         U: a solve multiplies Q^T b (:func:`_apply_qt`) by W alone.  A
-        failed certificate or a singular R returns False, and the SVD of R
-        finishes the factorization (:meth:`_svd`).
+        failed certificate returns False, and the SVD of R finishes the
+        factorization (:meth:`_svd`); a zero or NaN on R's diagonal fails
+        it before :func:`_triu_inv`, which raises only for a zero there.
         """
         # W's diagonal holds 1 / r_ii, and ||W||_F is at least its norm: an R
         # whose diagonal already fails the certificate forms no W
@@ -795,10 +787,7 @@ class SlipSolver:
             diagonal = np.linalg.norm(1.0 / np.diagonal(r))
         if not diagonal * bound <= 0.5 / svd_tol:
             return False
-        try:
-            w = _triu_inv(r)
-        except np.linalg.LinAlgError:
-            return False
+        w = _triu_inv(r)
         # NaN or inf in W fails the comparison too
         ratio = np.linalg.norm(w) * bound
         if not ratio <= 0.5 / svd_tol:
@@ -852,9 +841,13 @@ class SlipSolver:
         """Tractions T n (C, N, 3) at the nodes of C Stokeslet fields with strengths (C, K, 3).
 
         Only the modes up to the strengths' highest live one are applied.
+        Node ring q comes in x, y, z of its frame and is rotated by R_q.
         """
-        y = _rfft(_to_rings(strengths, self._rot), len(self._rot), -2)
-        return _from_rings(self._apply(self._tmat, self._trows, y, _live_modes(y)[1]), self._rot)
+        rot = self._rot
+        y = _rfft(_to_rings(strengths, rot), len(rot), -2)
+        t = self._apply(self._tmat, self._trows, y, _live_modes(y)[1])
+        c, p = t.shape[:2]
+        return (t.reshape(c, p, -1, 3) @ rot.swapaxes(1, 2)).swapaxes(1, 2).reshape(c, -1, 3)
 
     def node_traction(self, field: FlowField) -> np.ndarray:
         """Traction T n of ``field`` at the mesh nodes via the cached matrix."""

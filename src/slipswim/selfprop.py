@@ -222,9 +222,8 @@ class SwimProblem:
         w_phi[[0, -1]] /= 2.0
         points, normals = _spheroid_grid(a, c, t, phi)
         weights = _spheroid_weights(a, c, np.repeat(t, len(phi)), np.outer(wt, w_phi).ravel())
-        # the three translation strengths as component-major columns (3K, 3)
-        columns = self._aux[2][:3].transpose(2, 1, 0).reshape(-1, 3)
-        trac = _traction_product(points, normals, self.sources.locations, columns)
+        # the tractions of the three translation fits
+        trac = _traction_product(points, normals, self.sources.locations, self._aux[2][:3])
         k_xy = 0.5 * float(weights @ (trac[:, 0, 0] + trac[:, 1, 1]))
         k_z = float(weights @ trac[:, 2, 2])
         fine = np.array([k_xy, k_xy, k_z])
@@ -260,11 +259,12 @@ class SwimProblem:
             source_flux=lifting.source_flux,
             source_point=lifting.source_point,
         )
-        t_comp = self.solver.node_traction(composite)
+        # relative to the lifting's tractions (a torque is a force times a length), both
+        # over one power of two, so no norm squares them out of range; zero data reads 0
+        t_lift, e = _unit_scale(t_lift)
+        t_comp = np.ldexp(self.solver.node_traction(composite), -e)
         force = surface_integral(self.mesh, t_comp)
         torque = surface_integral(self.mesh, np.cross(self.mesh.nodes, t_comp))
-        # relative to the lifting's tractions (a torque is a force times a length),
-        # scaled before the norm squares them; zero data has zero residuals
         lift_scale = float(self.mesh.weights @ np.linalg.norm(t_lift, axis=1)) or 1.0
         force_res = float(np.linalg.norm(force / lift_scale))
         torque_res = float(np.linalg.norm(torque / (lift_scale * _length_scale(self.mesh))))
@@ -355,6 +355,12 @@ def h_half_norm(values, mesh: SurfaceMesh) -> float:
     return float(np.ldexp(np.sqrt(total), e))
 
 
+def _norm(v) -> float:
+    """||v||_2 taken on v over a power of two (mobility._unit_scale), so no square overflows."""
+    v, e = _unit_scale(v)
+    return float(np.ldexp(np.linalg.norm(v), e))
+
+
 def _ring_kernel(mesh: SurfaceMesh, p: int):
     """Blocks (rows, D[rows], G_hat[:, rows]) of the ring-0 kernel of :func:`h_half_norm`.
 
@@ -393,7 +399,7 @@ def ns_certificate(
     phi, _, beta_star = flux_and_carrier(v_star, mesh)
     bnorm = h_half_norm(beta_star, mesh)
     xi, omega = swim_velocity(gm, wrench)
-    xi_mag, om_mag = float(np.linalg.norm(xi)), float(np.linalg.norm(omega))
+    xi_mag, om_mag = _norm(xi), _norm(omega)
     return NSCertificate(
         phi=float(phi),
         re=float(re),

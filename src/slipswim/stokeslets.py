@@ -315,8 +315,7 @@ def evaluate_flow(field: FlowField, points):
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     pts = pts.reshape(-1, 3)
-    columns = field.strengths.T.reshape(-1, 1)
-    flow = _row_product(pts, field.sources.locations, columns, 4, _flow_rows)
+    flow = _row_product(pts, field.sources.locations, field.strengths[None], 4, _flow_rows)
     vel, prs = flow[:, :3, 0], flow[:, 3, 0]
     if field.source_flux != 0.0:
         vel += field.source_flux * point_source_velocity(field.source_point, pts)
@@ -334,7 +333,7 @@ def _flow_rows(sl, rhat, inv, out):
 def evaluate_strain(field: FlowField, points) -> np.ndarray:
     """Strain tensor D(v) of ``field`` at an (M, 3) batch of points."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    comps = _strain_product(pts, field.sources.locations, field.strengths.T.reshape(-1, 1))
+    comps = _strain_product(pts, field.sources.locations, field.strengths[None])
     out = np.empty((len(pts), 3, 3))
     out[:, _SYM_A, _SYM_B] = out[:, _SYM_B, _SYM_A] = comps[..., 0]
     if field.source_flux != 0.0:
@@ -359,31 +358,32 @@ def _strain_rows(sl, rhat, inv, out):
     np.multiply(dyad[:, :, None], rhat[:, None], out=out)
 
 
-def _strain_product(points, locations, columns) -> np.ndarray:
-    """Unique strain components (M, 6, C) of strength columns (3K, C): :func:`_row_product`."""
-    return _row_product(points, locations, columns, 6, _strain_rows)
+def _strain_product(points, locations, strengths) -> np.ndarray:
+    """Unique strain components (M, 6, C) of C sets of strengths (C, K, 3): :func:`_row_product`."""
+    return _row_product(points, locations, strengths, 6, _strain_rows)
 
 
-def _traction_product(points, normals, locations, columns) -> np.ndarray:
-    """Tractions T n (M, 3, C) of strength columns (3K, C) at (M, 3) points with (M, 3) normals."""
+def _traction_product(points, normals, locations, strengths) -> np.ndarray:
+    """Tractions T n (M, 3, C) of strengths (C, K, 3) at (M, 3) points with (M, 3) normals."""
 
     def rows(sl, rhat, inv, out):
         _rows_along(rhat, inv, _xyz_frames(len(inv)), normals[sl], trac=out)
 
-    return _row_product(points, locations, columns, 3, rows)
+    return _row_product(points, locations, strengths, 3, rows)
 
 
-def _row_product(points, locations, columns, a, rows) -> np.ndarray:
-    """(M, A, C): A kernel rows per point of (M, 3) points applied to C strength columns (3K, C).
+def _row_product(points, locations, strengths, a, rows) -> np.ndarray:
+    """(M, A, C): A kernel rows per point of (M, 3) points applied to C sets of strengths.
 
-    Column j of ``columns`` holds the strengths of a Stokeslet field on the
-    (K, 3) ``locations``, component-major: entry c K + k for strength
+    ``strengths`` (C, K, 3) on the (K, 3) ``locations`` become the kernel's
+    columns (3K, C) here, once, component-major: entry c K + k for strength
     component c of source k.  Per block of points (:func:`_blocks`),
     ``rows(sl, rhat, inv, out)`` writes the rows of the points ``sl`` into
     ``out``, (m, A, 3, K), from :func:`_unit_displacements`, and one
     product applies them to all columns.
     """
     m, k = len(points), len(locations)
+    columns = strengths.transpose(2, 1, 0).reshape(3 * k, -1)
     out = np.empty((m, a, columns.shape[1]))
     buf = None
     for sl in _blocks(m, a * 3 * 8 * k):

@@ -235,9 +235,9 @@ def _orbit_strains(fields, mesh: SurfaceMesh, r_t: float):
     rot = _z_rotations(g)
     # shift s moves source ring q onto ring q + s P / g
     q = np.array([f.strengths.reshape(-1, p, 3) for f in fields])
-    cols = np.array([np.roll(q, -s * (p // g), axis=2) @ rot[s] for s in range(g)])
-    cols = cols.reshape(g, len(fields), -1, 3).T.reshape(-1, len(fields) * g)
-    comps = _strain_product(pts, sources.locations, cols).reshape(len(pts), 6, len(fields), g)
+    shifted = np.array([np.roll(q, -s * (p // g), axis=2) @ rot[s] for s in range(g)])
+    shifted = shifted.swapaxes(0, 1).reshape(len(fields) * g, -1, 3)
+    comps = _strain_product(pts, sources.locations, shifted).reshape(len(pts), 6, len(fields), g)
     for c, f in enumerate(fields):
         if f.source_flux != 0.0:
             # the sink at x0 seen from R_s x is the sink at R_s^T x0 seen from x

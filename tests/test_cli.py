@@ -133,6 +133,20 @@ class TestSubcommands:
         assert record["residuals"]["force"] < 1e-8
         assert "certificate" not in record
 
+    def test_rigid_trace_swim(self, tmp_path):
+        # the trace of rotation about x (index 4) turns the body with it; at
+        # the default shrink 0.7 (at 0.5 the K check rejects this coarse mesh)
+        cfg = _write_config(
+            tmp_path / "c.json",
+            shape={"kind": "sphere", "resolution": 8},
+            shrink=0.7,
+            data={"preset": "rigid-trace", "index": 4},
+        )
+        out = tmp_path / "out.json"
+        assert main(["swim", "--config", str(cfg), "--output", str(out)]) == 0
+        omega = np.array(json.loads(out.read_text())["omega"])
+        assert np.max(np.abs(omega - [-1.0, 0.0, 0.0])) <= 1e-12
+
     def test_certify_output(self, tmp_path):
         cfg = _write_config(tmp_path / "c.json", re=0.0)
         out = tmp_path / "out.json"
@@ -510,14 +524,17 @@ def test_output_objects_carry_the_dataclass_fields(tmp_path):
 
 
 def test_non_finite_output_exits_3(tmp_path, capsys):
-    # a huge finite stroke overflows the squared norms of the certificate
-    cfg = _write_config(
-        tmp_path / "c.json",
-        shape={"kind": "sphere", "resolution": 10},
-        data={"preset": "squirmer", "b1": 1e300},
-    )
-    out = tmp_path / "out.json"
-    assert main(["certify", "--config", str(cfg), "--output", str(out)]) == 3
+    # the certificate's norms square no value of the stroke's size, so a huge
+    # stroke certifies; one at the end of the float range overflows the
+    # right-hand side of the fit
+    for b1, code in ((1e300, 0), (1.7e308, 3)):
+        cfg = _write_config(
+            tmp_path / "c.json",
+            shape={"kind": "sphere", "resolution": 10},
+            data={"preset": "squirmer", "b1": b1},
+        )
+        out = tmp_path / f"{code}.json"
+        assert main(["certify", "--config", str(cfg), "--output", str(out)]) == code
     err = capsys.readouterr().err
     assert err.startswith("solver error") and err.count("\n") == 1
     assert "NaN or infinite" in err and not out.exists()

@@ -158,6 +158,8 @@ class TestSobolevSeminorm:
             3.0 * h_half_norm(values, sphere12),
             rtol=1e-12,
         )
+        # a scalar field (N,) is the one-column field (N, 1)
+        assert h_half_norm(values[:, 0], sphere12) == h_half_norm(values[:, :1], sphere12)
 
     def test_scaling_law_at_the_extremes(self, sphere12, rng):
         # the weights scale as r^2 and the kernel w_j w_k / d^3 as r, so on the
@@ -258,6 +260,27 @@ class TestScaleFree:
             got = self._diagnostics(k)
             for name in unit:
                 assert np.array_equal(got[name], unit[name]), (k, name)
+
+    def test_data_of_any_size(self):
+        # the stroke's size scales xi and the tractions, exactly at a power of
+        # two: the self-propulsion residuals, relative to the lifting's
+        # tractions, stay the unit stroke's and the brackets scale with it,
+        # where squared tractions or velocities would leave the float range
+        mesh = make_parametric_surface("sphere", 8)
+        prob = SwimProblem(mesh, 2.0)
+
+        def run(b1):
+            data = squirmer_data(mesh, b1)
+            sol, cert = prob.solve(data), prob.certificate(1.0, data)
+            return sol, cert, (sol.force_residual, sol.torque_residual)
+
+        sol, cert, residuals = run(1.0)
+        for b1 in (2.0**-530, 2.0**515):
+            got_sol, got_cert, got_residuals = run(b1)
+            assert got_residuals == residuals
+            assert np.array_equal(got_sol.xi, b1 * sol.xi)
+            for name in ("xi_bracket", "omega_bracket"):
+                assert getattr(got_cert, name) == tuple(b1 * x for x in getattr(cert, name))
 
     @pytest.mark.parametrize(
         "r",

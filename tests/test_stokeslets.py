@@ -388,10 +388,10 @@ class TestMatricesAndFields:
         srcs = SourceSet(rng.normal(size=(40, 3)) * 0.3, 1.0)
         pts = rng.normal(size=(700, 3)) * 3.0
         nrm = rng.normal(size=(700, 3))
-        cols = rng.normal(size=(120, 2))
+        strengths = rng.normal(size=(2, 40, 3))
         fn, args = {
             "strain": (evaluate_strain, (FlowField(srcs, rng.normal(size=(40, 3))), pts)),
-            "traction": (stokeslets._traction_product, (pts, nrm, srcs.locations, cols)),
+            "traction": (stokeslets._traction_product, (pts, nrm, srcs.locations, strengths)),
             "nearest": (stokeslets._nearest_nodes, (sphere12, pts)),
         }[which]
         got, blocks = _blocked(2**16, fn, *args)

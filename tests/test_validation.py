@@ -106,12 +106,12 @@ class TestIdentityChecks:
 
 @pytest.fixture()
 def kernel_passes(monkeypatch):
-    """(points, strength columns) of every strain-kernel pass of the identity checks."""
+    """(points, sets of strengths) of every strain-kernel pass of the identity checks."""
     calls, original = [], validation._strain_product
 
-    def counted(points, locations, columns):
-        calls.append((len(points), columns.shape[1]))
-        return original(points, locations, columns)
+    def counted(points, locations, strengths):
+        calls.append((len(points), len(strengths)))
+        return original(points, locations, strengths)
 
     monkeypatch.setattr(validation, "_strain_product", counted)
     return calls
