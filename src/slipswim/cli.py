@@ -21,14 +21,12 @@ Warnings are not fatal: the output JSON lists them under ``warnings``, and
 
 Determinism: with a fixed thread count, rerunning a config byte-identically
 reproduces the output JSON.  Wall-clock timings would break that, so they
-are only included under ``--timing``.  ``--threads`` (or the
-SLIPSWIM_THREADS environment variable, ignored with one line on stderr
-unless it is a positive integer) caps the BLAS thread pools.  That works
-only before numpy is first imported, so neither this module nor the
-package imports numpy at import time: the cap takes effect when
-``slipswim`` starts the process (the console script or ``python -m
-slipswim.cli``), not when :func:`main` runs in a process that has already
-imported numpy.
+are only included under ``--timing``.  ``--threads`` caps the BLAS
+thread pools.  That works only before numpy is first imported, so
+neither this module nor the package imports numpy at import time: the
+cap takes effect when ``slipswim`` starts the process (the console
+script or ``python -m slipswim.cli``), not when :func:`main` runs in a
+process that has already imported numpy.
 
 Custom boundary data is a CSV with header ``node_index,normal,t1,t2``
 giving, per node, the normal velocity component and the two tangential
@@ -435,17 +433,11 @@ def main(argv=None) -> int:
         )
     args = parser.parse_args(argv)
 
-    threads = args.threads
-    if threads is None and os.environ.get("SLIPSWIM_THREADS"):
-        value = os.environ["SLIPSWIM_THREADS"]
-        threads = int(value) if value.strip().isdecimal() and int(value) > 0 else None
-        if threads is None:
-            print(f"ignoring SLIPSWIM_THREADS={value!r}: not a positive integer", file=sys.stderr)
-    if threads is not None:
-        if threads < 1:
+    if args.threads is not None:
+        if args.threads < 1:
             print("--threads must be a positive integer", file=sys.stderr)
             return 2
-        _set_thread_env(threads)
+        _set_thread_env(args.threads)
 
     t0 = time.perf_counter()
     try:

@@ -666,10 +666,10 @@ class SlipSolver:
 
     The one Stokeslet row kernel (``stokeslets._frame_rows``) runs along
     each node's frame (n, t1, t2) and gives the velocity and the traction
-    rows in one pass; they are combined into the slip rows in place, and
-    the traction rows are rotated back to x, y, z for the node tractions.
-    The real half blocks of both matrices are kept for the a-posteriori
-    residuals and for traction extraction.
+    rows in one pass; they are combined into the slip rows in place.  The
+    traction rows share the slip rows' frame and butterfly (with P = 1 the
+    traction block is the kernel's array).  The real half blocks of both
+    matrices are kept for the a-posteriori residuals and for tractions.
     """
 
     def __init__(self, mesh, sources, alpha, svd_tol=DEFAULT_SVD_TOL):
@@ -689,7 +689,6 @@ class SlipSolver:
         self._rot = _z_rotations(p)
         t = mesh.n_nodes // p
         self._rows = _RingSide(t, _FRAME, p > 1)
-        self._trows = _RingSide(t, _XYZ, p > 1)
         self._cols = _RingSide(sources.count // p, _XYZ, p > 1, columns=True)
         # the fit's rows: sqrt(weight), and the tangential rows over the slip weight
         sw = _slip_weight(mesh, alpha)
@@ -704,18 +703,13 @@ class SlipSolver:
         # the slip rows: v . n, then (T n + alpha v) . t_a
         a[:, 1:] *= alpha
         a[:, 1:] += trac[:, 1:]
-        # the node-traction rows in x, y, z of the ring's frame (as
-        # _node_tractions reads them): node (q, j) takes the ring-0 frame of entry j
-        ring0_frames = frames[:m].swapaxes(1, 2)
-        tmat = ring0_frames @ trac.reshape(p, m, 3, -1)
-        del trac
         block_column = (p, 3 * m) + a.shape[2:]
         a = a.reshape(block_column)
         a *= self._scale[: 3 * m, None, None]
         self._a = _mode_blocks(a, self._rows, self._cols)
         del a
-        self._tmat = _mode_blocks(tmat.reshape(block_column), self._trows, self._cols)
-        del tmat
+        self._tmat = _mode_blocks(trac.reshape(block_column), self._rows, self._cols)
+        del trac
         modes, h, h_r, h_c = self._a.shape
         self._factored = np.zeros(modes, dtype=bool)
         bound = _norm_bound(self._a)
@@ -832,22 +826,23 @@ class SlipSolver:
         for m in np.flatnonzero(~self._factored[:n]):
             self._truncate(m, self._svd(m))
 
-    def _apply(self, blocks, rows, y, n):
+    def _apply(self, blocks, y, n):
         """Block-circulant product of ``blocks`` with the ring DFT ``y`` (C, M, 3K/P), modes < n."""
         x = self._cols.halves(y[:, :n], conj=True)
-        return _irfft(rows.join(_real_matmul(blocks[:n], x), conj=True), len(self._rot), -2)
+        return _irfft(self._rows.join(_real_matmul(blocks[:n], x), conj=True), len(self._rot), -2)
 
     def _node_tractions(self, strengths) -> np.ndarray:
         """Tractions T n (C, N, 3) at the nodes of C Stokeslet fields with strengths (C, K, 3).
 
         Only the modes up to the strengths' highest live one are applied.
-        Node ring q comes in x, y, z of its frame and is rotated by R_q.
+        The rows, along each node's frame, un-ring to T n = t_n n + t_1 t1 + t_2 t2.
         """
-        rot = self._rot
+        rot, mesh = self._rot, self.mesh
         y = _rfft(_to_rings(strengths, rot), len(rot), -2)
-        t = self._apply(self._tmat, self._trows, y, _live_modes(y)[1])
+        t = self._apply(self._tmat, y, _live_modes(y)[1])
         c, p = t.shape[:2]
-        return (t.reshape(c, p, -1, 3) @ rot.swapaxes(1, 2)).swapaxes(1, 2).reshape(c, -1, 3)
+        t = t.reshape(c, p, -1, 3).swapaxes(1, 2).reshape(c, -1, 3)
+        return t[..., :1] * mesh.normals + t[..., 1:2] * mesh.tangent1 + t[..., 2:] * mesh.tangent2
 
     def node_traction(self, field: FlowField) -> np.ndarray:
         """Traction T n of ``field`` at the mesh nodes via the cached matrix."""
@@ -882,7 +877,7 @@ class SlipSolver:
         # irfft pads the modes above n with zeros
         xi = _irfft(self._cols.join(x), p, -2)
         y = _rfft(xi, p, -2)
-        residual = self._apply(self._a, self._rows, y, n) - rhs
+        residual = self._apply(self._a, y, n) - rhs
         if references is not None:
             rhs = self._fit_rows(references)
         return _from_rings(xi, self._rot), _reports(residual, rhs)

@@ -323,6 +323,8 @@ def make_parametric_surface(
     """
     if resolution < 8:
         raise GeometryError(f"resolution must be at least 8, got {resolution}")
+    if resolution**2 > np.iinfo(np.intp).max:
+        raise GeometryError(f"resolution {resolution} gives more nodes than an array can index")
     if shape == "sphere":
         if radius <= 0:
             raise GeometryError("sphere radius must be positive")

@@ -269,13 +269,17 @@ class TestSubcommands:
             "mobility",
             {"shape": {"kind": "spheroid", "a_axis": 1.0, "c_axis": 1e200, "resolution": 8}},
         ),
+        # resolution**2 nodes past an array index (leggauss used to raise OverflowError)
+        ("mobility", {"shape": {"kind": "sphere", "resolution": 1e19}}),
+        ("mobility", {"shape": {"kind": "spheroid", "resolution": 1e30}}),
+        ("converge", {"resolutions": [8, 10, 1e30]}),
     ],
     ids=[
         "alpha-nan", "b1-inf", "re-nan", "csv-nan", "alpha-string", "b1-string-nan",
         "resolution-fractional", "stride-fractional", "index-fractional",
         "resolutions-fractional", "resolutions-empty", "resolutions-below-8",
         "r_t-inside-body", "mesh-bad-face", "radius-overflow", "radius-underflow",
-        "spheroid-axis-overflow",
+        "spheroid-axis-overflow", "resolution-1e19", "resolution-1e30", "resolutions-1e30",
     ],
 )
 def test_non_finite_input_exits_2(tmp_path, capsys, command, override):
@@ -704,26 +708,7 @@ class TestDeterminism:
         main(["mobility", "--config", str(cfg), "--output", str(out), "--threads", "2"])
         assert os.environ["OMP_NUM_THREADS"] == "2"
 
-    def test_env_var_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SLIPSWIM_THREADS", "3")
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        cfg = _write_config(tmp_path / "c.json")
-        out = tmp_path / "out.json"
-        main(["mobility", "--config", str(cfg), "--output", str(out)])
-        assert os.environ["OMP_NUM_THREADS"] == "3"
-
-    @pytest.mark.parametrize("value", ["0", "-2", "abc"])
-    def test_env_var_not_a_positive_integer_is_ignored(self, tmp_path, monkeypatch, capsys, value):
-        monkeypatch.setenv("SLIPSWIM_THREADS", value)
-        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-        cfg = _write_config(tmp_path / "c.json")
-        assert main(["mobility", "--config", str(cfg), "--output", str(tmp_path / "o.json")]) == 0
-        assert "OMP_NUM_THREADS" not in os.environ
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"ignoring SLIPSWIM_THREADS='{value}': not a positive integer"]
-
-    def test_nonpositive_thread_flag_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.delenv("SLIPSWIM_THREADS", raising=False)
+    def test_nonpositive_thread_flag_exits_2(self, tmp_path, capsys):
         cfg = _write_config(tmp_path / "c.json")
         assert main(["mobility", "--config", str(cfg), "--threads", "0"]) == 2
         assert capsys.readouterr().err.strip() == "--threads must be a positive integer"

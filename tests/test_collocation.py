@@ -30,6 +30,7 @@ from slipswim.collocation import (
     normalized_carrier,
 )
 from slipswim import collocation
+from slipswim.stokeslets import traction_matrix
 from slipswim.geometry import (
     _rigid_modes,
     _z_rotations,
@@ -521,10 +522,10 @@ class TestButterfly:
 
 # The assembly of the parent design, kept as the oracle of the fused row
 # kernel: dense velocity and traction matrices of all ring-0 rows in x, y, z
-# (I/d + r r^T/d^3 and -(3/4 pi)(rhat . n) rhat rhat^T/d^2), the slip rows
-# projected onto the node frame, then the z-mirror butterfly Q_r^T on the
-# rows, the rotation of each source ring's columns into its frame, Q_c on
-# the columns and the rfft over the source rings.
+# (I/d + r r^T/d^3 and -(3/4 pi)(rhat . n) rhat rhat^T/d^2), both projected
+# onto the node frame and combined into the slip rows, then the z-mirror
+# butterfly Q_r^T on the rows, the rotation of each source ring's columns
+# into its frame, Q_c on the columns and the rfft over the source rings.
 def _ref_rows(points, normals, locations):
     r = points[:, None, :] - locations[None, :, :]
     d = np.linalg.norm(r, axis=2)[..., None, None]
@@ -569,8 +570,18 @@ def _ref_blocks(solver):
     a *= solver._scale[:, None]
     return (
         _ref_mode_blocks(a, solver._rot, solver._rows, solver._cols),
-        _ref_mode_blocks(trac, solver._rot, solver._trows, solver._cols),
+        _ref_mode_blocks(trac_f, solver._rot, solver._rows, solver._cols),
     )
+
+
+def _check_node_tractions(solver, rng):
+    """The node tractions of two random sets of strengths against the dense x, y, z matrix."""
+    mesh, sources = solver.mesh, solver.sources
+    q = rng.normal(size=(2, sources.count, 3))
+    want = (traction_matrix(mesh.nodes, mesh.normals, sources) @ q.reshape(2, -1).T).T
+    got = solver._node_tractions(q)
+    assert got.shape == (2, mesh.n_nodes, 3)
+    assert np.max(np.abs(got.reshape(want.shape) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def _parametric(kind, res, c_axis):
@@ -587,16 +598,17 @@ class TestFusedAssembly:
             ("spheroid", 21, 1.2), ("spheroid", 12, 1.6),
         ],
     )
-    def test_half_blocks_match_the_oracle(self, kind, res, c_axis):
+    def test_half_blocks_match_the_oracle(self, kind, res, c_axis, rng):
         mesh = _parametric(kind, res, c_axis)
         solver = SlipSolver(mesh, place_sources(mesh, 0.5), 2.0)
         assert len(solver._rot) == res
         for got, want in zip((solver._a, solver._tmat), _ref_blocks(solver)):
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        _check_node_tractions(solver, rng)
 
     @pytest.mark.parametrize("res", [8, 9])
-    def test_dense_route_matches_the_oracle(self, res):
+    def test_dense_route_matches_the_oracle(self, res, rng):
         mesh = dataclasses.replace(make_parametric_surface("sphere", res), shape_info=None)
         sources = place_sources(mesh, 0.5, stride=2)
         solver = SlipSolver(mesh, sources, 2.0)
@@ -604,6 +616,7 @@ class TestFusedAssembly:
         for got, want in zip((solver._a, solver._tmat), _ref_blocks(solver)):
             assert got.shape == want.shape == (1, 1, 3 * mesh.n_nodes, 3 * sources.count)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        _check_node_tractions(solver, rng)
 
     @pytest.mark.parametrize(
         "kind, res, c_axis, dense",
@@ -1032,16 +1045,22 @@ class TestCertifiedQR:
         # array, the one copy of the block, is what every leaf hands LAPACK
         # (strided views) and what every WY block's V^T views
         leaves, qr = [], np.linalg.qr
+        kernel, frame_rows = [], collocation._frame_rows
 
         def recorded(a, mode="reduced"):
             leaves.append(a)
             return qr(a, mode=mode)
 
+        def rows(*args):
+            kernel.append(args[-2:])
+            frame_rows(*args)
+
         monkeypatch.setattr(np.linalg, "qr", recorded)
+        monkeypatch.setattr(collocation, "_frame_rows", rows)
         prob = problem20_strided
         solver = SlipSolver(prob.mesh, prob.sources, prob.alpha, prob.svd_tol)
-        for block in (solver._a, solver._tmat):
-            assert block[0, 0].flags.c_contiguous and not block.flags.owndata
+        for block, written in zip((solver._a, solver._tmat), kernel[0]):
+            assert block[0, 0].flags.c_contiguous and np.shares_memory(block, written)
         work = solver._reflectors[0][1].base
         assert work.shape == solver._a[0, 0].T.shape and work.flags.c_contiguous
         assert all(v.base is work for _, v, _ in solver._reflectors)
