@@ -454,7 +454,7 @@ def main(argv=None) -> int:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:
-        print(f"solver error: out of memory: {exc}", file=sys.stderr)
+        print(f"solver error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
         return 3
 
     if args.command == "converge":

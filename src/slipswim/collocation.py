@@ -155,8 +155,6 @@ _EPS = np.finfo(float).eps
 # of R^-1 (:func:`_triu_inv`) and the side of the squares in which the QR
 # copies the block
 _WY_WIDTH = 256
-# The QR's leaves: LAPACK factors panels at most this wide
-_QR_LEAF = 16
 # The QR updates the columns right of a panel at most this many at a time
 _QR_CHUNK = 1024
 
@@ -499,13 +497,13 @@ def _householder_qr(a):
     The block is copied once, in squares of ``_WY_WIDTH``, into a working
     array held as the row-major transpose x^T (n, m): column c of the block
     is row c of x^T.  The factorization overwrites it: panels of
-    ``_WY_WIDTH`` columns, each factored with its T (:func:`_qr_panel`),
+    ``_WY_WIDTH`` columns, each factored into its T (:func:`_qr_panel`),
     then the rows of x^T below the panel's updated to those of Q_j^T C
     (:func:`_reflect`), ``_QR_CHUNK`` rows at a time, so that no
     temporary is the size of the block.  Once a panel's columns are
     updated, its block row of R is final and is copied out; V^T, rows of
     x^T from column j on, is then unit upper trapezoidal.  A non-finite
-    block raises nothing here: numpy's QR returns a non-finite R for it.
+    block raises nothing here: its R comes out non-finite.
     """
     m, n = a.shape
     # copied in squares: a transposed copy at once reads one entry per
@@ -517,8 +515,8 @@ def _householder_qr(a):
     r, blocks = np.zeros((n, n)), []
     for j in range(0, n, w):
         e = min(j + w, n)
-        t = _qr_panel(xt, r, j, e)
-        vt = xt[j:e, j:]
+        vt, t = xt[j:e, j:], np.zeros((e - j, e - j))
+        _qr_panel(vt, r[j:e, j:e], t)
         for i in range(e, n, _QR_CHUNK):
             _reflect(xt[i : i + _QR_CHUNK, j:], vt, t)
         r[j:e, e:] = xt[e:, j:e].T
@@ -536,47 +534,42 @@ def _reflect(rows, vt, t):
     rows -= ((rows @ vt.T) @ t) @ vt
 
 
-def _qr_panel(xt, r, j, e):
-    """Factor the columns j:e of the working array x, from row j down, in place; returns their T.
+def _qr_panel(xt, r, t):
+    """Factor a panel of w columns in place, into its R (w, w) and its zeroed T (w, w).
 
-    ``xt`` is x^T (see :func:`_householder_qr`).  A panel is split in
+    ``xt`` (w, m') holds the panel's columns as rows of x^T (see
+    :func:`_householder_qr`), from the panel's first diagonal entry down;
+    it comes out as V^T, unit upper trapezoidal.  A panel is split in
     halves: the left half is factored, its reflectors applied to the right
     half, and the right half factored, so T = [[T1, -T1 V1^T V2 T2],
-    [0, T2]] (Elmroth & Gustavson 2000).  The rows j:e of R in these
-    columns go to ``r``, and x keeps V, unit lower trapezoidal: ones on
-    the diagonal and zeros above it (zeros left of it in x^T).  A leaf of at most ``_QR_LEAF``
-    columns is LAPACK's (``qr(mode="raw")`` of the strided view, which
-    returns geqrf's array transposed), and its T comes from dlarft's
-    forward recurrence T[:i, i] = -tau_i T[:i, :i] (V^T V)[:i, i],
-    T[i, i] = tau_i, which holds where tau_i = 0 (a zero column, or the
-    last of a square block); the inverse striu(V^T V) + diag(1 / tau)
-    would not.
+    [0, T2]] (Elmroth & Gustavson 2000), down to single columns.  A column
+    c with alpha = c_0 takes dlarfg's reflector: beta = -sign(alpha) |c|,
+    tau = (beta - alpha) / beta and v = c / (alpha - beta) with v_0 = 1,
+    and R's entry is beta; a zero tail (a zero column, or the last of a
+    square block) keeps tau = 0 and R's entry alpha, with its sign.  |c|
+    is the plain 2-norm, not dlarfg's scaled one: the block's rows are on
+    the velocity scale (see the module docstring), so its entries do not
+    grow with the body's size and their squares cannot overflow.
     """
-    w = e - j
-    if w <= _QR_LEAF:
-        h, tau = np.linalg.qr(xt[j:e, j:].T, mode="raw")
-        d = h[:, :w]
-        r[j:e, j:e] = np.tril(d).T
-        d[np.tril_indices(w, -1)] = 0.0
-        np.fill_diagonal(d, 1.0)
-        xt[j:e, j:] = h
-        g = h @ h.T
-        t = np.zeros((w, w))
-        for i, ti in enumerate(tau):
-            t[:i, i] = -ti * (t[:i, :i] @ g[:i, i])
-            t[i, i] = ti
-        return t
-    k = j + w // 2
-    t1 = _qr_panel(xt, r, j, k)
-    _reflect(xt[k:e, j:], xt[j:k, j:], t1)
-    # the rows j:k of the right half are R's, and V2 is zero there
-    r[j:k, k:e] = xt[k:e, j:k].T
-    xt[k:e, j:k] = 0.0
-    t2 = _qr_panel(xt, r, k, e)
-    t = np.zeros((w, w))
-    t[: k - j, : k - j], t[k - j :, k - j :] = t1, t2
-    t[: k - j, k - j :] = -t1 @ ((xt[j:k, k:] @ xt[k:e, k:].T) @ t2)
-    return t
+    w = len(xt)
+    if w == 1:
+        v, alpha = xt[0], xt[0, 0]
+        tail = v[1:] @ v[1:]
+        r[0, 0], v[0] = alpha, 1.0
+        # NaN != 0: a non-finite tail makes R's entry non-finite
+        if tail != 0.0:
+            beta = -math.copysign(math.sqrt(alpha * alpha + tail), alpha)
+            r[0, 0], t[0, 0] = beta, (beta - alpha) / beta
+            v[1:] /= alpha - beta
+        return
+    k = w // 2
+    _qr_panel(xt[:k], r[:k, :k], t[:k, :k])
+    _reflect(xt[k:], xt[:k], t[:k, :k])
+    # the rows :k of the right half are R's, and V2 is zero there
+    r[:k, k:] = xt[k:, :k].T
+    xt[k:, :k] = 0.0
+    _qr_panel(xt[k:, k:], r[k:, k:], t[k:, k:])
+    t[:k, k:] = -t[:k, :k] @ ((xt[:k, k:] @ xt[k:, k:].T) @ t[k:, k:])
 
 
 def _apply_qt(blocks, b):

@@ -671,17 +671,24 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command, suffix):
     assert not out.parent.exists()
 
 
-def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch):
+# numpy's message, and a bare MemoryError() that says nothing: no line ends in a colon
+@pytest.mark.parametrize(
+    "error",
+    [MemoryError("Unable to allocate 74.5 GiB for an array"), MemoryError()],
+    ids=["message", "bare"],
+)
+def test_out_of_memory_exits_3(tmp_path, capsys, monkeypatch, error):
     from slipswim import geometry
 
     def no_memory(*args, **kwargs):
-        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+        raise error
 
     monkeypatch.setattr(geometry, "make_parametric_surface", no_memory)
     cfg = _write_config(tmp_path / "c.json")
     assert main(["mobility", "--config", str(cfg), "--output", str(tmp_path / "o.json")]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "out of memory" in err[0]
+    assert not any(line.rstrip().endswith(":") for line in err)
     assert not (tmp_path / "o.json").exists()
 
 

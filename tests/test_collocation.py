@@ -913,51 +913,71 @@ class TestCertifiedQR:
         "shape", [(300, 300), (640, 300), (301, 77), (50, 1), (2000, 1920), (301, 10)]
     )
     def test_reflector_map_matches_the_explicit_q(self, shape, width, rng, monkeypatch):
-        # square (the last tau is 0), a width that is no multiple of the
-        # panel width (1920 at the default), one panel, one column, fewer
-        # columns than one leaf; at the default and a small panel width,
-        # where the panels are leaves
+        # square (the last column has no tail, so its tau is 0), a width that
+        # is no multiple of the panel width (1920 at the default), one panel,
+        # one column, a panel narrower than 16; at the default and a small
+        # panel width
         if width is not None:
             monkeypatch.setattr(collocation, "_WY_WIDTH", width)
         a = rng.standard_normal(shape)
+        _, blocks = self._check_qr(a, rng)
         if shape[0] == shape[1]:
-            assert np.linalg.qr(a, mode="raw")[1][-1] == 0.0
-        self._check_qr(a, rng)
+            assert blocks[-1][2][-1, -1] == 0.0
 
-    @pytest.mark.parametrize("leaf, chunk", [(None, None), (4, 7)])
-    def test_blocked_qr_with_a_zero_column(self, leaf, chunk, rng, monkeypatch):
-        # a zero column inside a leaf: its reflector has tau = 0, and R a
-        # zero on its diagonal; at the default sizes, and with leaves of 4
-        # columns (ragged halves) and the trailing columns 7 at a time
-        if leaf is not None:
-            monkeypatch.setattr(collocation, "_QR_LEAF", leaf)
+    @pytest.mark.parametrize("width, chunk", [(None, None), (7, 5)])
+    def test_blocked_qr_with_a_zero_column(self, width, chunk, rng, monkeypatch):
+        # a zero column: its reflector has tau = 0, and R a zero on its
+        # diagonal.  Rows 200 on are zero left of column 200, so the
+        # reflectors before it leave those rows as they are: column 200,
+        # -3 e_200 there, has no tail (tau = 0, and R keeps -3), and column
+        # 201 a zero diagonal entry and a tail (tau = 1).  At the default
+        # sizes, and with panels of 7 columns (ragged halves at every level)
+        # and the trailing columns 5 at a time
+        if width is not None:
+            monkeypatch.setattr(collocation, "_WY_WIDTH", width)
             monkeypatch.setattr(collocation, "_QR_CHUNK", chunk)
         a = rng.standard_normal((700, 300))
         a[:, 100] = 0.0
-        r, _ = self._check_qr(a, rng)
-        assert r[100, 100] == 0.0
+        a[200:, :200] = 0.0
+        a[200:, 200] = 0.0
+        a[200, 200], a[201, 201] = -3.0, 0.0
+        r, blocks = self._check_qr(a, rng)
+        tau = np.concatenate([np.diag(t) for _, _, t in blocks])
+        assert r[100, 100] == 0.0 and tau[100] == 0.0
+        assert r[200, 200] == -3.0 and tau[200] == 0.0
+        assert tau[201] == 1.0
 
     def test_blocked_qr_leaves_and_chunks(self, rng, monkeypatch):
-        # every leaf is one LAPACK call on at most _QR_LEAF columns of a
-        # strided view of the working array, and the trailing columns go
-        # _QR_CHUNK at a time: with panels of 32, leaves of 5 and chunks of
-        # 40, a 150 x 100 block takes leaves of 4 and 5 columns (32 = 4 x 8,
-        # ragged halves) and several chunks per panel
+        # every panel recurses on views of the working array down to single
+        # columns, with no LAPACK QR, and the trailing columns go _QR_CHUNK
+        # at a time: with panels of 32 and chunks of 40, a 150 x 107 block
+        # takes a last panel of 11 (ragged halves 5 + 6, 2 + 3 and 3 + 3)
+        # and several chunks per panel
         monkeypatch.setattr(collocation, "_WY_WIDTH", 32)
-        monkeypatch.setattr(collocation, "_QR_LEAF", 5)
         monkeypatch.setattr(collocation, "_QR_CHUNK", 40)
-        widths, qr = [], np.linalg.qr
+        widths, reflected = [], []
+        qr_panel, reflect = collocation._qr_panel, collocation._reflect
 
-        def recorded(a, mode="reduced"):
-            assert mode == "raw" and not a.flags.owndata
-            widths.append(a.shape[1])
-            return qr(a, mode=mode)
+        def panel(xt, r, t):
+            assert not xt.flags.owndata and xt.shape[0] == r.shape[0] == t.shape[0]
+            widths.append(len(xt))
+            qr_panel(xt, r, t)
 
-        a = rng.standard_normal((150, 100))
+        def rows(x, vt, t):
+            reflected.append(len(x))
+            reflect(x, vt, t)
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("a LAPACK QR call")
+
+        a = rng.standard_normal((150, 107))
         with monkeypatch.context() as patch:
-            patch.setattr(np.linalg, "qr", recorded)
+            patch.setattr(collocation, "_qr_panel", panel)
+            patch.setattr(collocation, "_reflect", rows)
+            patch.setattr(np.linalg, "qr", no_qr)
             collocation._householder_qr(a)
-        assert sum(widths) == 100 and max(widths) <= 5 and min(widths) >= 4
+        assert widths.count(1) == 107 and {32, 11, 6, 5, 3, 2} <= set(widths)
+        assert max(reflected) == 40 and reflected.count(40) >= 2
         self._check_qr(a, rng)
 
     def test_blocked_qr_updates_a_chunk_at_a_time(self, rng, monkeypatch):
@@ -1042,13 +1062,13 @@ class TestCertifiedQR:
 
     def test_dense_qr_factors_one_copy_of_the_block(self, problem20_strided, monkeypatch):
         # the kernel's arrays are kept as they lie, and the QR's working
-        # array, the one copy of the block, is what every leaf hands LAPACK
-        # (strided views) and what every WY block's V^T views
-        leaves, qr = [], np.linalg.qr
+        # array, the one copy of the block, is what every WY block's V^T
+        # views; no LAPACK QR is called
+        calls, qr = [], np.linalg.qr
         kernel, frame_rows = [], collocation._frame_rows
 
         def recorded(a, mode="reduced"):
-            leaves.append(a)
+            calls.append(a)
             return qr(a, mode=mode)
 
         def rows(*args):
@@ -1064,8 +1084,7 @@ class TestCertifiedQR:
         work = solver._reflectors[0][1].base
         assert work.shape == solver._a[0, 0].T.shape and work.flags.c_contiguous
         assert all(v.base is work for _, v, _ in solver._reflectors)
-        assert leaves and all(np.shares_memory(a, work) for a in leaves)
-        assert all(a.shape[1] <= collocation._QR_LEAF for a in leaves)
+        assert calls == []
         # the certified block's W is R^-1 of that QR's R, bit for bit
         monkeypatch.undo()
         r, _ = collocation._householder_qr(solver._a[0, 0])
@@ -1075,13 +1094,12 @@ class TestCertifiedQR:
     @pytest.mark.parametrize("svd_tol", [1e-12, 1e-4])
     def test_dense_build_forms_no_q(self, icosphere2, svd_tol, monkeypatch):
         # certified, and the CI's 960 x 480 block at svd_tol 1e-4, which fails
-        # the certificate and keeps all 480 singular values of R: every QR
-        # call of the build is a leaf of the blocked QR, which returns the
-        # reflectors only
+        # the certificate and keeps all 480 singular values of R: the build
+        # calls no LAPACK QR, and so forms no Q
         calls, qr = [], np.linalg.qr
 
         def recorded(a, mode="reduced"):
-            calls.append((mode, a.shape[1]))
+            calls.append(a)
             return qr(a, mode=mode)
 
         monkeypatch.setattr(np.linalg, "qr", recorded)
@@ -1089,9 +1107,7 @@ class TestCertifiedQR:
         prob.grand_matrix
         assert prob.solver._certified == (svd_tol == 1e-12)
         assert prob.solver.svd_rank == 3 * prob.sources.count
-        assert {mode for mode, _ in calls} == {"raw"}
-        assert sum(w for _, w in calls) == 3 * prob.sources.count
-        assert max(w for _, w in calls) <= collocation._QR_LEAF
+        assert calls == []
 
     def test_dense_build_peak_is_the_arrays_it_keeps(self, icosphere2):
         # the traced peak of a certified dense build (960 x 480) is the
